@@ -27,7 +27,7 @@ from .data import MultiViewDataset
 from .framework import fit_solved
 from .gevd import GevdProblem, NumericalError, solve
 from .methods import _method_spec, build_from_views, method_terms
-from .scatter import regularized_gram_inverse
+from .scatter import materialize_grads
 
 ACTIVATIONS = ("tanh", "sigmoid")
 
@@ -130,8 +130,7 @@ class TrainerConfig:
 
     ``jitter`` doubles as the threshold below which the spectrum gap at the
     k-cut counts as an eigenvalue crossing, and as the ridge bump used for a
-    single retry when the constraint loses positive definiteness.  ``method``
-    is consulted by ``loss_gradient`` when no explicit method is given.
+    single retry when the constraint loses positive definiteness.
     """
 
     learning_rate: float = 1e-3
@@ -140,7 +139,6 @@ class TrainerConfig:
     eps: float = 1e-8
     epochs: int = 200
     jitter: float = 1e-8
-    method: object = None
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -180,56 +178,6 @@ def spectral_loss(features, labels, method, k=None, jitter=1e-8):
     return float(-solution.eigenvalues.sum()), solution
 
 
-def _representer_grads(views, G, coeff):
-    """Gradient of coeff * <G, M(views)> for the pseudo-inverse coupling M."""
-    v = len(views)
-    dims = [Z.shape[0] for Z in views]
-    offsets = np.cumsum([0] + dims)
-    Ks = [regularized_gram_inverse(Z, s) for s, Z in enumerate(views)]
-    Fs = [Z @ K for Z, K in zip(views, Ks)]
-    grads = []
-    for u in range(v):
-        Gu = [
-            G[offsets[u]:offsets[u + 1], offsets[w]:offsets[w + 1]]
-            for w in range(v)
-        ]
-        D = (v - 1) * (Gu[u] @ Fs[u])
-        for w in range(v):
-            if w != u:
-                D = D - Gu[w] @ Fs[w]
-        D = 2.0 * coeff * D
-        E = Ks[u] @ (D.T @ views[u]) @ Ks[u]
-        grads.append(D @ Ks[u] - views[u] @ (E + E.T))
-    return grads
-
-
-def _feature_grads(features, labels, method, solution):
-    """d loss / d Z_s for every view, via the pencil adjoints and kernel terms."""
-    n = features[0].shape[1]
-    v = len(features)
-    dims = [Z.shape[0] for Z in features]
-    offsets = np.cumsum([0] + dims)
-    P = solution.P
-    bar_A = -(P @ P.T)
-    bar_B = (P * solution.eigenvalues) @ P.T
-    stacked = np.vstack(features)
-    grads = [np.zeros_like(Z) for Z in features]
-    for term in method_terms(method, n, labels, v):
-        G = bar_A if term.side == "objective" else bar_B
-        if term.layout == "dense":
-            full = 2.0 * term.coeff * (G @ stacked @ term.kernel)
-            for s in range(v):
-                grads[s] += full[offsets[s]:offsets[s + 1], :]
-        elif term.layout == "blockdiag":
-            for s in range(v):
-                Gss = G[offsets[s]:offsets[s + 1], offsets[s]:offsets[s + 1]]
-                grads[s] += 2.0 * term.coeff * (Gss @ features[s] @ term.kernel)
-        else:  # representer
-            for s, g in enumerate(_representer_grads(features, G, term.coeff)):
-                grads[s] += g
-    return grads
-
-
 def _backprop(net, cache, grad_out, activation):
     dWs = [None] * len(net.weights)
     dbs = [None] * len(net.biases)
@@ -254,7 +202,10 @@ def _loss_and_grads(nets, views, labels, method, activation, jitter):
             "reduce k or increase the jitter"
         )
     loss = float(-solution.eigenvalues.sum())
-    fgrads = _feature_grads(features, labels, method, solution)
+    P = solution.P
+    adjoints = (-(P @ P.T), (P * solution.eigenvalues) @ P.T)
+    terms = method_terms(method, features[0].shape[1], labels, len(features))
+    fgrads = materialize_grads(terms, features, adjoints)
     param_grads = [
         _backprop(net, cache, g, activation)
         for net, cache, g in zip(nets, caches, fgrads)
@@ -262,14 +213,11 @@ def _loss_and_grads(nets, views, labels, method, activation, jitter):
     return loss, solution, features, param_grads
 
 
-def loss_gradient(nets, dataset, config, method=None, activation="tanh"):
+def loss_gradient(nets, dataset, config, method, activation="tanh"):
     """Per-parameter gradients of the spectral loss at the current weights.
 
     Returns one ``(dWs, dbs)`` pair per view, shapes matching the networks.
     """
-    method = method if method is not None else config.method
-    if method is None:
-        raise ValueError("no method given: pass one or set TrainerConfig.method")
     _, _, _, grads = _loss_and_grads(
         nets, list(dataset.views), dataset.labels, method, activation, config.jitter
     )

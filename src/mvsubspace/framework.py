@@ -31,12 +31,19 @@ from .data import (
     make_target,
 )
 from .gevd import GevdProblem, solve
-from .scatter import block_diagonal, gram_blocks, symmetrize
+from .scatter import KernelTerm, materialize, symmetrize
 
 INPUT_TRANSFORMS = ("centered", "raw")
 SUPERVISED_KINDS = tuple(k for k in TARGET_KINDS if k != "identity_n")
 
-BUILDER_IDS = ("mean", "representer", "hsic", "cca", "lda")
+# Regularizer id -> builder(raw_views, transformed_views, indicator, lam).
+REGULARIZERS = {
+    "mean": lambda raw, tviews, ind, lam: reg.mean_consistency(raw),
+    "representer": lambda raw, tviews, ind, lam: reg.representer_consistency(raw),
+    "hsic": lambda raw, tviews, ind, lam: reg.hsic_alignment(raw, ind),
+    "cca": lambda raw, tviews, ind, lam: reg.cca_coupling(tviews),
+    "lda": lambda raw, tviews, ind, lam: reg.lda_per_view(raw, ind, lam),
+}
 
 
 @dataclass(frozen=True)
@@ -68,7 +75,7 @@ class ModelSpec:
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
         for rid, w in self.regularizers:
-            if rid not in BUILDER_IDS:
+            if rid not in REGULARIZERS:
                 raise ValueError(f"unknown regularizer builder {rid!r}")
             if w < 0:
                 raise ValueError(f"regularizer weight for {rid!r} must be nonnegative")
@@ -99,24 +106,6 @@ def _transform_views(views, input_transform):
     return [np.asarray(X, dtype=float) for X in views]
 
 
-def _build_regularizer(rid, weight, raw_views, transformed_views, indicator, spec):
-    if rid == "mean":
-        return reg.mean_consistency(raw_views)
-    if rid == "representer":
-        return reg.representer_consistency(raw_views)
-    if rid == "hsic":
-        if indicator is None:
-            raise ValueError("hsic regularizer needs labels")
-        return reg.hsic_alignment(raw_views, indicator)
-    if rid == "cca":
-        return reg.cca_coupling(transformed_views)
-    if rid == "lda":
-        if indicator is None:
-            raise ValueError("lda regularizer needs labels")
-        return reg.lda_per_view(raw_views, indicator, spec.lam)
-    raise ValueError(f"unknown regularizer builder {rid!r}")
-
-
 def assemble(dataset, spec):
     """Materialize the eigenproblem a ModelSpec describes on a dataset."""
     raw_views = list(dataset.views)
@@ -124,13 +113,13 @@ def assemble(dataset, spec):
     target = make_target(dataset, spec.target_kind)
     indicator = build_indicator(dataset.labels) if dataset.labels is not None else None
 
-    Xt = np.vstack(tviews)
-    G = Xt @ target.values.T  # d x o
+    # G G^T rather than a dense n x n target kernel: X T^T costs O(n d o).
+    G = np.vstack(tviews) @ target.values.T  # d x o
     objective = G @ G.T
-    constraint = block_diagonal(gram_blocks(tviews)).dense()
+    _, constraint = materialize([KernelTerm("constraint", "blockdiag", 1.0)], tviews)
     constraint = constraint + spec.gamma * np.eye(constraint.shape[0])
     for rid, w in spec.regularizers:
-        term = _build_regularizer(rid, w, raw_views, tviews, indicator, spec)
+        term = REGULARIZERS[rid](raw_views, tviews, indicator, spec.lam)
         objective = objective - w * term.objective_sub
         constraint = constraint + w * term.constraint_add
     return GevdProblem(symmetrize(objective), symmetrize(constraint), spec.k)

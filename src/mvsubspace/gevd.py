@@ -43,6 +43,11 @@ class GevdProblem:
     def __post_init__(self):
         A = np.asarray(self.objective, dtype=float)
         B = np.asarray(self.constraint, dtype=float)
+        for name, M in (("objective", A), ("constraint", B)):
+            if not np.all(np.isfinite(M)):
+                raise NumericalError(
+                    f"{name} matrix has non-finite entries; rescale the data"
+                )
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("objective must be a square matrix")
         if B.shape != A.shape:

@@ -1,16 +1,10 @@
 """Catalog of multi-view subspace methods as generalized eigenproblems.
 
 Every method here is a pencil (objective, constraint) over the stacked views.
-Both matrices are sums of three primitive term shapes, described by an n x n
-label kernel K:
-
-    dense      X K X^T          over the vertically stacked views
-    blockdiag  X_s K X_s^T      placed on the diagonal, one block per view
-    representer  the pseudo-inverse coupling grid (no kernel)
-
-``method_terms`` writes each method as a list of such terms; ``build``
-materializes them.  The same term lists drive the analytic gradients of the
-deep extension, so the linear and deep paths cannot drift apart.
+``method_terms`` writes each method as a list of ``scatter.KernelTerm``s and
+``build`` materializes them.  The same term lists drive the analytic
+gradients of the deep extension, so the linear and deep paths cannot drift
+apart.
 
 Methods (CLI spellings):
 
@@ -34,12 +28,7 @@ import numpy as np
 from .data import MultiViewDataset, build_indicator, centering_matrix
 from .framework import ModelSpec, assemble, fit_solved
 from .gevd import GevdProblem, solve
-from .scatter import (
-    blockdiag_dense,
-    center_distance_kernel,
-    pseudo_inverse_coupling,
-    symmetrize,
-)
+from .scatter import KernelTerm, center_distance_kernel, materialize
 
 METHOD_NAMES = (
     "MCCA",
@@ -89,16 +78,6 @@ class MethodId:
             raise ValueError("gamma and lam must be nonnegative")
 
 
-@dataclass(frozen=True)
-class KernelTerm:
-    """One additive piece of a pencil side."""
-
-    side: str  # "objective" or "constraint"
-    layout: str  # "dense", "blockdiag", or "representer"
-    coeff: float
-    kernel: np.ndarray | None  # n x n, symmetric; None for representer
-
-
 def method_terms(method, n, labels, v):
     """Write a method's pencil as a list of KernelTerms (gamma excluded).
 
@@ -130,7 +109,7 @@ def method_terms(method, n, labels, v):
     elif name in ("MvDA", "MvDA_VC", "MvDA_CCA"):
         terms = [
             KernelTerm("objective", "dense", 1.0, Qhat),
-            KernelTerm("constraint", "blockdiag", 1.0, np.eye(n)),
+            KernelTerm("constraint", "blockdiag", 1.0),
             KernelTerm("constraint", "dense", -1.0 / (n * v), np.ones((n, n))),
         ]
         if name == "MvDA_VC":
@@ -158,36 +137,13 @@ def method_terms(method, n, labels, v):
     return terms
 
 
-def materialize_term(term, views, stacked):
-    """Densify one KernelTerm on the given views (stacked = vstack(views))."""
-    if term.layout == "dense":
-        return term.coeff * (stacked @ term.kernel @ stacked.T)
-    if term.layout == "blockdiag":
-        return term.coeff * blockdiag_dense(
-            [X @ term.kernel @ X.T for X in views]
-        )
-    if term.layout == "representer":
-        return term.coeff * pseudo_inverse_coupling(views).dense()
-    raise ValueError(f"unknown term layout {term.layout!r}")
-
-
 def build_from_views(method, views, labels):
     """Build a method's GevdProblem directly from view matrices."""
     views = [np.asarray(X, dtype=float) for X in views]
-    n = views[0].shape[1]
-    v = len(views)
-    d = int(sum(X.shape[0] for X in views))
-    terms = method_terms(method, n, labels, v)
-    stacked = np.vstack(views)
-    objective = np.zeros((d, d))
-    constraint = method.gamma * np.eye(d)
-    for term in terms:
-        M = materialize_term(term, views, stacked)
-        if term.side == "objective":
-            objective = objective + M
-        else:
-            constraint = constraint + M
-    return GevdProblem(symmetrize(objective), symmetrize(constraint), method.k)
+    terms = method_terms(method, views[0].shape[1], labels, len(views))
+    objective, constraint = materialize(terms, views)
+    ridge = method.gamma * np.eye(constraint.shape[0])
+    return GevdProblem(objective, constraint + ridge, method.k)
 
 
 def build(method, dataset):

@@ -1,8 +1,9 @@
 """Regularizer terms for the unified multi-view objective.
 
-Each builder returns a RegularizerTerm holding two symmetric d x d matrices,
-where d is the stacked dimension over views.  ``constraint_add`` is added to
-the constraint side of the eigenproblem (these penalties act through the
+Each builder writes its penalty as ``scatter.KernelTerm``s and materializes
+them into a RegularizerTerm holding two symmetric d x d matrices, where d is
+the stacked dimension over views.  ``constraint_add`` is added to the
+constraint side of the eigenproblem (these penalties act through the
 normalization of the projections), ``objective_sub`` is subtracted from the
 objective side (these act through the coupling being maximized).  Exactly one
 of the two is nonzero for every builder.
@@ -14,60 +15,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scatter import (
-    between_class_scatter,
-    blockdiag_dense,
-    gram_blocks,
-    block_diagonal,
-    mean_outer_blocks,
-    pseudo_inverse_coupling,
-    symmetrize,
-)
+from .data import centering_matrix
+from .scatter import KernelTerm, materialize
 
 
 @dataclass(frozen=True)
 class RegularizerTerm:
     constraint_add: np.ndarray
     objective_sub: np.ndarray
-    weight: float = 1.0
-
-    def __post_init__(self):
-        if self.weight < 0:
-            raise ValueError("regularizer weight must be nonnegative")
-        if self.constraint_add.shape != self.objective_sub.shape:
-            raise ValueError("constraint_add and objective_sub must share a shape")
 
 
-def _term(constraint_add=None, objective_sub=None, d=None):
-    zero = np.zeros((d, d))
-    return RegularizerTerm(
-        constraint_add=zero if constraint_add is None else symmetrize(constraint_add),
-        objective_sub=zero if objective_sub is None else symmetrize(objective_sub),
-    )
-
-
-def tikhonov(dims, gammas):
-    """Ridge on the projection blocks: blockdiag(gamma_s I_{d_s})."""
-    if np.isscalar(gammas):
-        gammas = [float(gammas)] * len(dims)
-    if len(gammas) != len(dims):
-        raise ValueError("need one gamma per view")
-    if any(g < 0 for g in gammas):
-        raise ValueError("tikhonov gammas must be nonnegative")
-    blocks = [g * np.eye(d) for g, d in zip(gammas, dims)]
-    d = int(sum(dims))
-    return _term(constraint_add=blockdiag_dense(blocks), d=d)
+def _materialized(terms, views):
+    objective, constraint = materialize(terms, views)
+    return RegularizerTerm(constraint_add=constraint, objective_sub=-objective)
 
 
 def mean_consistency(views):
     """Penalty on pairwise distances between projected view means.
 
     Equals (n / 2v) * sum_{s,t} ||mean of P_s^T X_s - mean of P_t^T X_t||^2
-    as a quadratic form, assembled from the raw (uncentered) views.
+    as a quadratic form blockdiag(1 1^T / n) - dense(1 1^T / (n v)),
+    assembled from the raw (uncentered) views.
     """
-    per_view, stacked = mean_outer_blocks(views)
-    M = blockdiag_dense(per_view) - stacked
-    return _term(constraint_add=M, d=M.shape[0])
+    n = views[0].shape[1]
+    ones = np.ones((n, n))
+    return _materialized([
+        KernelTerm("constraint", "blockdiag", 1.0 / n, ones),
+        KernelTerm("constraint", "dense", -1.0 / (n * len(views)), ones),
+    ], views)
 
 
 def representer_consistency(views):
@@ -76,33 +51,36 @@ def representer_consistency(views):
     Writing P_s W = X_s beta_s with the ridge pseudo-inverse, the quadratic
     form tr(W^T P^T M P W) equals (1/2) sum_{s,t} ||beta_s - beta_t||_F^2.
     """
-    M = pseudo_inverse_coupling(views).dense()
-    return _term(constraint_add=M, d=M.shape[0])
+    return _materialized([KernelTerm("constraint", "representer", 1.0)], views)
 
 
 def hsic_alignment(views, indicator):
     """Label-alignment reward: minus the per-view between-class scatters.
 
-    The term is negative semidefinite on the constraint side; it loosens the
-    normalization along directions whose projections align with the labels.
+    The term -blockdiag(Q - 1 1^T / n) is negative semidefinite on the
+    constraint side; it loosens the normalization along directions whose
+    projections align with the labels.
     """
-    blocks = [between_class_scatter(X, indicator) for X in views]
-    M = -blockdiag_dense(blocks)
-    return _term(constraint_add=M, d=M.shape[0])
+    if indicator is None:
+        raise ValueError("hsic regularizer needs labels")
+    n = views[0].shape[1]
+    return _materialized(
+        [KernelTerm("constraint", "blockdiag", -1.0, indicator.Q - 1.0 / n)], views
+    )
 
 
 def cca_coupling(transformed_views):
     """Penalty on pairwise distances between projected views.
 
     (1/2) sum_{s,t} ||P_s^T Xt_s - P_t^T Xt_t||_F^2 as a quadratic form
-    v * C_diag - C over the transformed views; positive semidefinite, and
-    subtracted from the objective side.
+    v * blockdiag(I) - dense(I) over the transformed views; positive
+    semidefinite, and subtracted from the objective side.
     """
-    grid = gram_blocks(transformed_views)
-    C = grid.dense()
-    C_diag = block_diagonal(grid).dense()
-    M = len(transformed_views) * C_diag - C
-    return _term(objective_sub=M, d=M.shape[0])
+    v = len(transformed_views)
+    return _materialized([
+        KernelTerm("objective", "dense", 1.0),
+        KernelTerm("objective", "blockdiag", -float(v)),
+    ], transformed_views)
 
 
 def lda_per_view(views, indicator, lam):
@@ -113,9 +91,8 @@ def lda_per_view(views, indicator, lam):
     """
     if lam < 0:
         raise ValueError("lda_per_view lam must be nonnegative")
+    if indicator is None:
+        raise ValueError("lda regularizer needs labels")
     n = views[0].shape[1]
-    H = np.eye(n) - np.full((n, n), 1.0 / n)
-    R = H - lam * (indicator.Q - 1.0 / n)
-    blocks = [symmetrize(X @ R @ X.T) for X in views]
-    M = blockdiag_dense(blocks)
-    return _term(objective_sub=M, d=M.shape[0])
+    R = centering_matrix(n) - lam * (indicator.Q - 1.0 / n)
+    return _materialized([KernelTerm("objective", "blockdiag", -1.0, R)], views)

@@ -1,7 +1,10 @@
-"""Block Gram matrices and scatter constructions on multi-view data.
+"""Scatter constructions and the term algebra of multi-view pencils.
 
-Every matrix produced here is explicitly symmetrized, so downstream
-eigensolvers never see asymmetry beyond exact floating-point roundoff.
+Every pencil side in the package is a sum of KernelTerms; ``materialize``
+turns such a sum into dense matrices and ``materialize_grads`` pushes pencil
+adjoints back onto the views.  Every matrix produced here is explicitly
+symmetrized, so downstream eigensolvers never see asymmetry beyond exact
+floating-point roundoff.
 """
 
 from __future__ import annotations
@@ -10,68 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import center_columns
-
 
 def symmetrize(M):
     return 0.5 * (M + M.T)
-
-
-@dataclass(frozen=True)
-class BlockMatrix:
-    """A v x v grid of blocks; block (s, t) has shape (d_s, d_t)."""
-
-    blocks: tuple
-    dims: tuple
-
-    def __post_init__(self):
-        v = len(self.dims)
-        if len(self.blocks) != v or any(len(row) != v for row in self.blocks):
-            raise ValueError("blocks must form a v x v grid")
-        for s in range(v):
-            for t in range(v):
-                B = self.blocks[s][t]
-                if B.shape != (self.dims[s], self.dims[t]):
-                    raise ValueError(
-                        f"block ({s}, {t}) has shape {B.shape}, expected "
-                        f"({self.dims[s]}, {self.dims[t]})"
-                    )
-
-    @property
-    def total_dim(self):
-        return int(sum(self.dims))
-
-    def dense(self):
-        """Materialize the grid as a single (sum d_s) square array."""
-        return np.block([[self.blocks[s][t] for t in range(len(self.dims))]
-                         for s in range(len(self.dims))])
-
-
-def gram_blocks(views):
-    """Cross-view Gram grid: block (s, t) = X_s X_t^T, diagonals symmetrized."""
-    v = len(views)
-    blocks = [[None] * v for _ in range(v)]
-    for s in range(v):
-        for t in range(s, v):
-            B = views[s] @ views[t].T
-            if s == t:
-                blocks[s][s] = symmetrize(B)
-            else:
-                blocks[s][t] = B
-                blocks[t][s] = B.T
-    dims = tuple(V.shape[0] for V in views)
-    return BlockMatrix(tuple(tuple(row) for row in blocks), dims)
-
-
-def block_diagonal(bm):
-    """Copy of a BlockMatrix with all off-diagonal blocks zeroed."""
-    v = len(bm.dims)
-    blocks = tuple(
-        tuple(bm.blocks[s][t] if s == t else np.zeros((bm.dims[s], bm.dims[t]))
-              for t in range(v))
-        for s in range(v)
-    )
-    return BlockMatrix(blocks, bm.dims)
 
 
 def blockdiag_dense(matrices):
@@ -117,21 +61,6 @@ def center_distance_kernel(indicator):
     return symmetrize(Yn.T @ Hc @ Yn)
 
 
-def mean_outer_blocks(views):
-    """Per-view and stacked outer products of the (unnormalized) view means.
-
-    Returns ``(per_view, stacked)`` where per_view[s] = (1/n) X_s 1 1^T X_s^T
-    and stacked = (1/(n v)) X 1 1^T X^T over the stacked views.
-    """
-    n = views[0].shape[1]
-    v = len(views)
-    sums = [X.sum(axis=1) for X in views]
-    per_view = [symmetrize(np.outer(r, r)) / n for r in sums]
-    full = np.concatenate(sums)
-    stacked = symmetrize(np.outer(full, full)) / (n * v)
-    return per_view, stacked
-
-
 def regularized_gram_inverse(X, view_index=0):
     """(X^T X + eps I)^-1 with the scale-aware jitter eps = 1e-10 tr(X^T X)/d."""
     d, n = X.shape
@@ -147,27 +76,112 @@ def regularized_gram_inverse(X, view_index=0):
 
 
 def pseudo_inverse_coupling(views):
-    """BlockMatrix M with blocks built from ridge-regularized pseudo-inverses.
+    """Dense coupling M built from ridge-regularized pseudo-inverses.
 
-    With F_s = X_s (X_s^T X_s + eps I)^-1, the blocks are
+    With F_s = X_s (X_s^T X_s + eps I)^-1, block (s, t) of M is
     (v - 1) F_s F_s^T on the diagonal and -F_s F_t^T off it, so that
     tr(W^T P^T M P W) sums the pairwise squared differences of the per-view
     representer coefficients.
     """
     v = len(views)
     F = [X @ regularized_gram_inverse(X, s) for s, X in enumerate(views)]
-    blocks = [[None] * v for _ in range(v)]
-    for s in range(v):
-        for t in range(v):
-            if s == t:
-                blocks[s][s] = symmetrize((v - 1) * (F[s] @ F[s].T))
-            else:
-                blocks[s][t] = -(F[s] @ F[t].T)
-    dims = tuple(V.shape[0] for V in views)
-    return BlockMatrix(tuple(tuple(row) for row in blocks), dims)
+    blocks = [
+        [(v - 1) * (F[s] @ F[s].T) if s == t else -(F[s] @ F[t].T)
+         for t in range(v)]
+        for s in range(v)
+    ]
+    return symmetrize(np.block(blocks))
 
 
-def centered_gram(X):
-    """X H_n X^T via explicit column centering."""
-    Xc = center_columns(X)
-    return symmetrize(Xc @ Xc.T)
+def _representer_grads(views, G, coeff):
+    """Per-view gradients of coeff * <G, pseudo_inverse_coupling(views)>."""
+    v = len(views)
+    offsets = np.cumsum([0] + [Z.shape[0] for Z in views])
+    Ks = [regularized_gram_inverse(Z, s) for s, Z in enumerate(views)]
+    Fs = [Z @ K for Z, K in zip(views, Ks)]
+    grads = []
+    for u in range(v):
+        Gu = [
+            G[offsets[u]:offsets[u + 1], offsets[w]:offsets[w + 1]]
+            for w in range(v)
+        ]
+        D = (v - 1) * (Gu[u] @ Fs[u])
+        for w in range(v):
+            if w != u:
+                D = D - Gu[w] @ Fs[w]
+        D = 2.0 * coeff * D
+        E = Ks[u] @ (D.T @ views[u]) @ Ks[u]
+        grads.append(D @ Ks[u] - views[u] @ (E + E.T))
+    return grads
+
+
+SIDES = ("objective", "constraint")
+
+
+@dataclass(frozen=True)
+class KernelTerm:
+    """One additive piece of a pencil side, coeff * layout(X K X^T).
+
+    ``layout`` is "dense" (X K X^T over the vertically stacked views),
+    "blockdiag" (X_s K X_s^T on the diagonal, one block per view) or
+    "representer" (the pseudo-inverse coupling, which takes no kernel).
+    ``kernel`` is a symmetric n x n matrix; None stands for the identity,
+    so X X^T is formed without an n x n intermediate.
+    """
+
+    side: str  # "objective" or "constraint"
+    layout: str
+    coeff: float
+    kernel: np.ndarray | None = None
+
+
+def _times_kernel(M, kernel):
+    return M if kernel is None else M @ kernel
+
+
+def materialize(terms, views):
+    """Sum KernelTerms on the given views into ``(objective, constraint)``."""
+    stacked = np.vstack(views)
+    d = stacked.shape[0]
+    sides = {side: np.zeros((d, d)) for side in SIDES}
+    for term in terms:
+        if term.layout == "dense":
+            M = _times_kernel(stacked, term.kernel) @ stacked.T
+        elif term.layout == "blockdiag":
+            M = blockdiag_dense(
+                [_times_kernel(X, term.kernel) @ X.T for X in views]
+            )
+        elif term.layout == "representer":
+            M = pseudo_inverse_coupling(views)
+        else:
+            raise ValueError(f"unknown term layout {term.layout!r}")
+        sides[term.side] += term.coeff * M
+    return symmetrize(sides["objective"]), symmetrize(sides["constraint"])
+
+
+def materialize_grads(terms, views, adjoints):
+    """Per-view gradients of <bar_A, objective> + <bar_B, constraint>.
+
+    ``adjoints`` is ``(bar_A, bar_B)``, symmetric d x d, in the order
+    ``materialize`` returns the sides; with symmetric kernels the gradient of
+    coeff * <G, X K X^T> with respect to X is 2 coeff G X K.
+    """
+    adjoint = dict(zip(SIDES, adjoints))
+    offsets = np.cumsum([0] + [X.shape[0] for X in views])
+    grads = [np.zeros_like(X) for X in views]
+    for term in terms:
+        G = adjoint[term.side]
+        if term.layout == "dense":
+            full = 2.0 * term.coeff * _times_kernel(G @ np.vstack(views), term.kernel)
+            for s in range(len(views)):
+                grads[s] += full[offsets[s]:offsets[s + 1], :]
+        elif term.layout == "blockdiag":
+            for s, X in enumerate(views):
+                Gss = G[offsets[s]:offsets[s + 1], offsets[s]:offsets[s + 1]]
+                grads[s] += 2.0 * term.coeff * _times_kernel(Gss @ X, term.kernel)
+        elif term.layout == "representer":
+            for s, g in enumerate(_representer_grads(views, G, term.coeff)):
+                grads[s] += g
+        else:
+            raise ValueError(f"unknown term layout {term.layout!r}")
+    return grads

@@ -179,6 +179,21 @@ def test_singular_constraint_exits_numerically(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_overflowing_data_exits_numerically(tmp_path, capsys):
+    # finite entries near 1e160 pass data validation but overflow the pencil
+    rng = np.random.default_rng(0)
+    data = tmp_path / "huge"
+    data.mkdir()
+    for s, d in enumerate((3, 2), start=1):
+        np.savetxt(data / f"view_{s}.csv", 1e160 * rng.standard_normal((12, d)),
+                   delimiter=",")
+    np.savetxt(data / "labels.csv", np.repeat([1, 2, 3], 4), fmt="%d")
+    cfg = write_cfg(tmp_path / "fit.cfg", dataset=str(data), method="MvOPLS", k="1")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "m")]) == 3
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_seed_flag_overrides_config(toy_dir, tmp_path):
     cfg = write_cfg(
         tmp_path / "cls.cfg", dataset=str(toy_dir), method="MvLDA", k="2",

@@ -7,6 +7,7 @@ from mvsubspace import (
     METHOD_NAMES,
     MethodId,
     MultiViewDataset,
+    NumericalError,
     build,
     build_via_framework,
     embed,
@@ -86,6 +87,15 @@ def test_mcca_needs_no_labels_others_do():
     build(MethodId("MCCA", k=1), unlabeled)  # fine
     with pytest.raises(ValueError, match="needs labels"):
         build(MethodId("MvOPLS", k=1), unlabeled)
+
+
+def test_overflowing_pencil_is_a_numerical_error():
+    """Finite views near 1e160 overflow the pencil before any solve starts."""
+    ds = random_dataset(seed=9, dims=(3, 2), n=12)
+    huge = MultiViewDataset(tuple(1e160 * X for X in ds.views), ds.labels)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="objective matrix has non-finite"):
+            fit_method(MethodId("MvOPLS", k=1), huge)
 
 
 def test_mcca_two_views_recovers_cca():

@@ -10,7 +10,6 @@ from mvsubspace.regularizers import (
     lda_per_view,
     mean_consistency,
     representer_consistency,
-    tikhonov,
 )
 from mvsubspace.scatter import between_class_scatter, blockdiag_dense
 
@@ -103,27 +102,3 @@ def test_lda_per_view_kernel():
     np.testing.assert_allclose(
         lda_per_view(views, ind, lam).objective_sub, want, atol=1e-12
     )
-
-
-def test_tikhonov_blocks():
-    term = tikhonov((2, 3), (0.5, 2.0))
-    want = np.diag([0.5, 0.5, 2.0, 2.0, 2.0])
-    np.testing.assert_array_equal(term.constraint_add, want)
-    scalar = tikhonov((2, 3), 1.5)
-    np.testing.assert_array_equal(scalar.constraint_add, 1.5 * np.eye(5))
-
-
-def test_tikhonov_validation():
-    with pytest.raises(ValueError, match="nonnegative"):
-        tikhonov((2,), -1.0)
-    with pytest.raises(ValueError, match="one gamma per view"):
-        tikhonov((2, 3), (1.0,))
-
-
-def test_regularizer_term_validation():
-    from mvsubspace.regularizers import RegularizerTerm
-
-    with pytest.raises(ValueError, match="nonnegative"):
-        RegularizerTerm(
-            constraint_add=np.eye(2), objective_sub=np.zeros((2, 2)), weight=-1.0
-        )

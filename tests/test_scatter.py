@@ -1,17 +1,12 @@
 """Scatter-matrix and block-layout tests."""
 
 import numpy as np
-import pytest
 
 from mvsubspace import build_indicator, centering_matrix
 from mvsubspace.scatter import (
-    BlockMatrix,
     between_class_scatter,
-    block_diagonal,
     blockdiag_dense,
     center_distance_kernel,
-    gram_blocks,
-    mean_outer_blocks,
     pseudo_inverse_coupling,
     regularized_gram_inverse,
     symmetrize,
@@ -42,52 +37,17 @@ def test_scatter_oracles():
     )
 
 
-def test_mean_outer_blocks_oracle():
-    blocks, dense = mean_outer_blocks([np.array([[1.0, 3.0]])])
-    np.testing.assert_allclose(blocks[0], [[8.0]])
-    np.testing.assert_allclose(dense, [[8.0]])
-
-
-def test_block_matrix_assembly():
-    blocks = (
-        (np.ones((2, 2)), np.zeros((2, 1))),
-        (np.zeros((1, 2)), 2 * np.ones((1, 1))),
-    )
-    M = BlockMatrix(blocks, (2, 1))
-    assert M.total_dim == 3
-    want = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 2.0]])
-    np.testing.assert_array_equal(M.dense(), want)
-
-
-def test_block_matrix_rejects_bad_grids():
-    with pytest.raises(ValueError, match="grid"):
-        BlockMatrix(((np.eye(2),), (np.eye(2), np.eye(2))), (2, 2))
-    with pytest.raises(ValueError, match="has shape"):
-        BlockMatrix(((np.eye(2), np.eye(3)), (np.eye(2), np.eye(2))), (2, 2))
-
-
 def test_block_diagonal_zeroes_couplings():
     rng = np.random.default_rng(4)
     views = [rng.standard_normal((2, 6)), rng.standard_normal((3, 6))]
-    full = gram_blocks(views)
-    diag = block_diagonal(full).dense()
     want = np.zeros((5, 5))
     want[:2, :2] = views[0] @ views[0].T
     want[2:, 2:] = views[1] @ views[1].T
-    np.testing.assert_allclose(diag, want, atol=1e-13)
     np.testing.assert_allclose(
         blockdiag_dense([views[0] @ views[0].T, views[1] @ views[1].T]),
         want,
         atol=1e-13,
     )
-
-
-def test_gram_blocks():
-    rng = np.random.default_rng(5)
-    views = [rng.standard_normal((3, 8)), rng.standard_normal((2, 8))]
-    grid = gram_blocks(views).blocks
-    np.testing.assert_allclose(grid[0][1], views[0] @ views[1].T, atol=1e-14)
-    np.testing.assert_allclose(grid[1][1], views[1] @ views[1].T, atol=1e-14)
 
 
 def test_regularized_gram_inverse():
@@ -102,10 +62,10 @@ def test_regularized_gram_inverse():
 def test_pseudo_inverse_coupling_structure():
     rng = np.random.default_rng(7)
     views = [rng.standard_normal((6, 4)), rng.standard_normal((5, 4))]
-    M = pseudo_inverse_coupling(views).dense()
+    M = pseudo_inverse_coupling(views)
     np.testing.assert_allclose(M, M.T, atol=1e-12)
     # single view: nothing to couple
-    alone = pseudo_inverse_coupling(views[:1]).dense()
+    alone = pseudo_inverse_coupling(views[:1])
     np.testing.assert_allclose(alone, np.zeros((6, 6)), atol=1e-15)
 
 
