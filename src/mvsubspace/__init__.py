@@ -13,7 +13,6 @@ from .data import (
     TargetMatrix,
     build_indicator,
     center_columns,
-    centering_matrix,
     load_dataset,
     make_target,
     pca_reduce,
@@ -62,7 +61,6 @@ __all__ = [
     "TargetMatrix",
     "build_indicator",
     "center_columns",
-    "centering_matrix",
     "load_dataset",
     "make_target",
     "pca_reduce",

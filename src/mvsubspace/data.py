@@ -21,11 +21,6 @@ TARGET_KINDS = (
 )
 
 
-def centering_matrix(n):
-    """Return H_n = I_n - (1/n) 1 1^T."""
-    return np.eye(n) - np.full((n, n), 1.0 / n)
-
-
 def center_columns(X):
     """Subtract the mean column of X, i.e. compute X @ H_n."""
     X = np.asarray(X, dtype=float)
@@ -118,28 +113,18 @@ class MultiViewDataset:
 
 @dataclass(frozen=True)
 class IndicatorMatrix:
-    """One-hot label machinery: Y (c x n), class counts, and Q = Y^T S^-1 Y."""
+    """One-hot labels Y (c x n) and class counts; see ``scatter.label_kernels``."""
 
     Y: np.ndarray
     counts: np.ndarray
-    Q: np.ndarray
 
     @property
     def n_classes(self):
         return self.Y.shape[0]
 
-    @property
-    def sigma(self):
-        """The diagonal c x c matrix of class counts, Y Y^T."""
-        return np.diag(self.counts.astype(float))
-
 
 def build_indicator(labels):
-    """Build the IndicatorMatrix for integer labels 1..c.
-
-    Y[r, i] = 1 iff sample i belongs to class r.  Q = Y^T Sigma^-1 Y is the
-    block-averaging kernel: (Q x)_i averages x over the class of sample i.
-    """
+    """IndicatorMatrix for labels 1..c: Y[r, i] = 1 iff sample i is in class r."""
     labels = _check_labels(labels)
     n = labels.shape[0]
     c = int(labels.max())
@@ -149,9 +134,7 @@ def build_indicator(labels):
     if np.any(counts == 0):
         empty = int(np.where(counts == 0)[0][0]) + 1
         raise ValueError(f"class {empty} has no samples")
-    Q = Y.T @ (Y / counts[:, None])
-    Q = 0.5 * (Q + Q.T)
-    return IndicatorMatrix(Y=Y, counts=counts, Q=Q)
+    return IndicatorMatrix(Y=Y, counts=counts)
 
 
 @dataclass(frozen=True)

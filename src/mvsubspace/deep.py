@@ -26,7 +26,7 @@ from scipy.special import expit
 from .data import MultiViewDataset
 from .framework import fit_solved
 from .gevd import GevdProblem, NumericalError, solve
-from .methods import _method_spec, build_from_views, method_terms
+from .methods import _method_spec, _pencil, build_from_views, method_terms
 from .scatter import materialize_grads
 
 ACTIVATIONS = ("tanh", "sigmoid")
@@ -194,7 +194,8 @@ def _backprop(net, cache, grad_out, activation):
 def _loss_and_grads(nets, views, labels, method, activation, jitter):
     caches = [_forward_cache(net, X, activation) for net, X in zip(nets, views)]
     features = [c[-1] for c in caches]
-    problem = build_from_views(method, features, labels)
+    terms = method_terms(method, features[0].shape[1], labels, len(features))
+    problem = _pencil(method, terms, features)
     solution, solved = _solve_with_retry(problem, jitter)
     if method.k < solved.dim and solution.spectrum_gap < jitter:
         raise NumericalError(
@@ -204,7 +205,6 @@ def _loss_and_grads(nets, views, labels, method, activation, jitter):
     loss = float(-solution.eigenvalues.sum())
     P = solution.P
     adjoints = (-(P @ P.T), (P * solution.eigenvalues) @ P.T)
-    terms = method_terms(method, features[0].shape[1], labels, len(features))
     fgrads = materialize_grads(terms, features, adjoints)
     param_grads = [
         _backprop(net, cache, g, activation)

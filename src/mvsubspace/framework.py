@@ -106,15 +106,23 @@ def _transform_views(views, input_transform):
     return [np.asarray(X, dtype=float) for X in views]
 
 
+def _views_times_target(dataset, tviews, target_kind):
+    """Xt T^T (d x o) over the stacked views; Xt itself for identity_n."""
+    stacked = np.vstack(tviews)
+    if target_kind == "identity_n":
+        return stacked
+    return stacked @ make_target(dataset, target_kind).values.T
+
+
+@np.errstate(over="ignore", invalid="ignore")  # as in scatter.materialize
 def assemble(dataset, spec):
     """Materialize the eigenproblem a ModelSpec describes on a dataset."""
     raw_views = list(dataset.views)
     tviews = _transform_views(raw_views, spec.input_transform)
-    target = make_target(dataset, spec.target_kind)
     indicator = build_indicator(dataset.labels) if dataset.labels is not None else None
 
     # G G^T rather than a dense n x n target kernel: X T^T costs O(n d o).
-    G = np.vstack(tviews) @ target.values.T  # d x o
+    G = _views_times_target(dataset, tviews, spec.target_kind)
     objective = G @ G.T
     _, constraint = materialize([KernelTerm("constraint", "blockdiag", 1.0)], tviews)
     constraint = constraint + spec.gamma * np.eye(constraint.shape[0])
@@ -133,8 +141,7 @@ def fit_solved(dataset, solution, spec):
         solution.P[offsets[s]:offsets[s + 1], :] for s in range(dataset.n_views)
     )
     tviews = _transform_views(list(dataset.views), spec.input_transform)
-    target = make_target(dataset, spec.target_kind)
-    W = solution.P.T @ (np.vstack(tviews) @ target.values.T)
+    W = solution.P.T @ _views_times_target(dataset, tviews, spec.target_kind)
     means = tuple(X.mean(axis=1) for X in dataset.views)
     return SubspaceModel(
         projections=projections,

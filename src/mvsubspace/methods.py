@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import MultiViewDataset, build_indicator, centering_matrix
+from .data import MultiViewDataset, build_indicator
 from .framework import ModelSpec, assemble, fit_solved
 from .gevd import GevdProblem, solve
-from .scatter import KernelTerm, center_distance_kernel, materialize
+from .scatter import KernelTerm, label_kernels, materialize
 
 METHOD_NAMES = (
     "MCCA",
@@ -81,36 +81,36 @@ class MethodId:
 def method_terms(method, n, labels, v):
     """Write a method's pencil as a list of KernelTerms (gamma excluded).
 
-    ``labels`` may be None only for MCCA.
+    ``labels`` may be None only for MCCA, which uses one class.
     """
     name = method.name
     lam = method.lam
-    if name != "MCCA" and labels is None:
-        raise ValueError(f"{name} needs labels")
-    H = centering_matrix(n)
-    terms = []
     if name == "MCCA":
-        return [
+        labels = np.ones(n, dtype=int)
+    elif labels is None:
+        raise ValueError(f"{name} needs labels")
+    K = label_kernels(build_indicator(labels))
+    H, between, within = K["centering"], K["between"], K["within"]
+    if name == "MCCA":
+        terms = [
             KernelTerm("objective", "dense", 1.0, H),
             KernelTerm("constraint", "blockdiag", 1.0, H),
         ]
-    ind = build_indicator(labels)
-    Qhat = ind.Q - 1.0 / n
-    if name == "MvOPLS":
+    elif name == "MvOPLS":
         terms = [
-            KernelTerm("objective", "dense", 1.0, Qhat),
+            KernelTerm("objective", "dense", 1.0, between),
             KernelTerm("constraint", "blockdiag", 1.0, H),
         ]
     elif name == "MvLDA":
         terms = [
-            KernelTerm("objective", "dense", 1.0, Qhat),
+            KernelTerm("objective", "dense", 1.0, between),
             KernelTerm("constraint", "dense", 1.0, H),
         ]
     elif name in ("MvDA", "MvDA_VC", "MvDA_CCA"):
         terms = [
-            KernelTerm("objective", "dense", 1.0, Qhat),
+            KernelTerm("objective", "dense", 1.0, between),
             KernelTerm("constraint", "blockdiag", 1.0),
-            KernelTerm("constraint", "dense", -1.0 / (n * v), np.ones((n, n))),
+            KernelTerm("constraint", "dense", -1.0 / v, K["mean"]),
         ]
         if name == "MvDA_VC":
             terms.append(KernelTerm("constraint", "representer", lam, None))
@@ -119,31 +119,33 @@ def method_terms(method, n, labels, v):
             terms.append(KernelTerm("objective", "blockdiag", -lam * v, H))
     elif name == "MvMDA":
         terms = [
-            KernelTerm("objective", "dense", 1.0, center_distance_kernel(ind)),
-            KernelTerm("constraint", "blockdiag", 1.0, np.eye(n) - ind.Q),
+            KernelTerm("objective", "dense", 1.0, K["center_distance"]),
+            KernelTerm("constraint", "blockdiag", 1.0, within),
         ]
     elif name in ("MLDA", "GMA"):
         terms = [
             KernelTerm("objective", "dense", 1.0, H),
             KernelTerm("objective", "blockdiag", -1.0, H),
-            KernelTerm("objective", "blockdiag", lam, Qhat),
+            KernelTerm("objective", "blockdiag", lam, between),
+            KernelTerm("constraint", "blockdiag", 1.0, H if name == "MLDA" else within),
         ]
-        if name == "MLDA":
-            terms.append(KernelTerm("constraint", "blockdiag", 1.0, H))
-        else:
-            terms.append(KernelTerm("constraint", "blockdiag", 1.0, np.eye(n) - ind.Q))
     else:
         raise ValueError(f"unknown method {name!r}")
     return terms
+
+
+def _pencil(method, terms, views):
+    """Materialize a method's terms on views and add the gamma ridge."""
+    objective, constraint = materialize(terms, views)
+    ridge = method.gamma * np.eye(constraint.shape[0])
+    return GevdProblem(objective, constraint + ridge, method.k)
 
 
 def build_from_views(method, views, labels):
     """Build a method's GevdProblem directly from view matrices."""
     views = [np.asarray(X, dtype=float) for X in views]
     terms = method_terms(method, views[0].shape[1], labels, len(views))
-    objective, constraint = materialize(terms, views)
-    ridge = method.gamma * np.eye(constraint.shape[0])
-    return GevdProblem(objective, constraint + ridge, method.k)
+    return _pencil(method, terms, views)
 
 
 def build(method, dataset):

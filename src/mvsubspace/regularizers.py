@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import centering_matrix
-from .scatter import KernelTerm, materialize
+from .data import build_indicator
+from .scatter import KernelTerm, label_kernels, materialize
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,10 @@ def mean_consistency(views):
     assembled from the raw (uncentered) views.
     """
     n = views[0].shape[1]
-    ones = np.ones((n, n))
+    mean = label_kernels(build_indicator(np.ones(n, dtype=int)))["mean"]
     return _materialized([
-        KernelTerm("constraint", "blockdiag", 1.0 / n, ones),
-        KernelTerm("constraint", "dense", -1.0 / (n * len(views)), ones),
+        KernelTerm("constraint", "blockdiag", 1.0, mean),
+        KernelTerm("constraint", "dense", -1.0 / len(views), mean),
     ], views)
 
 
@@ -63,10 +63,8 @@ def hsic_alignment(views, indicator):
     """
     if indicator is None:
         raise ValueError("hsic regularizer needs labels")
-    n = views[0].shape[1]
-    return _materialized(
-        [KernelTerm("constraint", "blockdiag", -1.0, indicator.Q - 1.0 / n)], views
-    )
+    between = label_kernels(indicator)["between"]
+    return _materialized([KernelTerm("constraint", "blockdiag", -1.0, between)], views)
 
 
 def cca_coupling(transformed_views):
@@ -93,6 +91,8 @@ def lda_per_view(views, indicator, lam):
         raise ValueError("lda_per_view lam must be nonnegative")
     if indicator is None:
         raise ValueError("lda regularizer needs labels")
-    n = views[0].shape[1]
-    R = centering_matrix(n) - lam * (indicator.Q - 1.0 / n)
-    return _materialized([KernelTerm("objective", "blockdiag", -1.0, R)], views)
+    K = label_kernels(indicator)
+    return _materialized([
+        KernelTerm("objective", "blockdiag", -1.0, K["centering"]),
+        KernelTerm("objective", "blockdiag", lam, K["between"]),
+    ], views)

@@ -1,10 +1,10 @@
-"""Scatter constructions and the term algebra of multi-view pencils.
+"""Label kernels and the term algebra of multi-view pencils.
 
-Every pencil side in the package is a sum of KernelTerms; ``materialize``
-turns such a sum into dense matrices and ``materialize_grads`` pushes pencil
-adjoints back onto the views.  Every matrix produced here is explicitly
-symmetrized, so downstream eigensolvers never see asymmetry beyond exact
-floating-point roundoff.
+Every pencil side in the package is a sum of KernelTerms over factored
+LabelKernels; ``materialize`` turns such a sum into dense matrices and
+``materialize_grads`` pushes pencil adjoints back onto the views.  Every
+matrix produced here is explicitly symmetrized, so downstream eigensolvers
+never see asymmetry beyond exact floating-point roundoff.
 """
 
 from __future__ import annotations
@@ -30,35 +30,43 @@ def blockdiag_dense(matrices):
     return out
 
 
-def between_class_scatter(X, indicator):
-    """S_b = X (Q - (1/n) 1 1^T) X^T.
+@dataclass(frozen=True)
+class LabelKernel:
+    """The n x n kernel eye * I_n + Y^T M Y, kept in factored form.
 
-    The kernel is centered, so raw and column-centered X give the same
-    matrix.  Summing with the within-class scatter recovers the centered
-    covariance X H_n X^T.
+    Y is the c x n class indicator and M a symmetric c x c matrix; ``apply``
+    costs O(n d c) and forms no n x n array.
     """
-    n = X.shape[1]
-    K = indicator.Q - 1.0 / n
-    return symmetrize(X @ K @ X.T)
+
+    eye: float
+    Y: np.ndarray
+    M: np.ndarray
+
+    def apply(self, Z):
+        """Z K for a d x n matrix Z."""
+        return self.eye * Z + ((Z @ self.Y.T) @ self.M) @ self.Y
 
 
-def within_class_scatter(X, indicator):
-    """S_w = X (I - Q) X^T, deviations from per-class means."""
-    n = X.shape[1]
-    K = np.eye(n) - indicator.Q
-    return symmetrize(X @ K @ X.T)
+def label_kernels(indicator):
+    """Every label kernel of the package, by name.
 
-
-def center_distance_kernel(indicator):
-    """n x n kernel L_b = Y^T Sigma^-1 H_c Sigma^-1 Y.
-
-    Sandwiching with raw views, X_s L_b X_t^T spreads the per-class mean
-    vectors of the two views around their average.
+    With Sigma = Y Y^T, Q = Y^T Sigma^-1 Y and 1 1^T = Y^T 1_c 1_c^T Y:
+    centering H_n = I - 1 1^T / n, between Q - 1 1^T / n, within I - Q (so
+    between + within = centering), mean 1 1^T / n, and center_distance
+    Y^T Sigma^-1 H_c Sigma^-1 Y, which spreads the class means of two views
+    around their average.  The one-class indicator gives the plain H_n.
     """
-    Yn = indicator.Y / indicator.counts[:, None]
-    c = indicator.n_classes
-    Hc = np.eye(c) - np.full((c, c), 1.0 / c)
-    return symmetrize(Yn.T @ Hc @ Yn)
+    Y, c = indicator.Y, indicator.n_classes
+    inv = np.diag(1.0 / indicator.counts)
+    ones = np.full((c, c), 1.0 / Y.shape[1])
+    Hc = np.eye(c) - 1.0 / c
+    return {
+        "centering": LabelKernel(1.0, Y, -ones),
+        "between": LabelKernel(0.0, Y, inv - ones),
+        "within": LabelKernel(1.0, Y, -inv),
+        "mean": LabelKernel(0.0, Y, ones),
+        "center_distance": LabelKernel(0.0, Y, inv @ Hc @ inv),
+    }
 
 
 def regularized_gram_inverse(X, view_index=0):
@@ -125,20 +133,21 @@ class KernelTerm:
     ``layout`` is "dense" (X K X^T over the vertically stacked views),
     "blockdiag" (X_s K X_s^T on the diagonal, one block per view) or
     "representer" (the pseudo-inverse coupling, which takes no kernel).
-    ``kernel`` is a symmetric n x n matrix; None stands for the identity,
-    so X X^T is formed without an n x n intermediate.
+    ``kernel`` is a LabelKernel; None stands for the identity.
     """
 
     side: str  # "objective" or "constraint"
     layout: str
     coeff: float
-    kernel: np.ndarray | None = None
+    kernel: LabelKernel | None = None
 
 
 def _times_kernel(M, kernel):
-    return M if kernel is None else M @ kernel
+    return M if kernel is None else kernel.apply(M)
 
 
+# Finite views can overflow a side; GevdProblem rejects it, so do not warn.
+@np.errstate(over="ignore", invalid="ignore")
 def materialize(terms, views):
     """Sum KernelTerms on the given views into ``(objective, constraint)``."""
     stacked = np.vstack(views)

@@ -32,6 +32,68 @@ def orthonormalish_views(rng, dims, n, spread=2.0):
     return views
 
 
+# Dense n x n oracles for the factored label kernels of ``scatter``.
+
+
+def centering_matrix(n):
+    """H_n = I_n - (1/n) 1 1^T."""
+    return np.eye(n) - np.full((n, n), 1.0 / n)
+
+
+def class_average_matrix(indicator):
+    """Q = Y^T Sigma^-1 Y: (x Q)_i averages x over the class of sample i."""
+    Y = indicator.Y
+    return Y.T @ (Y / indicator.counts[:, None])
+
+
+def sigma_matrix(indicator):
+    """The diagonal c x c matrix of class counts, Y Y^T."""
+    return np.diag(indicator.counts.astype(float))
+
+
+def between_kernel(indicator):
+    n = indicator.Y.shape[1]
+    return class_average_matrix(indicator) - 1.0 / n
+
+
+def within_kernel(indicator):
+    n = indicator.Y.shape[1]
+    return np.eye(n) - class_average_matrix(indicator)
+
+
+def center_distance_kernel(indicator):
+    """L_b = Y^T Sigma^-1 H_c Sigma^-1 Y."""
+    Yn = indicator.Y / indicator.counts[:, None]
+    return Yn.T @ centering_matrix(indicator.n_classes) @ Yn
+
+
+def dense_label_kernels(indicator):
+    """Dense forms of every kernel ``scatter.label_kernels`` returns."""
+    n = indicator.Y.shape[1]
+    return {
+        "centering": centering_matrix(n),
+        "between": between_kernel(indicator),
+        "within": within_kernel(indicator),
+        "mean": np.full((n, n), 1.0 / n),
+        "center_distance": center_distance_kernel(indicator),
+    }
+
+
+def between_class_scatter(X, indicator):
+    """S_b = X (Q - (1/n) 1 1^T) X^T."""
+    return X @ between_kernel(indicator) @ X.T
+
+
+def within_class_scatter(X, indicator):
+    """S_w = X (I - Q) X^T."""
+    return X @ within_kernel(indicator) @ X.T
+
+
+def densify(kernel):
+    """The n x n matrix a LabelKernel stands for."""
+    return kernel.apply(np.eye(kernel.Y.shape[1]))
+
+
 def loss_only(nets, ds, method, activation):
     from mvsubspace.deep import forward_views, spectral_loss
 

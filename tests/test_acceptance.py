@@ -18,7 +18,6 @@ from mvsubspace import (
     build,
     build_indicator,
     build_via_framework,
-    centering_matrix,
     embed,
     fit,
     make_target,
@@ -40,10 +39,16 @@ from mvsubspace.regularizers import (
     mean_consistency,
     representer_consistency,
 )
-from mvsubspace.scatter import between_class_scatter, within_class_scatter
+from mvsubspace.scatter import label_kernels
 from mvsubspace.toy import make_toy_dataset
 
-from helpers import balanced_labels, fd_worst_violation, orthonormalish_views
+from helpers import (
+    balanced_labels,
+    dense_label_kernels,
+    densify,
+    fd_worst_violation,
+    orthonormalish_views,
+)
 
 
 def _report(num, name, ok, detail):
@@ -95,7 +100,7 @@ def test_criterion_02_whitened_target_gives_between_scatter():
         Yt = make_target(ds, "sigma_invsqrt_onehot").values
         Xc = center_columns(X)
         got = Xc @ Yt.T @ Yt @ Xc.T
-        want = between_class_scatter(X, build_indicator(labels))
+        want = X @ label_kernels(build_indicator(labels))["between"].apply(X).T
         worst = max(
             worst, np.abs(got - want).max() / max(1.0, np.abs(want).max())
         )
@@ -104,29 +109,29 @@ def test_criterion_02_whitened_target_gives_between_scatter():
 
 
 def test_criterion_03_indicator_algebra():
-    """Q1 = 1, Q = Q^T, HQH = Q - 1/n, and S_b + S_w = X H X^T."""
+    """The library's label kernels are symmetric, between 1 = 0, H B H = B,
+    X (B + W) X^T = X H X^T, and each equals its dense oracle."""
     worst = {"err": 0.0}
 
     @given(
         raw=st.lists(st.integers(0, 4), min_size=2, max_size=30),
         seed=st.integers(0, 10**6),
     )
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, derandomize=True)
     def run(raw, seed):
         labels = np.unique(np.asarray(raw), return_inverse=True)[1] + 1
         n = labels.size
         ind = build_indicator(labels)
-        H = centering_matrix(n)
+        K = {name: densify(k) for name, k in label_kernels(ind).items()}
+        H, B = K["centering"], K["between"]
         X = np.random.default_rng(seed).standard_normal((3, n))
+        oracles = dense_label_kernels(ind)
         errs = (
-            np.abs(ind.Q - ind.Q.T).max(),
-            np.abs(ind.Q @ np.ones(n) - 1.0).max(),
-            np.abs(H @ ind.Q @ H - (ind.Q - 1.0 / n)).max(),
-            np.abs(
-                between_class_scatter(X, ind)
-                + within_class_scatter(X, ind)
-                - X @ H @ X.T
-            ).max(),
+            *(np.abs(M - M.T).max() for M in K.values()),
+            np.abs(B @ np.ones(n)).max(),
+            np.abs(H @ B @ H - B).max(),
+            np.abs(X @ (B + K["within"]) @ X.T - X @ H @ X.T).max(),
+            *(np.abs(K[name] - oracles[name]).max() for name in oracles),
         )
         worst["err"] = max(worst["err"], max(errs))
         assert max(errs) <= 1e-10

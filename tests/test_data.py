@@ -9,15 +9,21 @@ from mvsubspace import (
     MultiViewDataset,
     build_indicator,
     center_columns,
-    centering_matrix,
     load_dataset,
     make_target,
     pca_reduce,
     split_dataset,
 )
+from mvsubspace.scatter import label_kernels
 from mvsubspace.toy import make_toy_dataset, save_dataset
 
-from helpers import random_dataset
+from helpers import (
+    class_average_matrix,
+    dense_label_kernels,
+    densify,
+    random_dataset,
+    sigma_matrix,
+)
 
 
 def test_center_columns_small():
@@ -28,7 +34,8 @@ def test_center_columns_small():
 
 
 def test_centering_matrix_properties():
-    H = centering_matrix(5)
+    # the one-class indicator's centering kernel is the plain H_n
+    H = densify(label_kernels(build_indicator(np.ones(5, dtype=int)))["centering"])
     np.testing.assert_allclose(H @ np.ones(5), np.zeros(5), atol=1e-15)
     np.testing.assert_allclose(H @ H, H, atol=1e-15)
     X = np.random.default_rng(1).standard_normal((3, 5))
@@ -45,10 +52,13 @@ def test_indicator_oracle():
     ind = build_indicator(np.array([1, 2, 1]))
     np.testing.assert_array_equal(ind.Y, [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
     np.testing.assert_array_equal(ind.counts, [2, 1])
+    Q = np.array([[0.5, 0.0, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, 0.5]])
+    np.testing.assert_allclose(class_average_matrix(ind), Q)
     np.testing.assert_allclose(
-        ind.Q, [[0.5, 0.0, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, 0.5]]
+        densify(label_kernels(ind)["within"]), np.eye(3) - Q, atol=1e-15
     )
-    np.testing.assert_array_equal(ind.sigma, [[2.0, 0.0], [0.0, 1.0]])
+    np.testing.assert_array_equal(sigma_matrix(ind), ind.Y @ ind.Y.T)
+    np.testing.assert_array_equal(sigma_matrix(ind), [[2.0, 0.0], [0.0, 1.0]])
 
 
 @given(
@@ -56,17 +66,22 @@ def test_indicator_oracle():
 )
 @settings(max_examples=200, deadline=None)
 def test_indicator_algebra(raw):
-    """Q is a symmetric doubly-smoothing kernel: Q1 = 1, QQ = Q, HQH = Q - 1/n."""
+    """Q = I - within is a symmetric doubly-smoothing kernel: Q1 = 1, QQ = Q,
+    HQH = Q - 1/n = between; every kernel matches its dense oracle."""
     # remap arbitrary ints onto the contiguous 1..c the package requires
     labels = np.unique(np.asarray(raw), return_inverse=True)[1] + 1
     n = labels.size
     ind = build_indicator(labels)
-    Q = ind.Q
+    K = {name: densify(k) for name, k in label_kernels(ind).items()}
+    Q = np.eye(n) - K["within"]
     np.testing.assert_allclose(Q, Q.T, atol=1e-12)
     np.testing.assert_allclose(Q @ np.ones(n), np.ones(n), atol=1e-10)
     np.testing.assert_allclose(Q @ Q, Q, atol=1e-10)
-    H = centering_matrix(n)
+    H = K["centering"]
     np.testing.assert_allclose(H @ Q @ H, Q - 1.0 / n, atol=1e-10)
+    np.testing.assert_allclose(K["between"], Q - 1.0 / n, atol=1e-10)
+    for name, oracle in dense_label_kernels(ind).items():
+        np.testing.assert_allclose(K[name], oracle, atol=1e-10, err_msg=name)
 
 
 def test_indicator_rejects_bad_labels():

@@ -11,9 +11,15 @@ from mvsubspace.regularizers import (
     mean_consistency,
     representer_consistency,
 )
-from mvsubspace.scatter import between_class_scatter, blockdiag_dense
+from mvsubspace.scatter import blockdiag_dense
 
-from helpers import balanced_labels, orthonormalish_views
+from helpers import (
+    balanced_labels,
+    between_kernel,
+    between_class_scatter,
+    centering_matrix,
+    orthonormalish_views,
+)
 
 
 def _random_pw(rng, dims, k, c):
@@ -94,10 +100,7 @@ def test_lda_per_view_kernel():
     labels = balanced_labels(2, n, rng)
     ind = build_indicator(labels)
     views = [rng.standard_normal((3, n))]
-    from mvsubspace import centering_matrix
-
-    H = centering_matrix(n)
-    R = H - lam * (ind.Q - 1.0 / n)
+    R = centering_matrix(n) - lam * between_kernel(ind)
     want = blockdiag_dense([views[0] @ R @ views[0].T])
     np.testing.assert_allclose(
         lda_per_view(views, ind, lam).objective_sub, want, atol=1e-12

@@ -2,38 +2,46 @@
 
 import numpy as np
 
-from mvsubspace import build_indicator, centering_matrix
+from mvsubspace import build_indicator
 from mvsubspace.scatter import (
-    between_class_scatter,
     blockdiag_dense,
-    center_distance_kernel,
+    label_kernels,
     pseudo_inverse_coupling,
     regularized_gram_inverse,
     symmetrize,
-    within_class_scatter,
 )
 
-from helpers import balanced_labels
+from helpers import (
+    balanced_labels,
+    between_class_scatter,
+    centering_matrix,
+    densify,
+    within_class_scatter,
+)
 
 
 def test_between_plus_within_is_total():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((4, 15))
     labels = balanced_labels(3, 15, rng)
-    ind = build_indicator(labels)
+    K = label_kernels(build_indicator(labels))
     total = X @ centering_matrix(15) @ X.T
-    Sb = between_class_scatter(X, ind)
-    Sw = within_class_scatter(X, ind)
+    Sb = X @ K["between"].apply(X).T
+    Sw = X @ K["within"].apply(X).T
     np.testing.assert_allclose(Sb + Sw, total, atol=1e-12)
+    np.testing.assert_allclose(X @ K["centering"].apply(X).T, total, atol=1e-12)
+    ind = build_indicator(labels)
+    np.testing.assert_allclose(Sb, between_class_scatter(X, ind), atol=1e-12)
+    np.testing.assert_allclose(Sw, within_class_scatter(X, ind), atol=1e-12)
 
 
 def test_scatter_oracles():
-    ind = build_indicator(np.array([1, 2]))
+    K = label_kernels(build_indicator(np.array([1, 2])))
     X = np.array([[1.0, -1.0]])
-    np.testing.assert_allclose(between_class_scatter(X, ind), [[2.0]])
-    np.testing.assert_allclose(within_class_scatter(X, ind), [[0.0]])
+    np.testing.assert_allclose(X @ K["between"].apply(X).T, [[2.0]])
+    np.testing.assert_allclose(X @ K["within"].apply(X).T, [[0.0]], atol=1e-15)
     np.testing.assert_allclose(
-        center_distance_kernel(ind), [[0.5, -0.5], [-0.5, 0.5]]
+        densify(K["center_distance"]), [[0.5, -0.5], [-0.5, 0.5]]
     )
 
 
