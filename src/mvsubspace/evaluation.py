@@ -42,16 +42,31 @@ def classify(clf, Z):
     return np.argmax(scores, axis=0) + 1
 
 
+# Each query block's q x g x d difference tensor stays within this many bytes,
+# so 1-NN and retrieval take memory linear in the gallery size.
+_BLOCK_BYTES = 1 << 20
+
+
+def _query_blocks(Z_query, Z_gallery):
+    """Yield ``(rows, d2)``: squared distances from a slice of queries to
+    every gallery column, one slice at a time."""
+    Q = np.asarray(Z_query, dtype=float).T
+    G = np.asarray(Z_gallery, dtype=float).T
+    step = max(1, _BLOCK_BYTES // max(1, G.size * G.itemsize))
+    for start in range(0, Q.shape[0], step):
+        rows = slice(start, start + step)
+        diffs = Q[rows, None, :] - G[None, :, :]
+        yield rows, np.einsum("qgd,qgd->qg", diffs, diffs)
+
+
 def knn1_classify(Z_train, labels_train, Z_test):
     """Nearest-neighbor labels under Euclidean distance.
 
     Distance ties are broken toward the lowest training index.
     """
-    Zt = np.asarray(Z_train, dtype=float)
-    Zq = np.asarray(Z_test, dtype=float)
-    diffs = Zq.T[:, None, :] - Zt.T[None, :, :]
-    d2 = np.einsum("qtd,qtd->qt", diffs, diffs)
-    nearest = np.argmin(d2, axis=1)
+    nearest = np.empty(np.shape(Z_test)[1], dtype=np.intp)
+    for rows, d2 in _query_blocks(Z_test, Z_train):
+        nearest[rows] = np.argmin(d2, axis=1)
     return np.asarray(labels_train)[nearest]
 
 
@@ -92,19 +107,19 @@ class RetrievalResult:
 
 
 def _direction_aps(Z_query, labels_query, Z_gallery, labels_gallery):
-    Dq = np.asarray(Z_query, dtype=float)
-    Dg = np.asarray(Z_gallery, dtype=float)
-    diffs = Dq.T[:, None, :] - Dg.T[None, :, :]
-    d2 = np.einsum("qgd,qgd->qg", diffs, diffs)
-    order = np.argsort(d2, axis=1, kind="stable")
-    ranked_labels = np.asarray(labels_gallery)[order]
-    rel = (ranked_labels == np.asarray(labels_query)[:, None]).astype(np.longdouble)
-    totals = rel.sum(axis=1)
-    positions = np.arange(1, rel.shape[1] + 1, dtype=np.longdouble)
-    precision_at = np.cumsum(rel, axis=1) / positions
-    sums = (precision_at * rel).sum(axis=1)
-    aps = np.where(totals > 0, sums / np.maximum(totals, 1.0), 0.0)
-    return aps.astype(float)
+    labels_query = np.asarray(labels_query)
+    labels_gallery = np.asarray(labels_gallery)
+    positions = np.arange(1, np.shape(Z_gallery)[1] + 1, dtype=np.longdouble)
+    aps = np.empty(np.shape(Z_query)[1])
+    for rows, d2 in _query_blocks(Z_query, Z_gallery):
+        order = np.argsort(d2, axis=1, kind="stable")
+        ranked_labels = labels_gallery[order]
+        rel = (ranked_labels == labels_query[rows, None]).astype(np.longdouble)
+        totals = rel.sum(axis=1)
+        precision_at = np.cumsum(rel, axis=1) / positions
+        sums = (precision_at * rel).sum(axis=1)
+        aps[rows] = np.where(totals > 0, sums / np.maximum(totals, 1.0), 0.0)
+    return aps
 
 
 def cross_modal_retrieve(Z_a, labels_a, Z_b, labels_b):

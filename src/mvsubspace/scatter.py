@@ -69,18 +69,27 @@ def label_kernels(indicator):
     }
 
 
-def regularized_gram_inverse(X, view_index=0):
-    """(X^T X + eps I)^-1 with the scale-aware jitter eps = 1e-10 tr(X^T X)/d."""
+def _ridge_pinv(X, view_index=0):
+    """F = X (X^T X + eps I)^-1 through the smaller of the two Grams.
+
+    eps = 1e-10 ||X||_F^2 / d on either side.  When d <= n the push-through
+    identity gives F = S X with the d x d S = (X X^T + eps I)^-1; otherwise
+    F = X K with the n x n K = (X^T X + eps I)^-1.  The smaller Gram is also
+    the better conditioned one.  Returns ``(F, inverse, rows)``, where
+    ``rows`` says that ``inverse`` is S.
+    """
     d, n = X.shape
-    G = X.T @ X
+    rows = d <= n
+    G = X @ X.T if rows else X.T @ X
     eps = 1e-10 * np.trace(G) / d
     try:
-        K = np.linalg.inv(symmetrize(G + eps * np.eye(n)))
+        inverse = np.linalg.inv(symmetrize(G + eps * np.eye(G.shape[0])))
     except np.linalg.LinAlgError:
         raise ValueError(
-            f"view {view_index + 1}: X^T X is singular even after jitter"
+            f"view {view_index + 1}: the Gram of X is singular even after jitter"
         ) from None
-    return symmetrize(K)
+    inverse = symmetrize(inverse)
+    return (inverse @ X if rows else X @ inverse), inverse, rows
 
 
 def pseudo_inverse_coupling(views):
@@ -92,7 +101,7 @@ def pseudo_inverse_coupling(views):
     representer coefficients.
     """
     v = len(views)
-    F = [X @ regularized_gram_inverse(X, s) for s, X in enumerate(views)]
+    F = [_ridge_pinv(X, s)[0] for s, X in enumerate(views)]
     blocks = [
         [(v - 1) * (F[s] @ F[s].T) if s == t else -(F[s] @ F[t].T)
          for t in range(v)]
@@ -102,24 +111,33 @@ def pseudo_inverse_coupling(views):
 
 
 def _representer_grads(views, G, coeff):
-    """Per-view gradients of coeff * <G, pseudo_inverse_coupling(views)>."""
+    """Per-view gradients of coeff * <G, pseudo_inverse_coupling(views)>.
+
+    With D the gradient with respect to F, the adjoint is S D - (R + R^T) X
+    with R = F D^T S on the row side, and D K - X (E + E^T) with
+    E = K D^T X K on the column side.
+    """
     v = len(views)
     offsets = np.cumsum([0] + [Z.shape[0] for Z in views])
-    Ks = [regularized_gram_inverse(Z, s) for s, Z in enumerate(views)]
-    Fs = [Z @ K for Z, K in zip(views, Ks)]
+    pinvs = [_ridge_pinv(Z, s) for s, Z in enumerate(views)]
+    Fs = [F for F, _, _ in pinvs]
     grads = []
-    for u in range(v):
+    for u, (Z, (F, inverse, rows)) in enumerate(zip(views, pinvs)):
         Gu = [
             G[offsets[u]:offsets[u + 1], offsets[w]:offsets[w + 1]]
             for w in range(v)
         ]
-        D = (v - 1) * (Gu[u] @ Fs[u])
+        D = (v - 1) * (Gu[u] @ F)
         for w in range(v):
             if w != u:
                 D = D - Gu[w] @ Fs[w]
         D = 2.0 * coeff * D
-        E = Ks[u] @ (D.T @ views[u]) @ Ks[u]
-        grads.append(D @ Ks[u] - views[u] @ (E + E.T))
+        if rows:
+            R = F @ D.T @ inverse
+            grads.append(inverse @ D - (R + R.T) @ Z)
+        else:
+            E = inverse @ (D.T @ Z) @ inverse
+            grads.append(D @ inverse - Z @ (E + E.T))
     return grads
 
 

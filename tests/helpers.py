@@ -94,6 +94,20 @@ def densify(kernel):
     return kernel.apply(np.eye(kernel.Y.shape[1]))
 
 
+def regularized_gram_inverse(X):
+    """(X^T X + eps I)^-1 with the library's jitter eps = 1e-10 ||X||_F^2 / d."""
+    d, n = X.shape
+    G = X.T @ X
+    return np.linalg.inv(G + 1e-10 * np.trace(G) / d * np.eye(n))
+
+
+def svd_ridge_pinv(X):
+    """X (X^T X + eps I)^-1 as U diag(s / (s^2 + eps)) V^T, the same eps."""
+    eps = 1e-10 * np.sum(X * X) / X.shape[0]
+    U, s, Vt = np.linalg.svd(X, full_matrices=False)
+    return (U * (s / (s**2 + eps))) @ Vt
+
+
 def loss_only(nets, ds, method, activation):
     from mvsubspace.deep import forward_views, spectral_loss
 

@@ -190,7 +190,7 @@ def test_criterion_05_regularizer_quadratic_identities():
     betas = []
     for s in range(v):
         G = views[s].T @ views[s]
-        eps = 1e-10 * np.trace(G) / n
+        eps = 1e-10 * np.trace(G) / dims[s]
         betas.append(
             np.linalg.solve(G + eps * np.eye(n), views[s].T @ (Pv[s] @ W))
         )

@@ -36,20 +36,20 @@ def test_gradients_match_finite_differences(name, activation):
     assert fd_worst_violation(ds, method, mlp, activation) <= 0.0
 
 
-@pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
-@pytest.mark.parametrize("seed", [2, 3])
-def test_representer_gradients_match_finite_differences(seed, activation):
+def _representer_fd_violation(samples, out_dim, seed, activation):
     """The coupling-grid gradient needs well-conditioned feature Grams.
 
-    Wide outputs (more units than samples) keep the ridge pseudo-inverses
-    far from the finite-difference step, which otherwise dominates the error.
+    Spread-out weights and biases keep the Gram of the features far from
+    singular, where the finite-difference step would dominate the error.
     """
     ds = make_toy_dataset(
-        classes=3, views=2, samples=6, dims=(4, 3), noise=1.0,
+        classes=3, views=2, samples=samples, dims=(4, 3), noise=1.0,
         separation=6.0, seed=seed,
     )
     method = MethodId("MvDA_VC", k=2, gamma=1e-3, lam=0.3)
-    mlp = MlpConfig(hidden=(6,), out_dim=12, activation=activation, seed=seed)
+    mlp = MlpConfig(
+        hidden=(6,), out_dim=out_dim, activation=activation, seed=seed
+    )
 
     def spread(nets):
         bump = np.random.default_rng(seed + 100)
@@ -60,7 +60,23 @@ def test_representer_gradients_match_finite_differences(seed, activation):
                     net.biases[i].shape
                 )
 
-    assert fd_worst_violation(ds, method, mlp, activation, mutate=spread) <= 0.0
+    return fd_worst_violation(ds, method, mlp, activation, mutate=spread)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
+@pytest.mark.parametrize("seed", [2, 3])
+def test_representer_gradients_match_finite_differences(seed, activation):
+    # more units than samples: the n x n Gram side of the pseudo-inverse
+    assert _representer_fd_violation(6, 12, seed, activation) <= 0.0
+
+
+@pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
+@pytest.mark.parametrize("seed", [2, 3])
+def test_row_side_representer_gradients_match_finite_differences(
+    seed, activation
+):
+    # more samples than units: the d x d push-through side
+    assert _representer_fd_violation(30, 3, seed, activation) <= 0.0
 
 
 def test_loss_is_negated_top_k_eigenvalue_sum():

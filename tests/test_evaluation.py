@@ -101,3 +101,20 @@ def test_duplicated_rows_still_classify():
 
 def test_accuracy():
     assert accuracy(np.array([1, 2, 2]), np.array([1, 2, 3])) == pytest.approx(2 / 3)
+
+
+def test_query_blocks_match_the_dense_distances():
+    # 300 queries against 600 gallery points span several query blocks;
+    # rounded coordinates put ties inside every ranking
+    rng = np.random.default_rng(7)
+    Zq = np.round(rng.standard_normal((4, 300)))
+    Zg = np.round(rng.standard_normal((4, 600)))
+    lq, lg = rng.integers(1, 4, 300), rng.integers(1, 4, 600)
+    d2 = ((Zq.T[:, None, :] - Zg.T[None, :, :]) ** 2).sum(-1)
+    np.testing.assert_array_equal(
+        knn1_classify(Zg, lg, Zq), lg[np.argmin(d2, axis=1)]
+    )
+    res = cross_modal_retrieve(Zq, lq, Zg, lg)
+    for i in range(300):
+        order = np.argsort(d2[i], kind="stable")
+        assert res.ap_ab[i] == average_precision((lg[order] == lq[i]).astype(int))

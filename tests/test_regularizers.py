@@ -58,7 +58,7 @@ def test_representer_consistency_identity():
     betas = []
     for s in range(v):
         G = views[s].T @ views[s]
-        eps = 1e-10 * np.trace(G) / n
+        eps = 1e-10 * np.trace(G) / dims[s]
         betas.append(np.linalg.solve(G + eps * np.eye(n), views[s].T @ (Pv[s] @ W)))
     direct = 0.5 * sum(
         np.sum((betas[s] - betas[t]) ** 2) for s in range(v) for t in range(v)

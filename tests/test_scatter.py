@@ -1,13 +1,13 @@
 """Scatter-matrix and block-layout tests."""
 
 import numpy as np
+import pytest
 
 from mvsubspace import build_indicator
 from mvsubspace.scatter import (
     blockdiag_dense,
     label_kernels,
     pseudo_inverse_coupling,
-    regularized_gram_inverse,
     symmetrize,
 )
 
@@ -16,6 +16,8 @@ from helpers import (
     between_class_scatter,
     centering_matrix,
     densify,
+    regularized_gram_inverse,
+    svd_ridge_pinv,
     within_class_scatter,
 )
 
@@ -58,13 +60,36 @@ def test_block_diagonal_zeroes_couplings():
     )
 
 
+def _coupling(F):
+    v = len(F)
+    return np.block([
+        [(v - 1) * F[s] @ F[s].T if s == t else -F[s] @ F[t].T
+         for t in range(v)]
+        for s in range(v)
+    ])
+
+
 def test_regularized_gram_inverse():
     rng = np.random.default_rng(6)
     X = rng.standard_normal((9, 5))  # tall: X^T X is full rank
-    K = regularized_gram_inverse(X, 0)
+    K = regularized_gram_inverse(X)
     G = X.T @ X
-    eps = 1e-10 * np.trace(G) / 5
+    eps = 1e-10 * np.trace(G) / 9
     np.testing.assert_allclose(K @ (G + eps * np.eye(5)), np.eye(5), atol=1e-8)
+    # d > n: the library inverts this same n x n Gram
+    views = [X, rng.standard_normal((7, 5))]
+    want = _coupling([Z @ regularized_gram_inverse(Z) for Z in views])
+    np.testing.assert_allclose(pseudo_inverse_coupling(views), want, atol=1e-8)
+
+
+@pytest.mark.parametrize("d, n", [(50, 2000), (60, 25)])
+def test_pseudo_inverse_coupling_matches_svd_oracle(d, n):
+    # at n >> d an n x n inverse keeps only ~6 significant digits
+    rng = np.random.default_rng(8)
+    views = [rng.standard_normal((d, n)) for _ in range(3)]
+    want = _coupling([svd_ridge_pinv(X) for X in views])
+    got = pseudo_inverse_coupling(views)
+    assert np.linalg.norm(got - want) / np.linalg.norm(want) <= 1e-12
 
 
 def test_pseudo_inverse_coupling_structure():
