@@ -125,11 +125,11 @@ def assemble(dataset, spec):
     G = _views_times_target(dataset, tviews, spec.target_kind)
     objective = G @ G.T
     _, constraint = materialize([KernelTerm("constraint", "blockdiag", 1.0)], tviews)
-    constraint = constraint + spec.gamma * np.eye(constraint.shape[0])
+    constraint[np.diag_indices_from(constraint)] += spec.gamma
     for rid, w in spec.regularizers:
         term = REGULARIZERS[rid](raw_views, tviews, indicator, spec.lam)
-        objective = objective - w * term.objective_sub
-        constraint = constraint + w * term.constraint_add
+        objective -= w * term.objective_sub
+        constraint += w * term.constraint_add
     return GevdProblem(symmetrize(objective), symmetrize(constraint), spec.k)
 
 

@@ -5,10 +5,18 @@ definite) to an ordinary symmetric eigenproblem by Cholesky whitening:
 
     B = L L^T,   C = L^-1 A L^-T,   C u = lambda u,   p = L^-T u.
 
+LAPACK ``potrf`` factors B and ``sygst`` forms the lower triangle of C in
+place; only the k + 1 largest eigenpairs of C are computed (the k returned
+and one more for the spectrum gap), since k is usually far below d.
+
 Eigenvalues are returned in descending order and the recovered vectors are
-B-orthonormal, P^T B P = I_k.  Signs are fixed deterministically so repeated
-solves of the same problem agree exactly: the largest-magnitude entry of each
-column of P is made positive.
+B-orthonormal, P^T B P = I_k.  Signs are fixed deterministically: the
+largest-magnitude entry of each column of P is made positive, so repeated
+solves of the same problem with this solver agree exactly.  Sign fixing
+cannot make a tied eigenspace deterministic: when eigenvalues repeat, any
+B-orthonormal basis of their span is a solution, and a different solver (or
+the same solver on a perturbed problem) may return a different basis; only
+the span is comparable there.
 """
 
 from __future__ import annotations
@@ -16,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import eigh, solve_triangular
+from scipy.linalg.lapack import dpotrf, dsygst
 
 from .scatter import symmetrize
 
@@ -86,22 +95,23 @@ def _fix_signs(P):
 
 def solve(problem):
     """Solve the pencil and return the top-k B-orthonormal eigenvectors."""
-    A = problem.objective
-    B = problem.constraint
     d = problem.dim
     k = problem.k
-    try:
-        L = np.linalg.cholesky(B)
-    except np.linalg.LinAlgError:
+    L, info = dpotrf(problem.constraint, lower=1)
+    if info != 0:
         raise NumericalError(
             "constraint matrix is not positive definite; increase the "
             "tikhonov gamma"
-        ) from None
-    # C = L^-1 A L^-T via two triangular solves.
-    T = solve_triangular(L, A, lower=True)
-    C = solve_triangular(L, T.T, lower=True).T
-    C = symmetrize(C)
-    eigvals, U = np.linalg.eigh(C)
+        )
+    # sygst writes C = L^-1 A L^-T into the lower triangle only; the upper
+    # triangle keeps A's entries, so the eigensolver reads the lower one.
+    C, info = dsygst(problem.objective, L, itype=1, lower=1)
+    if info != 0:
+        raise NumericalError(f"LAPACK dsygst failed with info={info}")
+    m = min(k + 1, d)
+    eigvals, U = eigh(
+        C, lower=True, subset_by_index=[d - m, d - 1], driver="evr", overwrite_a=True
+    )
     eigvals = eigvals[::-1]
     U = U[:, ::-1]
     gap = float(eigvals[k - 1] - eigvals[k]) if k < d else 0.0

@@ -137,8 +137,8 @@ def method_terms(method, n, labels, v):
 def _pencil(method, terms, views):
     """Materialize a method's terms on views and add the gamma ridge."""
     objective, constraint = materialize(terms, views)
-    ridge = method.gamma * np.eye(constraint.shape[0])
-    return GevdProblem(objective, constraint + ridge, method.k)
+    constraint[np.diag_indices_from(constraint)] += method.gamma
+    return GevdProblem(objective, constraint, method.k)
 
 
 def build_from_views(method, views, labels):

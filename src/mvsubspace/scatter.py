@@ -15,19 +15,9 @@ import numpy as np
 
 
 def symmetrize(M):
-    return 0.5 * (M + M.T)
-
-
-def blockdiag_dense(matrices):
-    """Dense block-diagonal assembly of square matrices."""
-    dims = [M.shape[0] for M in matrices]
-    out = np.zeros((sum(dims), sum(dims)))
-    pos = 0
-    for M in matrices:
-        d = M.shape[0]
-        out[pos:pos + d, pos:pos + d] = M
-        pos += d
-    return out
+    S = M + M.T
+    S *= 0.5
+    return S
 
 
 @dataclass(frozen=True)
@@ -170,19 +160,25 @@ def materialize(terms, views):
     """Sum KernelTerms on the given views into ``(objective, constraint)``."""
     stacked = np.vstack(views)
     d = stacked.shape[0]
+    offsets = np.cumsum([0] + [X.shape[0] for X in views])
+    everything = slice(None)
     sides = {side: np.zeros((d, d)) for side in SIDES}
     for term in terms:
         if term.layout == "dense":
-            M = _times_kernel(stacked, term.kernel) @ stacked.T
+            parts = [(everything, _times_kernel(stacked, term.kernel) @ stacked.T)]
         elif term.layout == "blockdiag":
-            M = blockdiag_dense(
-                [_times_kernel(X, term.kernel) @ X.T for X in views]
-            )
+            parts = [
+                (slice(offsets[s], offsets[s + 1]), _times_kernel(X, term.kernel) @ X.T)
+                for s, X in enumerate(views)
+            ]
         elif term.layout == "representer":
-            M = pseudo_inverse_coupling(views)
+            parts = [(everything, pseudo_inverse_coupling(views))]
         else:
             raise ValueError(f"unknown term layout {term.layout!r}")
-        sides[term.side] += term.coeff * M
+        # Each product is fresh: scale it and add it in place, with no copy.
+        for block, M in parts:
+            M *= term.coeff
+            sides[term.side][block, block] += M
     return symmetrize(sides["objective"]), symmetrize(sides["constraint"])
 
 

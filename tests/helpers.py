@@ -1,8 +1,11 @@
 """Small random fixtures shared across test modules."""
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from mvsubspace import MultiViewDataset
+from mvsubspace.gevd import GevdSolution, NumericalError, _fix_signs
+from mvsubspace.scatter import _times_kernel, pseudo_inverse_coupling, symmetrize
 
 
 def balanced_labels(classes, n, rng):
@@ -94,6 +97,39 @@ def densify(kernel):
     return kernel.apply(np.eye(kernel.Y.shape[1]))
 
 
+def blockdiag_dense(matrices):
+    """Dense block-diagonal assembly of square matrices."""
+    dims = [M.shape[0] for M in matrices]
+    out = np.zeros((sum(dims), sum(dims)))
+    pos = 0
+    for M in matrices:
+        d = M.shape[0]
+        out[pos:pos + d, pos:pos + d] = M
+        pos += d
+    return out
+
+
+def dense_materialize(terms, views):
+    """``scatter.materialize`` with a full d x d matrix per term: blockdiag
+    terms zero-padded, every product scaled into a copy and added."""
+    stacked = np.vstack(views)
+    d = stacked.shape[0]
+    sides = {"objective": np.zeros((d, d)), "constraint": np.zeros((d, d))}
+    for term in terms:
+        if term.layout == "dense":
+            M = _times_kernel(stacked, term.kernel) @ stacked.T
+        elif term.layout == "blockdiag":
+            M = blockdiag_dense(
+                [_times_kernel(X, term.kernel) @ X.T for X in views]
+            )
+        elif term.layout == "representer":
+            M = pseudo_inverse_coupling(views)
+        else:
+            raise ValueError(f"unknown term layout {term.layout!r}")
+        sides[term.side] += term.coeff * M
+    return symmetrize(sides["objective"]), symmetrize(sides["constraint"])
+
+
 def regularized_gram_inverse(X):
     """(X^T X + eps I)^-1 with the library's jitter eps = 1e-10 ||X||_F^2 / d."""
     d, n = X.shape
@@ -106,6 +142,33 @@ def svd_ridge_pinv(X):
     eps = 1e-10 * np.sum(X * X) / X.shape[0]
     U, s, Vt = np.linalg.svd(X, full_matrices=False)
     return (U * (s / (s**2 + eps))) @ Vt
+
+
+def dense_gevd(problem):
+    """Full-spectrum oracle for ``gevd.solve``: Cholesky, two triangular
+    solves for C = L^-1 A L^-T, every eigenpair of C, back-transform."""
+    A = problem.objective
+    B = problem.constraint
+    d = problem.dim
+    k = problem.k
+    try:
+        L = np.linalg.cholesky(B)
+    except np.linalg.LinAlgError:
+        raise NumericalError(
+            "constraint matrix is not positive definite; increase the "
+            "tikhonov gamma"
+        ) from None
+    # C = L^-1 A L^-T via two triangular solves.
+    T = solve_triangular(L, A, lower=True)
+    C = solve_triangular(L, T.T, lower=True).T
+    C = symmetrize(C)
+    eigvals, U = np.linalg.eigh(C)
+    eigvals = eigvals[::-1]
+    U = U[:, ::-1]
+    gap = float(eigvals[k - 1] - eigvals[k]) if k < d else 0.0
+    P = solve_triangular(L, U[:, :k], lower=True, trans="T")
+    P = _fix_signs(P)
+    return GevdSolution(P=P, eigenvalues=eigvals[:k].copy(), spectrum_gap=gap)
 
 
 def loss_only(nets, ds, method, activation):

@@ -16,8 +16,9 @@ from mvsubspace import (
     save_model,
 )
 from mvsubspace.data import center_columns
+from mvsubspace.scatter import KernelTerm, symmetrize
 
-from helpers import random_dataset
+from helpers import dense_materialize, random_dataset
 
 
 def test_assemble_single_view_no_regularizers():
@@ -29,6 +30,12 @@ def test_assemble_single_view_no_regularizers():
     np.testing.assert_allclose(prob.objective, Xc @ Yt.T @ Yt @ Xc.T, atol=1e-12)
     np.testing.assert_allclose(
         prob.constraint, Xc @ Xc.T + 1e-3 * np.eye(4), atol=1e-12
+    )
+    # Adding gamma in place keeps the constraint bit-identical to adding
+    # gamma * I to a copy.
+    _, gram = dense_materialize([KernelTerm("constraint", "blockdiag", 1.0)], [Xc])
+    assert np.array_equal(
+        prob.constraint, symmetrize(symmetrize(gram + 1e-3 * np.eye(4)))
     )
 
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import subspace_angles
 
+from helpers import dense_gevd
 from mvsubspace.gevd import GevdProblem, NumericalError, objective_value, solve
 
 
@@ -28,6 +30,59 @@ def _random_pencil(seed, d=7, k=3):
     R = rng.standard_normal((d, d))
     B = R @ R.T + d * np.eye(d)
     return GevdProblem(A, B, k)
+
+
+def _pencil_with_spectrum(seed, spectrum, k):
+    """A pencil whose generalized eigenvalues are ``spectrum``.
+
+    A = L Q diag(spectrum) Q^T L^T against B = L L^T, with B a non-diagonal
+    SPD matrix and Q a random orthogonal matrix.
+    """
+    d = len(spectrum)
+    rng = np.random.default_rng(seed)
+    R = rng.standard_normal((d, d))
+    B = R @ R.T / d + np.eye(d)
+    L = np.linalg.cholesky(B)
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    LQ = L @ Q
+    return GevdProblem((LQ * spectrum) @ LQ.T, B, k)
+
+
+@pytest.mark.parametrize("d", [7, 60, 300])
+@pytest.mark.parametrize("kind", ["1", "3", "d-1", "d"])
+def test_solve_matches_the_full_spectrum_oracle(d, kind):
+    """The top-(k+1) solve returns what the full-spectrum solve returns.
+
+    The spectrum is d distinct values one apart, so every eigenvector is
+    determined up to roundoff and the sign convention makes P comparable.
+    """
+    k = {"1": 1, "3": 3, "d-1": d - 1, "d": d}[kind]
+    rng = np.random.default_rng(d + k)
+    spectrum = rng.permutation(d) - (d - 1) / 2.0
+    prob = _pencil_with_spectrum(d * 31 + k, spectrum, k)
+    sol, want = solve(prob), dense_gevd(prob)
+    tol = 1e-12 * np.abs(spectrum).max()
+    np.testing.assert_allclose(sol.eigenvalues, want.eigenvalues, rtol=0, atol=tol)
+    assert sol.spectrum_gap == pytest.approx(want.spectrum_gap, rel=0, abs=tol)
+    assert sol.P.shape == want.P.shape == (d, k)
+    np.testing.assert_allclose(sol.P, want.P, rtol=0, atol=tol)  # every column
+
+
+@pytest.mark.parametrize("d", [8, 60])
+def test_tied_spectrum_matches_the_oracle_by_subspace_angle(d):
+    """A repeated eigenvalue inside the top k: only the span is comparable."""
+    spectrum = np.concatenate([[3.0, 3.0, 2.0], 1.0 - np.arange(d - 3)])
+    prob = _pencil_with_spectrum(d, spectrum, 3)
+    sol, want = solve(prob), dense_gevd(prob)
+    tol = 1e-12 * np.abs(spectrum).max()
+    np.testing.assert_allclose(sol.eigenvalues, [3.0, 3.0, 2.0], rtol=0, atol=tol)
+    np.testing.assert_allclose(sol.eigenvalues, want.eigenvalues, rtol=0, atol=tol)
+    assert sol.spectrum_gap == pytest.approx(want.spectrum_gap, rel=0, abs=tol)
+    assert subspace_angles(sol.P[:, :2], want.P[:, :2]).max() <= 1e-10
+    np.testing.assert_allclose(sol.P[:, 2], want.P[:, 2], rtol=0, atol=tol)
+    np.testing.assert_allclose(
+        sol.P.T @ prob.constraint @ sol.P, np.eye(3), rtol=0, atol=1e-10
+    )
 
 
 @pytest.mark.parametrize("seed", range(8))

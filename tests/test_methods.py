@@ -5,6 +5,7 @@ import pytest
 
 from mvsubspace import (
     METHOD_NAMES,
+    GevdProblem,
     MethodId,
     MultiViewDataset,
     NumericalError,
@@ -14,9 +15,9 @@ from mvsubspace import (
     solve,
 )
 from mvsubspace.methods import fit as fit_method
-from mvsubspace.scatter import blockdiag_dense
+from mvsubspace.methods import method_terms
 
-from helpers import random_dataset
+from helpers import blockdiag_dense, dense_materialize, random_dataset
 
 
 @pytest.mark.parametrize("name", METHOD_NAMES)
@@ -24,6 +25,15 @@ def test_fitted_models_satisfy_their_pencil(name):
     ds = random_dataset(seed=13, dims=(5, 4, 3), classes=3, n=24)
     method = MethodId(name, k=2)
     prob = build(method, ds)
+    # In-place accumulation leaves the pencil bit-identical to summing a
+    # scaled d x d copy per term and adding gamma * I.
+    views = list(ds.views)
+    objective, constraint = dense_materialize(
+        method_terms(method, ds.n_samples, ds.labels, len(views)), views
+    )
+    old = GevdProblem(objective, constraint + method.gamma * np.eye(12), method.k)
+    assert np.array_equal(prob.objective, old.objective)
+    assert np.array_equal(prob.constraint, old.constraint)
     sol = solve(prob)
     np.testing.assert_allclose(
         sol.P.T @ prob.constraint @ sol.P, np.eye(2), atol=1e-10

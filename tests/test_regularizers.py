@@ -11,12 +11,12 @@ from mvsubspace.regularizers import (
     mean_consistency,
     representer_consistency,
 )
-from mvsubspace.scatter import blockdiag_dense
 
 from helpers import (
     balanced_labels,
     between_kernel,
     between_class_scatter,
+    blockdiag_dense,
     centering_matrix,
     orthonormalish_views,
 )

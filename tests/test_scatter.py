@@ -5,8 +5,9 @@ import pytest
 
 from mvsubspace import build_indicator
 from mvsubspace.scatter import (
-    blockdiag_dense,
+    KernelTerm,
     label_kernels,
+    materialize,
     pseudo_inverse_coupling,
     symmetrize,
 )
@@ -53,11 +54,11 @@ def test_block_diagonal_zeroes_couplings():
     want = np.zeros((5, 5))
     want[:2, :2] = views[0] @ views[0].T
     want[2:, 2:] = views[1] @ views[1].T
-    np.testing.assert_allclose(
-        blockdiag_dense([views[0] @ views[0].T, views[1] @ views[1].T]),
-        want,
-        atol=1e-13,
+    objective, constraint = materialize(
+        [KernelTerm("objective", "blockdiag", 1.0)], views
     )
+    np.testing.assert_allclose(objective, want, atol=1e-13)
+    np.testing.assert_array_equal(constraint, np.zeros((5, 5)))
 
 
 def _coupling(F):
