@@ -34,16 +34,36 @@ class NumericalError(RuntimeError):
     """Numerical failure: indefinite constraint or degenerate spectrum."""
 
 
-def _check_symmetric(M, name):
-    scale = np.abs(M).max()
-    tol = 1e-10 * max(scale, 1.0)
-    if np.abs(M - M.T).max() > tol:
+def _finite_scale(M, name):
+    """The largest |entry| of M.  NaN propagates through max, so this one
+    pass also finds every non-finite entry."""
+    scale = np.abs(M).max(initial=0.0)
+    if not np.isfinite(scale):
+        raise NumericalError(
+            f"{name} matrix has non-finite entries; rescale the data"
+        )
+    return scale
+
+
+def _check_symmetric(M, name, scale):
+    """Raise unless M is symmetric to 1e-10 of its largest entry ``scale``;
+    return whether it is exactly symmetric."""
+    asymmetry = M - M.T
+    np.abs(asymmetry, out=asymmetry)
+    worst = asymmetry.max()
+    if worst > 1e-10 * max(scale, 1.0):
         raise ValueError(f"{name} matrix is not symmetric")
+    return worst == 0.0
 
 
 @dataclass(frozen=True)
 class GevdProblem:
-    """A pencil (objective, constraint) with the number of directions to keep."""
+    """A pencil (objective, constraint) with the number of directions to keep.
+
+    Each side must be finite and symmetric to 1e-10 of its largest entry; a
+    side that is not exactly symmetric is replaced by (M + M^T) / 2, and an
+    exactly symmetric float array is stored as given, not copied.
+    """
 
     objective: np.ndarray
     constraint: np.ndarray
@@ -52,23 +72,21 @@ class GevdProblem:
     def __post_init__(self):
         A = np.asarray(self.objective, dtype=float)
         B = np.asarray(self.constraint, dtype=float)
-        for name, M in (("objective", A), ("constraint", B)):
-            if not np.all(np.isfinite(M)):
-                raise NumericalError(
-                    f"{name} matrix has non-finite entries; rescale the data"
-                )
+        scale_A = _finite_scale(A, "objective")
+        scale_B = _finite_scale(B, "constraint")
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("objective must be a square matrix")
         if B.shape != A.shape:
             raise ValueError("objective and constraint must share a shape")
-        _check_symmetric(A, "objective")
-        _check_symmetric(B, "constraint")
+        A_exact = _check_symmetric(A, "objective", scale_A)
+        B_exact = _check_symmetric(B, "constraint", scale_B)
         if not 1 <= self.k <= A.shape[0]:
             raise ValueError(
                 f"k={self.k} is out of range for problem dimension d={A.shape[0]}"
             )
-        object.__setattr__(self, "objective", symmetrize(A))
-        object.__setattr__(self, "constraint", symmetrize(B))
+        # Symmetrizing an exactly symmetric side returns the same values.
+        object.__setattr__(self, "objective", A if A_exact else symmetrize(A))
+        object.__setattr__(self, "constraint", B if B_exact else symmetrize(B))
 
     @property
     def dim(self):

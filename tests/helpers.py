@@ -204,3 +204,44 @@ def fd_worst_violation(ds, method, mlp, activation, h=1e-5, mutate=None,
                 fd = (up - down) / (2 * h)
                 worst = max(worst, abs(g[idx] - fd) - (atol + rtol * abs(fd)))
     return worst
+
+
+# Oracles for ``evaluation``: the direct q x g x d difference formula in
+# 1 MiB query blocks, argmin for 1-NN and a stable argsort for retrieval.
+
+_BLOCK_BYTES = 1 << 20
+
+
+def _query_blocks(Z_query, Z_gallery):
+    Q = np.asarray(Z_query, dtype=float).T
+    G = np.asarray(Z_gallery, dtype=float).T
+    step = max(1, _BLOCK_BYTES // max(1, G.size * G.itemsize))
+    for start in range(0, Q.shape[0], step):
+        rows = slice(start, start + step)
+        diffs = Q[rows, None, :] - G[None, :, :]
+        yield rows, np.einsum("qgd,qgd->qg", diffs, diffs)
+
+
+def dense_knn1(Z_train, labels_train, Z_test):
+    """1-NN labels from every exact distance, ties to the lowest index."""
+    nearest = np.empty(np.shape(Z_test)[1], dtype=np.intp)
+    for rows, d2 in _query_blocks(Z_test, Z_train):
+        nearest[rows] = np.argmin(d2, axis=1)
+    return np.asarray(labels_train)[nearest]
+
+
+def dense_direction_aps(Z_query, labels_query, Z_gallery, labels_gallery):
+    """Per-query APs from a stable argsort of every exact distance."""
+    labels_query = np.asarray(labels_query)
+    labels_gallery = np.asarray(labels_gallery)
+    positions = np.arange(1, np.shape(Z_gallery)[1] + 1, dtype=np.longdouble)
+    aps = np.empty(np.shape(Z_query)[1])
+    for rows, d2 in _query_blocks(Z_query, Z_gallery):
+        order = np.argsort(d2, axis=1, kind="stable")
+        ranked_labels = labels_gallery[order]
+        rel = (ranked_labels == labels_query[rows, None]).astype(np.longdouble)
+        totals = rel.sum(axis=1)
+        precision_at = np.cumsum(rel, axis=1) / positions
+        sums = (precision_at * rel).sum(axis=1)
+        aps[rows] = np.where(totals > 0, sums / np.maximum(totals, 1.0), 0.0)
+    return aps

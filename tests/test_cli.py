@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mvsubspace import load_model
+from mvsubspace import cli, load_model
 from mvsubspace.cli import main
 from mvsubspace.deep import load_networks
 
@@ -87,6 +87,26 @@ def test_retrieve_two_views(toy_dir, tmp_path, capsys):
         assert key in text
     mean = float(text.splitlines()[-1].split("=")[1])
     assert 0.0 < mean <= 1.0
+
+
+def test_non_finite_embedding_exits_with_a_data_error(
+    toy_dir, tmp_path, capsys, monkeypatch
+):
+    # a NaN that reaches the embeddings is reported, not ranked
+    real = cli._embeddings
+
+    def poisoned(*args):
+        Z_train, Z_test, per_test, model = real(*args)
+        per_test[0][0, 0] = np.nan
+        return Z_train, Z_test, per_test, model
+
+    monkeypatch.setattr(cli, "_embeddings", poisoned)
+    cfg = write_cfg(
+        tmp_path / "ret.cfg", dataset=str(toy_dir), method="MvOPLS", k="2",
+        train_fraction="0.5",
+    )
+    assert main(["retrieve", "--config", cfg]) == 2
+    assert "Z_a has non-finite entries" in capsys.readouterr().err
 
 
 def test_retrieve_rejects_other_view_counts(tmp_path, capsys):

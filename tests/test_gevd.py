@@ -139,3 +139,26 @@ def test_problem_validation():
         GevdProblem(np.eye(2), np.eye(3), 1)
     with pytest.raises(ValueError, match="not symmetric"):
         GevdProblem(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2), 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_sides_raise_among_large_entries(bad):
+    # the check reads one max of |M|; a NaN must not hide behind 1e300
+    M = np.full((3, 3), 1e300)
+    M[1, 2] = M[2, 1] = bad
+    with pytest.raises(NumericalError, match="objective matrix has non-finite"):
+        GevdProblem(M, np.eye(3), 1)
+    with pytest.raises(NumericalError, match="constraint matrix has non-finite"):
+        GevdProblem(np.eye(3), M, 1)
+
+
+def test_sides_are_symmetrized_only_when_asymmetric():
+    rng = np.random.default_rng(5)
+    R = rng.standard_normal((4, 4))
+    S = R + R.T
+    nearly = S.copy()
+    nearly[0, 1] += 1e-13
+    problem = GevdProblem(S, nearly, 2)
+    assert problem.objective is S
+    np.testing.assert_array_equal(problem.constraint, (nearly + nearly.T) * 0.5)
+    np.testing.assert_array_equal(problem.constraint, problem.constraint.T)
