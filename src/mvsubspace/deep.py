@@ -161,6 +161,7 @@ def _solve_with_retry(problem, jitter):
             problem.objective,
             problem.constraint + jitter * scale * np.eye(d),
             problem.k,
+            problem.objective_factor,
         )
         return solve(bumped), bumped
 

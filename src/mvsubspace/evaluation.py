@@ -130,6 +130,8 @@ def knn1_classify(Z_train, labels_train, Z_test):
     """
     Zg = _checked(Z_train, "Z_train")
     Zq = _checked(Z_test, "Z_test")
+    if Zg.shape[1] == 0 and Zq.shape[1] > 0:
+        raise ValueError("Z_train has no samples to classify Z_test against")
     finfo = np.finfo(float)
     factor = 4 * Zg.shape[0] + 8
     nearest = np.empty(Zq.shape[1], dtype=np.intp)
@@ -221,6 +223,9 @@ def cross_modal_retrieve(Z_a, labels_a, Z_b, labels_b):
     """
     A = _checked(Z_a, "Z_a")
     B = _checked(Z_b, "Z_b")
+    for Z, name in ((A, "Z_a"), (B, "Z_b")):
+        if Z.shape[1] == 0:
+            raise ValueError(f"{name} has no samples, so no mAP is defined")
     if A.shape[0] != B.shape[0]:
         raise ValueError(
             f"Z_a and Z_b must embed in the same dimension, got {A.shape[0]} "

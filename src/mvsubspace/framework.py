@@ -126,11 +126,17 @@ def assemble(dataset, spec):
     objective = G @ G.T
     _, constraint = materialize([KernelTerm("constraint", "blockdiag", 1.0)], tviews)
     constraint[np.diag_indices_from(constraint)] += spec.gamma
+    objective_regularized = False
     for rid, w in spec.regularizers:
         term = REGULARIZERS[rid](raw_views, tviews, indicator, spec.lam)
         objective -= w * term.objective_sub
         constraint += w * term.constraint_add
-    return GevdProblem(symmetrize(objective), symmetrize(constraint), spec.k)
+        objective_regularized |= bool(term.objective_sub.any())
+    # The objective G G^T has rank <= o; an o x o identity is worth forming
+    # only when that is below d.
+    o = G.shape[1]
+    factor = None if objective_regularized or o >= G.shape[0] else (G, np.eye(o))
+    return GevdProblem(symmetrize(objective), symmetrize(constraint), spec.k, factor)
 
 
 def fit_solved(dataset, solution, spec):

@@ -28,7 +28,7 @@ import numpy as np
 from .data import MultiViewDataset, build_indicator
 from .framework import ModelSpec, assemble, fit_solved
 from .gevd import GevdProblem, solve
-from .scatter import KernelTerm, label_kernels, materialize
+from .scatter import KernelTerm, label_kernels, materialize, objective_factor
 
 METHOD_NAMES = (
     "MCCA",
@@ -135,10 +135,13 @@ def method_terms(method, n, labels, v):
 
 
 def _pencil(method, terms, views):
-    """Materialize a method's terms on views and add the gamma ridge."""
+    """Materialize a method's terms on views and add the gamma ridge; attach
+    the objective's low-rank factor when it has one."""
     objective, constraint = materialize(terms, views)
     constraint[np.diag_indices_from(constraint)] += method.gamma
-    return GevdProblem(objective, constraint, method.k)
+    return GevdProblem(
+        objective, constraint, method.k, objective_factor(terms, views)
+    )
 
 
 def build_from_views(method, views, labels):

@@ -182,6 +182,23 @@ def materialize(terms, views):
     return symmetrize(sides["objective"]), symmetrize(sides["constraint"])
 
 
+def objective_factor(terms, views):
+    """(S, M) with the materialized objective equal to S M S^T, or None.
+
+    Defined when the objective is one dense term over a kernel Y^T K Y with
+    eye = 0: then S = X Y^T over the stacked views (d x c, the per-class
+    sums) and M = coeff * K, so the objective has rank at most c.
+    """
+    objective = [term for term in terms if term.side == "objective"]
+    if len(objective) != 1:
+        return None
+    (term,) = objective
+    kernel = term.kernel
+    if term.layout != "dense" or kernel is None or kernel.eye != 0:
+        return None
+    return np.vstack([X @ kernel.Y.T for X in views]), term.coeff * kernel.M
+
+
 def materialize_grads(terms, views, adjoints):
     """Per-view gradients of <bar_A, objective> + <bar_B, constraint>.
 

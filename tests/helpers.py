@@ -168,7 +168,9 @@ def dense_gevd(problem):
     gap = float(eigvals[k - 1] - eigvals[k]) if k < d else 0.0
     P = solve_triangular(L, U[:, :k], lower=True, trans="T")
     P = _fix_signs(P)
-    return GevdSolution(P=P, eigenvalues=eigvals[:k].copy(), spectrum_gap=gap)
+    return GevdSolution(
+        P=P, eigenvalues=eigvals[:k].copy(), spectrum_gap=gap, route="full"
+    )
 
 
 def loss_only(nets, ds, method, activation):

@@ -7,6 +7,7 @@ import scipy.linalg
 from mvsubspace import MethodId, MultiViewDataset, NumericalError
 from mvsubspace.deep import (
     MlpConfig,
+    _solve_with_retry,
     TrainerConfig,
     forward,
     forward_views,
@@ -17,6 +18,8 @@ from mvsubspace.deep import (
     spectral_loss,
     train,
 )
+from mvsubspace.gevd import solve
+from mvsubspace.methods import build_from_views
 from mvsubspace.toy import make_toy_dataset
 
 from helpers import fd_worst_violation, loss_only, random_dataset
@@ -233,3 +236,18 @@ def test_config_validation():
     with pytest.raises(ValueError, match="out_dim=2 must be at least k=3"):
         train(ds, MethodId("MvOPLS", k=3), MlpConfig(hidden=(3,), out_dim=2),
               TrainerConfig(epochs=1))
+
+
+def test_retry_keeps_the_objective_factor():
+    # the deep MvOPLS pencil is rank-c: the jittered retry still solves it in
+    # that rank
+    rng = np.random.default_rng(2)
+    labels = np.repeat([1, 2, 3], 4)
+    features = [rng.standard_normal((6, 12)), np.zeros((6, 12))]
+    method = MethodId("MvOPLS", k=2, gamma=0.0)
+    problem = build_from_views(method, features, labels)
+    with pytest.raises(NumericalError):
+        solve(problem)
+    solution, solved = _solve_with_retry(problem, 1e-6)
+    assert solved.objective_factor is not None
+    assert solution.route == "factored"

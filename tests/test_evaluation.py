@@ -144,6 +144,25 @@ def test_retrieval_rejects_non_finite_embeddings():
         cross_modal_retrieve(Z, labels, bad, labels)
 
 
+def test_knn_rejects_an_empty_training_set():
+    # numpy's "zero-size array to reduction" error named neither input
+    with pytest.raises(ValueError, match="Z_train has no samples"):
+        knn1_classify(np.zeros((3, 0)), np.zeros(0, dtype=int), np.ones((3, 2)))
+    assert knn1_classify(np.zeros((3, 0)), [], np.zeros((3, 0))).shape == (0,)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("empty", ["Z_a", "Z_b"])
+def test_retrieval_rejects_a_view_without_samples(empty):
+    # the mean of an empty AP array used to return NaN with a RuntimeWarning
+    Z = np.random.default_rng(10).standard_normal((3, 4))
+    labels = np.array([1, 2, 1, 2])
+    none, no_labels = np.zeros((3, 0)), np.zeros(0, dtype=int)
+    args = (none, no_labels, Z, labels) if empty == "Z_a" else (Z, labels, none, no_labels)
+    with pytest.raises(ValueError, match=f"{empty} has no samples"):
+        cross_modal_retrieve(*args)
+
+
 def test_retrieval_rejects_mismatched_dimensions():
     rng = np.random.default_rng(9)
     labels = np.array([1, 2, 1])

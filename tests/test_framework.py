@@ -14,11 +14,12 @@ from mvsubspace import (
     make_target,
     predict,
     save_model,
+    solve,
 )
 from mvsubspace.data import center_columns
 from mvsubspace.scatter import KernelTerm, symmetrize
 
-from helpers import dense_materialize, random_dataset
+from helpers import dense_gevd, dense_materialize, random_dataset
 
 
 def test_assemble_single_view_no_regularizers():
@@ -145,3 +146,27 @@ def test_model_spec_validation():
         ModelSpec(target_kind="identity_n", k=1, regularizers=(("ridge", 1.0),))
     with pytest.raises(ValueError, match="unknown input transform"):
         ModelSpec(target_kind="identity_n", k=1, input_transform="scaled")
+
+
+@pytest.mark.parametrize(
+    "target, regularizers, route",
+    [
+        ("sigma_invsqrt_onehot", (), "factored"),
+        ("centered_onehot", (("mean", 1.0), ("hsic", 0.5)), "factored"),
+        ("centered_normalized_label", (("representer", 0.3),), "factored"),
+        ("sigma_invsqrt_onehot", (("cca", 0.3),), "full"),
+        ("sigma_invsqrt_onehot", (("lda", 1.0),), "full"),
+        ("identity_n", (), "full"),
+    ],
+)
+def test_fit_matches_the_full_spectrum_oracle(target, regularizers, route):
+    """Without an objective-side regularizer the assembled objective G G^T
+    carries its factor (G, I) and is solved in its rank."""
+    ds = random_dataset(seed=7, dims=(6, 5, 4), classes=3, n=24)
+    spec = ModelSpec(target_kind=target, k=2, gamma=1e-3, regularizers=regularizers)
+    prob = assemble(ds, spec)
+    assert (prob.objective_factor is not None) == (route == "factored")
+    assert solve(prob).route == route
+    want = dense_gevd(prob)
+    got = fit(ds, spec).eigenvalues
+    np.testing.assert_allclose(got, want.eigenvalues, rtol=1e-12, atol=1e-12)

@@ -8,6 +8,7 @@ from scipy.linalg import subspace_angles
 
 from helpers import dense_gevd
 from mvsubspace.gevd import GevdProblem, NumericalError, objective_value, solve
+from mvsubspace.scatter import symmetrize
 
 
 def test_diagonal_oracle():
@@ -162,3 +163,132 @@ def test_sides_are_symmetrized_only_when_asymmetric():
     assert problem.objective is S
     np.testing.assert_array_equal(problem.constraint, (nearly + nearly.T) * 0.5)
     np.testing.assert_array_equal(problem.constraint, problem.constraint.T)
+
+
+def _factored_pencil(seed, spectrum, d, k):
+    """A pencil (S M S^T, B) whose generalized eigenvalues are ``spectrum``
+    plus d - r zeros, with the factor (S, M) attached.
+
+    S = L Q W and M = W^T diag(spectrum) W, with B = L L^T non-diagonal, Q a
+    random d x r orthonormal block and W a random r x r rotation, so M is
+    dense and has the signs of ``spectrum``.
+    """
+    r = len(spectrum)
+    rng = np.random.default_rng(seed)
+    R = rng.standard_normal((d, d))
+    B = R @ R.T / d + np.eye(d)
+    Q, _ = np.linalg.qr(rng.standard_normal((d, r)))
+    W, _ = np.linalg.qr(rng.standard_normal((r, r)))
+    S = np.linalg.cholesky(B) @ Q @ W
+    M = (W.T * spectrum) @ W
+    return GevdProblem((S @ M) @ S.T, B, k, (S, M))
+
+
+@pytest.mark.parametrize("d", [7, 60, 300])
+@pytest.mark.parametrize("k_kind", ["1", "c-1"])
+@pytest.mark.parametrize("sign", ["psd", "indefinite"])
+def test_factored_route_matches_the_full_spectrum_oracle(d, k_kind, sign):
+    """Solving in the factor's rank returns what the full-spectrum solve
+    returns, including lambda_(k+1) from the merged list (from Lambda for a
+    definite M, a padded zero for the indefinite one)."""
+    c = 2 if d == 7 else 10
+    k = 1 if k_kind == "1" else c - 1
+    spectrum = np.arange(c, 0, -1.0)
+    if sign == "indefinite":  # c - 1 positive eigenvalues and one negative
+        spectrum[-1] = -2.0
+    prob = _factored_pencil(d * 7 + k, spectrum, d, k)
+    sol, want = solve(prob), dense_gevd(prob)
+    assert sol.route == "factored"
+    tol = 1e-12 * np.abs(spectrum).max()
+    np.testing.assert_allclose(sol.eigenvalues, want.eigenvalues, rtol=0, atol=tol)
+    np.testing.assert_allclose(sol.eigenvalues, np.sort(spectrum)[::-1][:k], atol=tol)
+    assert sol.spectrum_gap == pytest.approx(want.spectrum_gap, rel=0, abs=tol)
+    np.testing.assert_allclose(sol.P, want.P, rtol=0, atol=1e-10)  # every column
+    np.testing.assert_allclose(
+        sol.P.T @ prob.constraint @ sol.P, np.eye(k), rtol=0, atol=1e-10
+    )
+
+
+def test_factored_route_with_a_tie_matches_the_oracle_by_subspace_angle():
+    spectrum = np.array([3.0, 3.0, 2.0, 1.0, 0.5])
+    prob = _factored_pencil(11, spectrum, 60, 3)
+    sol, want = solve(prob), dense_gevd(prob)
+    assert sol.route == "factored"
+    tol = 1e-12 * np.abs(spectrum).max()
+    np.testing.assert_allclose(sol.eigenvalues, [3.0, 3.0, 2.0], rtol=0, atol=tol)
+    assert sol.spectrum_gap == pytest.approx(want.spectrum_gap, rel=0, abs=tol)
+    assert subspace_angles(sol.P[:, :2], want.P[:, :2]).max() <= 1e-10
+    np.testing.assert_allclose(sol.P[:, 2], want.P[:, 2], rtol=0, atol=1e-10)
+
+
+def test_factored_route_drops_the_null_space_of_m():
+    """A factor column that M annihilates but whitening magnifies must not
+    cost accuracy: here the data mean, which M (a between kernel) removes
+    and B holds only at its 1e-6 ridge.  Kept, it leaves residuals and
+    eigenvalue errors near 3e-12; dropped, near 1e-15."""
+    rng = np.random.default_rng(0)
+    d, n, c = 60, 40, 6
+    X = rng.standard_normal((d, n))
+    X -= X.mean(axis=1, keepdims=True)
+    Y = np.eye(c)[:, np.arange(n) % c]
+    M = np.diag(1.0 / Y.sum(axis=1)) - 1.0 / n  # M counts = 0
+    S = (X + 3.0 * rng.standard_normal((d, 1))) @ Y.T
+    B = X @ X.T + 1e-6 * np.eye(d)
+    prob = GevdProblem(symmetrize((S @ M) @ S.T), B, c - 1, (S, M))
+    sol, full = solve(prob), solve(GevdProblem(prob.objective, B, c - 1))
+    assert (sol.route, full.route) == ("factored", "full")
+    A = prob.objective
+    resid = np.abs(A @ sol.P - B @ sol.P * sol.eigenvalues).max()
+    assert resid <= 1e-13 * np.abs(A).max()
+    np.testing.assert_allclose(sol.eigenvalues, full.eigenvalues, rtol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "case", ["k beyond rank", "k reaches the zeros", "r >= d/3", "r = d"]
+)
+def test_factored_route_falls_back_to_the_full_route(case):
+    """The full route answers whenever the top k would include a padded zero
+    or the factor's rank is not small against d."""
+    spectrum, d, k = {
+        "k beyond rank": ([3.0, 2.0, 0.0], 30, 3),
+        "k reaches the zeros": ([3.0, 2.0, -1.0], 30, 3),
+        "r >= d/3": ([4.0, 3.0, 2.0, 1.0], 12, 2),
+        "r = d": ([6.0, 5.0, 4.0, 3.0, 2.0, 1.0], 6, 2),
+    }[case]
+    prob = _factored_pencil(5, np.array(spectrum), d, k)
+    sol, want = solve(prob), dense_gevd(prob)
+    assert sol.route == "full"
+    np.testing.assert_allclose(sol.eigenvalues, want.eigenvalues, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", ["mismatch", "nan in S", "inf in M", "shape", "asymmetric M"])
+def test_objective_factor_is_checked(bad):
+    rng = np.random.default_rng(4)
+    S = rng.standard_normal((9, 2))
+    M = np.array([[2.0, 0.5], [0.5, -1.0]])
+    A = (S @ M) @ S.T
+    A = 0.5 * (A + A.T)
+    if bad == "mismatch":
+        M = M + 1e-6
+    elif bad == "nan in S":
+        S[3, 1] = np.nan
+    elif bad == "inf in M":
+        M[0, 0] = np.inf
+    elif bad == "shape":
+        M = np.eye(3)
+    else:
+        M[0, 1] += 1e-3
+    match = {"mismatch": "does not match", "nan in S": "non-finite",
+             "inf in M": "non-finite", "shape": "must be",
+             "asymmetric M": "not symmetric"}[bad]
+    with pytest.raises(ValueError, match=match):
+        GevdProblem(A, np.eye(9), 1, (S, M))
+
+
+def test_objective_factor_within_tolerance_is_accepted():
+    rng = np.random.default_rng(6)
+    S = rng.standard_normal((9, 2))
+    M = np.array([[2.0, 0.5], [0.5, 1.0]])
+    A = symmetrize((S @ M) @ S.T)
+    prob = GevdProblem(A + 1e-12, np.eye(9), 1, (S, M))
+    assert prob.objective_factor[0] is S

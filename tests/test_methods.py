@@ -12,6 +12,7 @@ from mvsubspace import (
     build,
     build_via_framework,
     embed,
+    make_toy_dataset,
     solve,
 )
 from mvsubspace.methods import fit as fit_method
@@ -145,3 +146,33 @@ def test_method_id_validation():
         MethodId("MCCA", k=0)
     with pytest.raises(ValueError, match="nonnegative"):
         MethodId("MCCA", k=1, gamma=-0.1)
+
+
+FACTORED_METHODS = ("MvOPLS", "MvLDA", "MvDA", "MvDA_VC", "MvMDA")
+
+
+@pytest.mark.parametrize("dim, n", [(50, 1500), (250, 250)])
+def test_rank_c_objectives_take_the_factored_route(dim, n):
+    """At the benchmark's shapes (3 views, 10 classes, k = 9) the five methods
+    whose objective is one eye = 0 dense kernel are solved in its rank; the
+    other four, whose objectives carry an identity part, are not."""
+    ds = make_toy_dataset(classes=10, views=3, samples=n, dims=(dim,) * 3, seed=1)
+    for name in METHOD_NAMES:
+        prob = build(MethodId(name, k=9), ds)
+        assert (prob.objective_factor is not None) == (name in FACTORED_METHODS)
+        want = "factored" if name in FACTORED_METHODS else "full"
+        assert solve(prob).route == want, name
+
+
+def test_factor_check_allows_the_rounding_of_raw_view_means():
+    """Pencils are built from raw views and a between kernel removes their
+    mean only inside M, so a large offset makes both S M S^T and the dense
+    objective round far above 1e-10 of the objective's own size; the factor
+    check must still accept the factor (max|A| alone rejects it from an
+    offset of about 1e4)."""
+    ds = random_dataset(seed=3, dims=(6, 5, 4), classes=4, n=40)
+    shifted = MultiViewDataset(tuple(X + 1e5 for X in ds.views), ds.labels)
+    for name in FACTORED_METHODS:
+        prob = build(MethodId(name, k=3), shifted)
+        assert prob.objective_factor is not None
+        assert solve(prob).route == "factored"
