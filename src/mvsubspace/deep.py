@@ -32,17 +32,20 @@ from .scatter import materialize_grads
 ACTIVATIONS = ("tanh", "sigmoid")
 
 
-def _act(name, Z):
+def _act(name, Z, out=None):
     if name == "tanh":
-        return np.tanh(Z)
-    return expit(Z)
+        return np.tanh(Z, out=out)
+    return expit(Z, out=out)
 
 
-def _act_deriv_from_output(name, H):
-    # Derivative expressed through the activation output.
+def _act_deriv_from_output(name, H, out):
+    # Derivative expressed through the activation output, written into out.
     if name == "tanh":
-        return 1.0 - H * H
-    return H * (1.0 - H)
+        np.multiply(H, H, out=out)
+        return np.subtract(1.0, out, out=out)
+    np.subtract(1.0, H, out=out)
+    out *= H
+    return out
 
 
 @dataclass(frozen=True)
@@ -106,11 +109,15 @@ def init_networks(dataset, config):
     return [init_network(d, config, rng) for d in dataset.dims]
 
 
-def _forward_cache(net, X, activation):
+def _forward_cache(net, X, activation, out=None):
+    """Every layer's activations, the input first; ``out``, when given, holds
+    one array per layer to write them into."""
     h = np.asarray(X, dtype=float)
     cache = [h]
-    for V, b in zip(net.weights, net.biases):
-        h = _act(activation, V @ h + b[:, None])
+    for i, (V, b) in enumerate(zip(net.weights, net.biases)):
+        z = np.matmul(V, h, out=None if out is None else out[i])
+        z += b[:, None]
+        h = _act(activation, z, out=z)
         cache.append(h)
     return cache
 
@@ -179,21 +186,52 @@ def spectral_loss(features, labels, method, k=None, jitter=1e-8):
     return float(-solution.eigenvalues.sum()), solution
 
 
-def _backprop(net, cache, grad_out, activation):
+class _Workspace:
+    """The (width x n) arrays of a full-batch epoch, allocated once per run.
+
+    Arrays this size, allocated afresh, come from pages glibc either
+    recycles or faults in again depending on the heap's history, which would
+    make an epoch's time depend on what ran before it in the process.
+    ``acts`` holds each view's layer outputs; backpropagation takes the rest
+    from ``scratch``, shared by the views since it handles one at a time.
+    """
+
+    def __init__(self, nets, n):
+        self.n = n
+        self.acts = [[np.empty((V.shape[0], n)) for V in net.weights] for net in nets]
+        self._scratch = {}
+
+    def scratch(self, role, rows):
+        """The (rows x n) array kept for ``role``."""
+        key = (role, rows)
+        if key not in self._scratch:
+            self._scratch[key] = np.empty((rows, self.n))
+        return self._scratch[key]
+
+
+def _backprop(net, cache, grad_out, activation, work):
     dWs = [None] * len(net.weights)
     dbs = [None] * len(net.biases)
     grad_h = grad_out
     for i in range(len(net.weights) - 1, -1, -1):
-        delta = grad_h * _act_deriv_from_output(activation, cache[i + 1])
+        H = cache[i + 1]
+        delta = _act_deriv_from_output(activation, H, work.scratch("delta", len(H)))
+        delta *= grad_h
         dWs[i] = delta @ cache[i].T
         dbs[i] = delta.sum(axis=1)
         if i > 0:
-            grad_h = net.weights[i].T @ delta
+            V = net.weights[i]
+            grad_h = np.matmul(V.T, delta, out=work.scratch("back", V.shape[1]))
     return dWs, dbs
 
 
-def _loss_and_grads(nets, views, labels, method, activation, jitter):
-    caches = [_forward_cache(net, X, activation) for net, X in zip(nets, views)]
+def _loss_and_grads(nets, views, labels, method, activation, jitter, work=None):
+    if work is None:
+        work = _Workspace(nets, views[0].shape[1])
+    caches = [
+        _forward_cache(net, X, activation, out)
+        for net, X, out in zip(nets, views, work.acts)
+    ]
     features = [c[-1] for c in caches]
     terms = method_terms(method, features[0].shape[1], labels, len(features))
     problem = _pencil(method, terms, features)
@@ -208,7 +246,7 @@ def _loss_and_grads(nets, views, labels, method, activation, jitter):
     adjoints = (-(P @ P.T), (P * solution.eigenvalues) @ P.T)
     fgrads = materialize_grads(terms, features, adjoints)
     param_grads = [
-        _backprop(net, cache, g, activation)
+        _backprop(net, cache, g, activation, work)
         for net, cache, g in zip(nets, caches, fgrads)
     ]
     return loss, solution, features, param_grads
@@ -287,11 +325,13 @@ def train(dataset, method, mlp_config, trainer_config):
         trainer_config.eps,
     )
     views = list(dataset.views)
+    work = _Workspace(nets, dataset.n_samples)
     history = []
     final = None
     for epoch in range(trainer_config.epochs):
         loss, solution, features, param_grads = _loss_and_grads(
-            nets, views, dataset.labels, method, activation, trainer_config.jitter
+            nets, views, dataset.labels, method, activation, trainer_config.jitter,
+            work,
         )
         history.append(loss)
         if epoch == trainer_config.epochs - 1:

@@ -7,6 +7,8 @@ import scipy.linalg
 from mvsubspace import MethodId, MultiViewDataset, NumericalError
 from mvsubspace.deep import (
     MlpConfig,
+    _Workspace,
+    _loss_and_grads,
     _solve_with_retry,
     TrainerConfig,
     forward,
@@ -251,3 +253,28 @@ def test_retry_keeps_the_objective_factor():
     solution, solved = _solve_with_retry(problem, 1e-6)
     assert solved.objective_factor is not None
     assert solution.route == "factored"
+
+
+@pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
+def test_reused_workspace_matches_fresh_arrays(activation):
+    # train keeps one workspace across epochs: a pass over other weights must
+    # leave nothing behind, and views of unequal widths get their own arrays
+    ds = random_dataset(seed=43, dims=(5, 4), n=18, shift=1.0)
+    method = MethodId("MvDA", k=2, gamma=1e-3)
+    first = init_networks(ds, MlpConfig(hidden=(6, 6), out_dim=3, seed=1))
+    second = init_networks(ds, MlpConfig(hidden=(6, 6), out_dim=3, seed=2))
+    first[1] = init_networks(ds, MlpConfig(hidden=(7,), out_dim=3, seed=3))[1]
+    second[1] = init_networks(ds, MlpConfig(hidden=(7,), out_dim=3, seed=4))[1]
+    work = _Workspace(second, ds.n_samples)
+    views = list(ds.views)
+    _loss_and_grads(second, views, ds.labels, method, activation, 1e-8, work)
+    _loss_and_grads(first, views, ds.labels, method, activation, 1e-8, work)
+    reused = _loss_and_grads(second, views, ds.labels, method, activation, 1e-8,
+                             work)
+    fresh = _loss_and_grads(second, views, ds.labels, method, activation, 1e-8)
+    assert reused[0] == fresh[0]
+    for a, b in zip(reused[2], fresh[2]):
+        np.testing.assert_array_equal(a, b)
+    for (dWs, dbs), (eWs, ebs) in zip(reused[3], fresh[3]):
+        for a, b in zip(dWs + dbs, eWs + ebs):
+            np.testing.assert_array_equal(a, b)
