@@ -17,6 +17,19 @@ Methods (CLI spellings):
     MLDA       per-view discriminant diagonal with cross-view coupling
     GMA        MLDA objective over within-class normalization
     MvDA_CCA   MvDA objective augmented with pairwise view agreement
+
+With fewer samples than features plus classes (n - c < d_s) the within-class
+scatter of each view is singular, and the MvMDA and GMA constraint
+blockdiag(X_s (I - Q) X_s^T) + gamma I has c eigenvalues at gamma per view.
+Their leading directions lie almost wholly in that subspace.  Measured on 3
+views x 250 dims, n = 250, c = 10, gamma = 1e-4 (seeds 1 and 1000): within-class
+rank 240 per view, 30 constraint eigenvalues at gamma, condition number
+7.8e7-9.4e7, and the top 9 eigenvectors carry at least 98.6% (MvMDA) and
+96.6% (GMA) of their constraint norm there.  MvMDA's eigenvalues (up to
+7 569) are therefore about 1/gamma times its max|objective| (2.4), and its
+eigen-equation residual relative to the objective reads ~1e-8 where the
+other methods read 1e-9 or less.  This is a property of the problem, not of
+the build or the solver.
 """
 
 from __future__ import annotations
@@ -28,7 +41,7 @@ import numpy as np
 from .data import MultiViewDataset, build_indicator
 from .framework import ModelSpec, assemble, fit_solved
 from .gevd import GevdProblem, solve
-from .scatter import KernelTerm, label_kernels, materialize, objective_factor
+from .scatter import KernelTerm, label_kernels, materialize_with_factor
 
 METHOD_NAMES = (
     "MCCA",
@@ -137,11 +150,9 @@ def method_terms(method, n, labels, v):
 def _pencil(method, terms, views):
     """Materialize a method's terms on views and add the gamma ridge; attach
     the objective's low-rank factor when it has one."""
-    objective, constraint = materialize(terms, views)
+    objective, constraint, factor = materialize_with_factor(terms, views)
     constraint[np.diag_indices_from(constraint)] += method.gamma
-    return GevdProblem(
-        objective, constraint, method.k, objective_factor(terms, views)
-    )
+    return GevdProblem(objective, constraint, method.k, factor)
 
 
 def build_from_views(method, views, labels):

@@ -5,6 +5,46 @@ LabelKernels; ``materialize`` turns such a sum into dense matrices and
 ``materialize_grads`` pushes pencil adjoints back onto the views.  Every
 matrix produced here is explicitly symmetrized, so downstream eigensolvers
 never see asymmetry beyond exact floating-point roundoff.
+
+Sufficient statistics.  The terms of one ``materialize`` call share one
+class indicator Y (c x n, class counts cnt, Sigma = diag(cnt)); a call whose
+terms carry no kernel uses the one-class indicator.  Over the stacked views
+X (d x n) the call computes once
+
+* the mean mu = X 1 / n,
+* the centred class sums S = (X - mu 1^T) Y^T (d x c),
+* the Gram C_w = X_w X_w^T of the class-centred views X_w (every sample
+  minus the mean of its class),
+
+and builds every term from them in d x d algebra.  With F = [S, mu]
+(d x (c + 1)), X = X_w + F [Sigma^-1; 1^T] Y and X_w Y^T = 0, so a kernel
+K = eye I + Y^T M Y gives
+
+    X K X^T = eye C_w + F Mt F^T,
+    Mt = [[eye Sigma^-1 + M, a], [a^T, cnt^T a]],  a = eye 1 + M cnt,
+
+where K 1 = Y^T a.  A blockdiag term takes the diagonal blocks of the same
+expression.  The terms of one side and layout add their (eye, Mt) first, so
+a call makes one centred d x n copy of the views, one n d^2 product (C_w)
+and a few n d c ones (S and the class means that centre the copy), and then
+one F Mt F^T per side and layout (per diagonal block for blockdiag),
+whatever the number of terms.  The objective's factor for the rank-c solve
+(``materialize_with_factor``) is this F and Mt.
+
+Exact zeros.  a vanishes in exact arithmetic for the centering, between,
+within and center_distance kernels; that is what makes them blind to the
+data mean.  Every entry of the computed a within 4 (c + 2) eps
+(|eye| + (|M| cnt)_r) of zero, a bound on its rounding, is set to exactly 0,
+and when the mu row of a side's summed Mt is then zero, mu does not enter
+that side at all.  Without this step the rounding residue of a, multiplied
+by mu mu^T, would bring back the precision loss of views with a large mean.
+
+Why class-centred.  C_w is formed from data with the overall and the class
+means removed, so it rounds at the scale of the within-class spread, not of
+the mean, and the within kernel (Mt = 0) returns it exactly: no term
+subtracts a between part from a total.  The raw Gram that the representer
+coupling needs is rebuilt as X X^T = C_w + F Mt F^T with the identity
+kernel's Mt.
 """
 
 from __future__ import annotations
@@ -34,7 +74,10 @@ class LabelKernel:
 
     def apply(self, Z):
         """Z K for a d x n matrix Z."""
-        return self.eye * Z + ((Z @ self.Y.T) @ self.M) @ self.Y
+        out = ((Z @ self.Y.T) @ self.M) @ self.Y
+        if self.eye:
+            out += self.eye * Z
+        return out
 
 
 def label_kernels(indicator):
@@ -59,6 +102,18 @@ def label_kernels(indicator):
     }
 
 
+def _ridge_inverse(G, d, view_index):
+    """(G + eps I)^-1 for a Gram G of a view with d rows, eps = 1e-10 tr(G) / d."""
+    eps = 1e-10 * np.trace(G) / d
+    try:
+        inverse = np.linalg.inv(symmetrize(G + eps * np.eye(G.shape[0])))
+    except np.linalg.LinAlgError:
+        raise ValueError(
+            f"view {view_index + 1}: the Gram of X is singular even after jitter"
+        ) from None
+    return symmetrize(inverse)
+
+
 def _ridge_pinv(X, view_index=0):
     """F = X (X^T X + eps I)^-1 through the smaller of the two Grams.
 
@@ -70,27 +125,54 @@ def _ridge_pinv(X, view_index=0):
     """
     d, n = X.shape
     rows = d <= n
-    G = X @ X.T if rows else X.T @ X
-    eps = 1e-10 * np.trace(G) / d
-    try:
-        inverse = np.linalg.inv(symmetrize(G + eps * np.eye(G.shape[0])))
-    except np.linalg.LinAlgError:
-        raise ValueError(
-            f"view {view_index + 1}: the Gram of X is singular even after jitter"
-        ) from None
-    inverse = symmetrize(inverse)
+    inverse = _ridge_inverse(X @ X.T if rows else X.T @ X, d, view_index)
     return (inverse @ X if rows else X @ inverse), inverse, rows
 
 
-def pseudo_inverse_coupling(views):
+def _view_blocks(views):
+    """The row slice of each view in the stacked views."""
+    blocks, start = [], 0
+    for X in views:
+        blocks.append(slice(start, start + X.shape[0]))
+        start += X.shape[0]
+    return blocks
+
+
+def pseudo_inverse_coupling(views, gram=None):
     """Dense coupling M built from ridge-regularized pseudo-inverses.
 
     With F_s = X_s (X_s^T X_s + eps I)^-1, block (s, t) of M is
     (v - 1) F_s F_s^T on the diagonal and -F_s F_t^T off it, so that
     tr(W^T P^T M P W) sums the pairwise squared differences of the per-view
     representer coefficients.
+
+    When every view has d_s <= n, F_s = S_s X_s with
+    S_s = (X_s X_s^T + eps I)^-1, so F_s F_t^T = S_s G_st S_t needs only the
+    raw Gram G = X X^T of the stacked views; ``gram`` is that G when the
+    caller has it.  Otherwise every F_s comes from ``_ridge_pinv``.
     """
     v = len(views)
+    if max(X.shape[0] for X in views) <= views[0].shape[1]:
+        if gram is None:
+            stacked = np.vstack(views)
+            gram = stacked @ stacked.T
+        blocks = _view_blocks(views)
+        inverses = [
+            _ridge_inverse(gram[b, b], b.stop - b.start, s)
+            for s, b in enumerate(blocks)
+        ]
+        M = np.empty_like(gram)
+        # Blocks on and above the diagonal; the ones below mirror them.
+        for s, (bs, Ss) in enumerate(zip(blocks, inverses)):
+            left = Ss @ gram[bs, bs.start:]
+            for bt, St in zip(blocks[s:], inverses[s:]):
+                block = left[:, bt.start - bs.start:bt.stop - bs.start] @ St
+                if bt == bs:
+                    M[bs, bs] = (v - 1) * block
+                else:
+                    M[bs, bt] = -block
+                    M[bt, bs] = -block.T
+        return symmetrize(M)
     F = [_ridge_pinv(X, s)[0] for s, X in enumerate(views)]
     blocks = [
         [(v - 1) * (F[s] @ F[s].T) if s == t else -(F[s] @ F[t].T)
@@ -154,49 +236,127 @@ def _times_kernel(M, kernel):
     return M if kernel is None else kernel.apply(M)
 
 
+def _shared_indicator(terms, n):
+    """The class indicator Y of the terms' kernels; one class if none has one."""
+    Y = None
+    for term in terms:
+        if term.kernel is None or term.kernel.Y is Y:
+            continue
+        if Y is not None and not np.array_equal(term.kernel.Y, Y):
+            raise ValueError("the terms of one pencil must share one class indicator")
+        Y = term.kernel.Y
+    return np.ones((1, n)) if Y is None else Y
+
+
+def _class_statistics(views, Y, counts, gram):
+    """F = [S, mu] of the stacked views and, when ``gram``, C_w (else None).
+
+    The stacked copy of the views is centred in place by mu and then by the
+    class means, so C_w is one product of the class-centred views.
+    """
+    X = np.vstack(views)
+    mu = X.sum(axis=1) / X.shape[1]
+    X -= mu[:, None]
+    S = X @ Y.T
+    F = np.column_stack((S, mu))
+    if not gram:
+        return F, None
+    X -= (S / counts) @ Y
+    return F, X @ X.T
+
+
+def _kernel_pieces(kernel, counts):
+    """(eye, Mt) with X K X^T = eye C_w + F Mt F^T (module docstring);
+    ``kernel`` None is the identity."""
+    c = len(counts)
+    eye, M = (1.0, np.zeros((c, c))) if kernel is None else (kernel.eye, kernel.M)
+    a = eye + M @ counts
+    rounding = 4 * (c + 2) * np.finfo(float).eps * (abs(eye) + np.abs(M) @ counts)
+    a[np.abs(a) <= rounding] = 0.0
+    Mt = np.empty((c + 1, c + 1))
+    Mt[:c, :c] = M + np.diag(eye / counts) if eye else M
+    Mt[:c, c] = Mt[c, :c] = a
+    Mt[c, c] = a @ counts
+    return eye, Mt
+
+
+def _without_unused_mean(F, Mt):
+    """Drop the mu column of F when Mt gives it no weight."""
+    return (F[:, :-1], Mt[:-1, :-1]) if not Mt[-1].any() else (F, Mt)
+
+
+def _add_kernel_sum(total, eye, Mt, F, C_w, blocks):
+    """total[b, b] += eye C_w[b, b] + F_b Mt F_b^T for every row block b."""
+    F, Mt = _without_unused_mean(F, Mt)
+    FM = F @ Mt
+    for b in blocks:
+        total[b, b] += FM[b] @ F[b].T
+        if eye:
+            total[b, b] += eye * C_w[b, b]
+
+
 # Finite views can overflow a side; GevdProblem rejects it, so do not warn.
 @np.errstate(over="ignore", invalid="ignore")
-def materialize(terms, views):
-    """Sum KernelTerms on the given views into ``(objective, constraint)``."""
-    stacked = np.vstack(views)
-    d = stacked.shape[0]
-    offsets = np.cumsum([0] + [X.shape[0] for X in views])
-    everything = slice(None)
-    sides = {side: np.zeros((d, d)) for side in SIDES}
+def materialize_with_factor(terms, views):
+    """``materialize``, plus the objective's low-rank factor: returns
+    ``(objective, constraint, factor)``.
+
+    ``factor`` is (S, M) with objective = S M S^T when the objective is one
+    dense term whose kernel has eye = 0, and None otherwise.  S is then the
+    F = [S, mu] of the statistics, without the mu column when the kernel's
+    a is zero (between, center_distance), so its rank is at most c, and M
+    is coeff * Mt: the same product the objective is built from.
+    """
+    views = [np.asarray(X, dtype=float) for X in views]
+    n = views[0].shape[1]
+    Y = _shared_indicator(terms, n)
+    counts = Y.sum(axis=1)
+    pieces = {}  # (side, layout) -> [eye, Mt] summed over its terms
+    couplings = {}  # side -> summed coefficient of its representer terms
     for term in terms:
-        if term.layout == "dense":
-            parts = [(everything, _times_kernel(stacked, term.kernel) @ stacked.T)]
-        elif term.layout == "blockdiag":
-            parts = [
-                (slice(offsets[s], offsets[s + 1]), _times_kernel(X, term.kernel) @ X.T)
-                for s, X in enumerate(views)
-            ]
-        elif term.layout == "representer":
-            parts = [(everything, pseudo_inverse_coupling(views))]
+        if term.layout == "representer":
+            couplings[term.side] = couplings.get(term.side, 0.0) + term.coeff
+        elif term.layout in ("dense", "blockdiag"):
+            eye, Mt = _kernel_pieces(term.kernel, counts)
+            total = pieces.setdefault((term.side, term.layout), [0.0, 0.0])
+            total[0] += term.coeff * eye
+            total[1] = total[1] + term.coeff * Mt
         else:
             raise ValueError(f"unknown term layout {term.layout!r}")
-        # Each product is fresh: scale it and add it in place, with no copy.
-        for block, M in parts:
-            M *= term.coeff
-            sides[term.side][block, block] += M
-    return symmetrize(sides["objective"]), symmetrize(sides["constraint"])
-
-
-def objective_factor(terms, views):
-    """(S, M) with the materialized objective equal to S M S^T, or None.
-
-    Defined when the objective is one dense term over a kernel Y^T K Y with
-    eye = 0: then S = X Y^T over the stacked views (d x c, the per-class
-    sums) and M = coeff * K, so the objective has rank at most c.
-    """
+    raw_gram = bool(couplings) and max(X.shape[0] for X in views) <= n
+    F, C_w = _class_statistics(
+        views, Y, counts, raw_gram or any(eye for eye, _ in pieces.values())
+    )
+    d = F.shape[0]
+    layouts = {"dense": [slice(None)], "blockdiag": _view_blocks(views)}
+    gram = None
+    if raw_gram:
+        gram = np.zeros((d, d))
+        _add_kernel_sum(gram, *_kernel_pieces(None, counts), F, C_w, layouts["dense"])
+    sides = []
+    for side in SIDES:
+        total = np.zeros((d, d))
+        for layout, blocks in layouts.items():
+            if (side, layout) in pieces:
+                _add_kernel_sum(total, *pieces[side, layout], F, C_w, blocks)
+        if side in couplings:
+            total += couplings[side] * pseudo_inverse_coupling(views, gram)
+        sides.append(symmetrize(total))
     objective = [term for term in terms if term.side == "objective"]
-    if len(objective) != 1:
-        return None
-    (term,) = objective
-    kernel = term.kernel
-    if term.layout != "dense" or kernel is None or kernel.eye != 0:
-        return None
-    return np.vstack([X @ kernel.Y.T for X in views]), term.coeff * kernel.M
+    factor = None
+    if (len(objective) == 1 and objective[0].layout == "dense"
+            and objective[0].kernel is not None and objective[0].kernel.eye == 0):
+        factor = _without_unused_mean(F, pieces["objective", "dense"][1])
+    return (*sides, factor)
+
+
+def materialize(terms, views):
+    """Sum KernelTerms on the given views into ``(objective, constraint)``.
+
+    All kernels of the terms must share one class indicator (ValueError
+    otherwise); the module docstring says how the sum is formed.
+    """
+    return materialize_with_factor(terms, views)[:2]
 
 
 def materialize_grads(terms, views, adjoints):

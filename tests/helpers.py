@@ -130,6 +130,17 @@ def dense_materialize(terms, views):
     return symmetrize(sides["objective"]), symmetrize(sides["constraint"])
 
 
+# ``materialize`` builds pencils from sufficient statistics and sums in
+# another order than ``dense_materialize``; they agree to this share of the
+# side's largest entry.
+PENCIL_RTOL = 1e-13
+
+
+def pencil_gap(got, want):
+    """max|got - want| relative to max|want|."""
+    return np.abs(got - want).max() / max(np.abs(want).max(), np.finfo(float).tiny)
+
+
 def regularized_gram_inverse(X):
     """(X^T X + eps I)^-1 with the library's jitter eps = 1e-10 ||X||_F^2 / d."""
     d, n = X.shape

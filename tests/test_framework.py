@@ -19,7 +19,13 @@ from mvsubspace import (
 from mvsubspace.data import center_columns
 from mvsubspace.scatter import KernelTerm, symmetrize
 
-from helpers import dense_gevd, dense_materialize, random_dataset
+from helpers import (
+    PENCIL_RTOL,
+    dense_gevd,
+    dense_materialize,
+    pencil_gap,
+    random_dataset,
+)
 
 
 def test_assemble_single_view_no_regularizers():
@@ -32,12 +38,11 @@ def test_assemble_single_view_no_regularizers():
     np.testing.assert_allclose(
         prob.constraint, Xc @ Xc.T + 1e-3 * np.eye(4), atol=1e-12
     )
-    # Adding gamma in place keeps the constraint bit-identical to adding
-    # gamma * I to a copy.
+    # The statistics build matches the per-term oracle up to summation order.
     _, gram = dense_materialize([KernelTerm("constraint", "blockdiag", 1.0)], [Xc])
-    assert np.array_equal(
-        prob.constraint, symmetrize(symmetrize(gram + 1e-3 * np.eye(4)))
-    )
+    assert pencil_gap(
+        prob.constraint, symmetrize(gram + 1e-3 * np.eye(4))
+    ) <= PENCIL_RTOL
 
 
 def test_zero_weight_regularizer_is_noop():

@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
-from mvsubspace import build_indicator
+from mvsubspace import METHOD_NAMES, MethodId, build_indicator
+from mvsubspace import regularizers
+from mvsubspace.data import center_columns
+from mvsubspace.framework import REGULARIZERS
+from mvsubspace.methods import method_terms
 from mvsubspace.scatter import (
     KernelTerm,
+    LabelKernel,
     label_kernels,
     materialize,
     pseudo_inverse_coupling,
@@ -13,10 +18,14 @@ from mvsubspace.scatter import (
 )
 
 from helpers import (
+    PENCIL_RTOL,
     balanced_labels,
     between_class_scatter,
     centering_matrix,
+    dense_materialize,
     densify,
+    pencil_gap,
+    random_dataset,
     regularized_gram_inverse,
     svd_ridge_pinv,
     within_class_scatter,
@@ -46,6 +55,72 @@ def test_scatter_oracles():
     np.testing.assert_allclose(
         densify(K["center_distance"]), [[0.5, -0.5], [-0.5, 0.5]]
     )
+
+
+@pytest.mark.parametrize("eye", [0.0, 1.0])
+def test_label_kernel_apply_matches_dense_kernel(eye):
+    rng = np.random.default_rng(2)
+    indicator = build_indicator(balanced_labels(3, 12, rng))
+    M = symmetrize(rng.standard_normal((3, 3)))
+    Z = rng.standard_normal((4, 12))
+    K = eye * np.eye(12) + indicator.Y.T @ M @ indicator.Y
+    got = LabelKernel(eye, indicator.Y, M).apply(Z)
+    np.testing.assert_allclose(got, Z @ K, rtol=0, atol=1e-13)
+
+
+# (dims, n): n above every d, d above n, one view, and one view with d_s > n
+# among views with d_s <= n (the representer coupling's per-view fallback).
+SHAPES = {
+    "n>d": ((5, 4, 3), 40),
+    "d>n": ((9, 8, 7), 6),
+    "v=1": ((6,), 20),
+    "mixed": ((3, 12, 4), 8),
+}
+
+
+@pytest.mark.parametrize("name, shape", [
+    *((name, shape) for name in METHOD_NAMES for shape in ("n>d", "d>n", "v=1")),
+    ("MvDA_VC", "mixed"),
+])
+def test_method_pencils_match_dense_materialize(name, shape):
+    dims, n = SHAPES[shape]
+    ds = random_dataset(seed=len(dims) + n, dims=dims, classes=3, n=n)
+    terms = method_terms(MethodId(name, k=1, lam=0.3), n, ds.labels, len(dims))
+    got = materialize(terms, ds.views)
+    want = dense_materialize(terms, ds.views)
+    for g, w in zip(got, want):
+        assert pencil_gap(g, w) <= PENCIL_RTOL
+
+
+@pytest.mark.parametrize("dims, n", SHAPES.values(), ids=SHAPES.keys())
+@pytest.mark.parametrize("rid", REGULARIZERS)
+def test_regularizers_match_dense_materialize(rid, dims, n, monkeypatch):
+    ds = random_dataset(seed=len(dims) + n, dims=dims, classes=3, n=n)
+    raw = list(ds.views)
+    args = (raw, [center_columns(X) for X in raw], build_indicator(ds.labels), 0.3)
+    got = REGULARIZERS[rid](*args)
+    monkeypatch.setattr(regularizers, "materialize", dense_materialize)
+    want = REGULARIZERS[rid](*args)
+    assert pencil_gap(got.constraint_add, want.constraint_add) <= PENCIL_RTOL
+    assert pencil_gap(got.objective_sub, want.objective_sub) <= PENCIL_RTOL
+
+
+def test_terms_of_one_pencil_share_one_indicator():
+    rng = np.random.default_rng(5)
+    views = [rng.standard_normal((3, 6))]
+    first = label_kernels(build_indicator(np.array([1, 1, 2, 2, 3, 3])))
+    other = label_kernels(build_indicator(np.array([1, 2, 3, 1, 2, 3])))
+    with pytest.raises(ValueError, match="one class indicator"):
+        materialize([
+            KernelTerm("objective", "dense", 1.0, first["between"]),
+            KernelTerm("constraint", "blockdiag", 1.0, other["within"]),
+        ], views)
+    # an equal indicator held in another array is the same indicator
+    copy = LabelKernel(1.0, first["within"].Y.copy(), first["within"].M)
+    materialize([
+        KernelTerm("objective", "dense", 1.0, first["between"]),
+        KernelTerm("constraint", "blockdiag", 1.0, copy),
+    ], views)
 
 
 def test_block_diagonal_zeroes_couplings():
