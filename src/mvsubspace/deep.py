@@ -24,9 +24,9 @@ import numpy as np
 from scipy.special import expit
 
 from .data import MultiViewDataset
-from .framework import fit_solved
+from .framework import fit_solved, pencil
 from .gevd import GevdProblem, NumericalError, solve
-from .methods import _method_spec, _pencil, build_from_views, method_terms
+from .methods import _method_spec, build_from_views, method_terms
 from .scatter import materialize_grads
 
 ACTIVATIONS = ("tanh", "sigmoid")
@@ -234,7 +234,7 @@ def _loss_and_grads(nets, views, labels, method, activation, jitter, work=None):
     ]
     features = [c[-1] for c in caches]
     terms = method_terms(method, features[0].shape[1], labels, len(features))
-    problem = _pencil(method, terms, features)
+    problem = pencil(terms, features, method.k, method.gamma)
     solution, solved = _solve_with_retry(problem, jitter)
     if method.k < solved.dim and solution.spectrum_gap < jitter:
         raise NumericalError(

@@ -1,49 +1,43 @@
 """Unified assembly of multi-view subspace models.
 
 A ModelSpec names an input transform, a target kind, a list of weighted
-regularizers, and the hyperparameters (k, gamma, lam).  ``assemble`` turns it
-into a generalized eigenproblem
-
-    maximize  tr(P^T (Xt Yt^T Yt Xt^T - B) P)
-    subject to  P^T (C_diag + A) P = I_k
-
-over the stacked transformed views Xt, where A collects constraint-side
-regularizers (always including the Tikhonov ridge) and B the objective-side
-ones.  ``fit`` solves it and recovers the regression weights in closed form,
-W = P^T Xt Yt^T, which is exact because the constraint makes the whitened
+regularizers, and the hyperparameters (k, gamma, lam).  ``assemble`` writes
+it as one list of ``scatter.KernelTerm``s over the raw views X, with H the
+input transform's kernel (H_n, or the identity for raw views) and every label
+kernel on one shared class indicator: the target term dense(X H T^T T H X^T),
+the constraint term blockdiag(X_s H X_s^T) and each regularizer's terms
+scaled by its weight.  ``pencil`` materializes them in one call, as for the
+catalog, and adds the Tikhonov ridge gamma I to the constraint.  ``fit``
+solves the eigenproblem and recovers the regression weights in closed form,
+W = P^T X H T^T, which is exact because the constraint makes the whitened
 Gram the identity.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import regularizers as reg
-from .data import (
-    MultiViewDataset,
-    TARGET_KINDS,
-    build_indicator,
-    center_columns,
-    make_target,
-)
+from .data import TARGET_KINDS, build_indicator, center_columns, make_target
 from .gevd import GevdProblem, solve
-from .scatter import KernelTerm, materialize, symmetrize
+from .scatter import KernelTerm, LabelKernel, label_kernels, materialize_with_factor
 
 INPUT_TRANSFORMS = ("centered", "raw")
 SUPERVISED_KINDS = tuple(k for k in TARGET_KINDS if k != "identity_n")
 
-# Regularizer id -> builder(raw_views, transformed_views, indicator, lam).
+# Regularizer id -> builder(n_views, label kernels, transform kernel, lam).
 REGULARIZERS = {
-    "mean": lambda raw, tviews, ind, lam: reg.mean_consistency(raw),
-    "representer": lambda raw, tviews, ind, lam: reg.representer_consistency(raw),
-    "hsic": lambda raw, tviews, ind, lam: reg.hsic_alignment(raw, ind),
-    "cca": lambda raw, tviews, ind, lam: reg.cca_coupling(tviews),
-    "lda": lambda raw, tviews, ind, lam: reg.lda_per_view(raw, ind, lam),
+    "mean": lambda v, K, transform, lam: reg.mean_consistency(v, K),
+    "representer": lambda v, K, transform, lam: reg.representer_consistency(),
+    "hsic": lambda v, K, transform, lam: reg.hsic_alignment(K),
+    "cca": lambda v, K, transform, lam: reg.cca_coupling(v, transform),
+    "lda": lambda v, K, transform, lam: reg.lda_per_view(K, lam),
 }
+LABELED_REGULARIZERS = ("hsic", "lda")
 
 
 @dataclass(frozen=True)
@@ -100,43 +94,69 @@ class SubspaceModel:
         return self.projections[0].shape[1]
 
 
-def _transform_views(views, input_transform):
-    if input_transform == "centered":
-        return [center_columns(X) for X in views]
-    return [np.asarray(X, dtype=float) for X in views]
-
-
-def _views_times_target(dataset, tviews, target_kind):
-    """Xt T^T (d x o) over the stacked views; Xt itself for identity_n."""
-    stacked = np.vstack(tviews)
-    if target_kind == "identity_n":
+def _views_times_target(dataset, spec):
+    """X H T^T (d x o) over the stacked transformed views; X H for identity_n."""
+    views = dataset.views
+    if spec.input_transform == "centered":
+        views = [center_columns(X) for X in views]
+    stacked = np.vstack(views)
+    if spec.target_kind == "identity_n":
         return stacked
-    return stacked @ make_target(dataset, target_kind).values.T
+    return stacked @ make_target(dataset, spec.target_kind).values.T
 
 
-@np.errstate(over="ignore", invalid="ignore")  # as in scatter.materialize
+def pencil(terms, views, k, gamma):
+    """The GevdProblem of KernelTerms on views: one
+    ``scatter.materialize_with_factor`` call plus gamma I on the constraint."""
+    objective, constraint, factor = materialize_with_factor(terms, views)
+    constraint[np.diag_indices_from(constraint)] += gamma
+    return GevdProblem(objective, constraint, k, factor)
+
+
+def _shared_indicator(dataset, spec):
+    """The class indicator of the labels, or one class for a spec that needs
+    none on a dataset without labels."""
+    if dataset.labels is not None:
+        return build_indicator(dataset.labels)
+    for name in (spec.target_kind, *(rid for rid, _ in spec.regularizers)):
+        if name in SUPERVISED_KINDS + LABELED_REGULARIZERS:
+            raise ValueError(f"{name} needs labels")
+    return build_indicator(np.ones(dataset.n_samples, dtype=int))
+
+
+def _target_kernel(kind, indicator, K, transform):
+    """H T^T T H as a label kernel for the target T of ``make_target`` and
+    the transform kernel H (None for raw views); T H = T for the centred kinds.
+    """
+    if kind == "identity_n":
+        return transform
+    if kind == "centered_normalized_label":
+        return K["center_distance"]
+    if kind == "sigma_invsqrt_onehot":
+        if transform is not None:
+            return K["between"]
+        return LabelKernel(0.0, indicator.Y, np.diag(1.0 / indicator.counts))
+    # centered_onehot: T = Y H_n = R Y with R = I - cnt 1^T / n.
+    counts = indicator.counts
+    R = np.eye(len(counts)) - np.outer(counts, np.ones(len(counts))) / counts.sum()
+    return LabelKernel(0.0, indicator.Y, R.T @ R)
+
+
 def assemble(dataset, spec):
     """Materialize the eigenproblem a ModelSpec describes on a dataset."""
-    raw_views = list(dataset.views)
-    tviews = _transform_views(raw_views, spec.input_transform)
-    indicator = build_indicator(dataset.labels) if dataset.labels is not None else None
-
-    # G G^T rather than a dense n x n target kernel: X T^T costs O(n d o).
-    G = _views_times_target(dataset, tviews, spec.target_kind)
-    objective = G @ G.T
-    _, constraint = materialize([KernelTerm("constraint", "blockdiag", 1.0)], tviews)
-    constraint[np.diag_indices_from(constraint)] += spec.gamma
-    objective_regularized = False
+    indicator = _shared_indicator(dataset, spec)
+    K = label_kernels(indicator)
+    transform = K["centering"] if spec.input_transform == "centered" else None
+    target = _target_kernel(spec.target_kind, indicator, K, transform)
+    terms = [
+        KernelTerm("objective", "dense", 1.0, target),
+        KernelTerm("constraint", "blockdiag", 1.0, transform),
+    ]
     for rid, w in spec.regularizers:
-        term = REGULARIZERS[rid](raw_views, tviews, indicator, spec.lam)
-        objective -= w * term.objective_sub
-        constraint += w * term.constraint_add
-        objective_regularized |= bool(term.objective_sub.any())
-    # The objective G G^T has rank <= o; an o x o identity is worth forming
-    # only when that is below d.
-    o = G.shape[1]
-    factor = None if objective_regularized or o >= G.shape[0] else (G, np.eye(o))
-    return GevdProblem(symmetrize(objective), symmetrize(constraint), spec.k, factor)
+        if w:
+            built = REGULARIZERS[rid](dataset.n_views, K, transform, spec.lam)
+            terms += [replace(term, coeff=w * term.coeff) for term in built]
+    return pencil(terms, dataset.views, spec.k, spec.gamma)
 
 
 def fit_solved(dataset, solution, spec):
@@ -146,8 +166,7 @@ def fit_solved(dataset, solution, spec):
     projections = tuple(
         solution.P[offsets[s]:offsets[s + 1], :] for s in range(dataset.n_views)
     )
-    tviews = _transform_views(list(dataset.views), spec.input_transform)
-    W = solution.P.T @ _views_times_target(dataset, tviews, spec.target_kind)
+    W = solution.P.T @ _views_times_target(dataset, spec)
     means = tuple(X.mean(axis=1) for X in dataset.views)
     return SubspaceModel(
         projections=projections,

@@ -39,9 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import MultiViewDataset, build_indicator
-from .framework import ModelSpec, assemble, fit_solved
-from .gevd import GevdProblem, solve
-from .scatter import KernelTerm, label_kernels, materialize_with_factor
+from .framework import ModelSpec, assemble, fit_solved, pencil
+from .gevd import solve
+from .scatter import KernelTerm, label_kernels
 
 METHOD_NAMES = (
     "MCCA",
@@ -147,19 +147,11 @@ def method_terms(method, n, labels, v):
     return terms
 
 
-def _pencil(method, terms, views):
-    """Materialize a method's terms on views and add the gamma ridge; attach
-    the objective's low-rank factor when it has one."""
-    objective, constraint, factor = materialize_with_factor(terms, views)
-    constraint[np.diag_indices_from(constraint)] += method.gamma
-    return GevdProblem(objective, constraint, method.k, factor)
-
-
 def build_from_views(method, views, labels):
     """Build a method's GevdProblem directly from view matrices."""
     views = [np.asarray(X, dtype=float) for X in views]
     terms = method_terms(method, views[0].shape[1], labels, len(views))
-    return _pencil(method, terms, views)
+    return pencil(terms, views, method.k, method.gamma)
 
 
 def build(method, dataset):
@@ -202,18 +194,9 @@ def build_via_framework(method, dataset):
     ``build`` is authoritative there.
     """
     if method.name == "MvLDA":
-        merged = MultiViewDataset(
+        dataset = MultiViewDataset(
             (np.vstack(dataset.views),), dataset.labels, dataset.label_map
         )
-        spec = ModelSpec(
-            target_kind="sigma_invsqrt_onehot",
-            k=method.k,
-            gamma=method.gamma,
-            lam=method.lam,
-            input_transform="centered",
-            method=method.name,
-        )
-        return assemble(merged, spec)
     return assemble(dataset, _method_spec(method))
 
 

@@ -39,7 +39,7 @@ from mvsubspace.regularizers import (
     mean_consistency,
     representer_consistency,
 )
-from mvsubspace.scatter import label_kernels
+from mvsubspace.scatter import label_kernels, materialize
 from mvsubspace.toy import make_toy_dataset
 
 from helpers import (
@@ -179,14 +179,15 @@ def test_criterion_05_regularizer_quadratic_identities():
     def form(M):
         return float(np.trace(W.T @ P.T @ M @ P @ W))
 
-    mean_term = mean_consistency(views).constraint_add
+    one_class = label_kernels(build_indicator(np.ones(n, dtype=int)))
+    mean_term = materialize(mean_consistency(v, one_class), views)[1]
     m = [(W.T @ Pv[s].T @ views[s]).mean(axis=1) for s in range(v)]
     mean_direct = n / (2 * v) * sum(
         np.sum((m[s] - m[t]) ** 2) for s in range(v) for t in range(v)
     )
     rel_mean = abs(form(mean_term) - mean_direct) / abs(mean_direct)
 
-    rep_term = representer_consistency(views).constraint_add
+    rep_term = materialize(representer_consistency(), views)[1]
     betas = []
     for s in range(v):
         G = views[s].T @ views[s]
@@ -200,7 +201,7 @@ def test_criterion_05_regularizer_quadratic_identities():
     rel_rep = abs(form(rep_term) - rep_direct) / abs(rep_direct)
 
     tviews = [X - X.mean(axis=1, keepdims=True) for X in views]
-    cca_term = cca_coupling(tviews).objective_sub
+    cca_term = -materialize(cca_coupling(v, one_class["centering"]), views)[0]
     Z = [W.T @ Pv[s].T @ tviews[s] for s in range(v)]
     cca_direct = 0.5 * sum(
         np.sum((Z[s] - Z[t]) ** 2) for s in range(v) for t in range(v)

@@ -16,7 +16,7 @@ from mvsubspace import (
     save_model,
     solve,
 )
-from mvsubspace.data import center_columns
+from mvsubspace.data import TARGET_KINDS, center_columns
 from mvsubspace.scatter import KernelTerm, symmetrize
 
 from helpers import (
@@ -45,15 +45,47 @@ def test_assemble_single_view_no_regularizers():
     ) <= PENCIL_RTOL
 
 
-def test_zero_weight_regularizer_is_noop():
-    ds = random_dataset(seed=1)
+@pytest.mark.parametrize("rid", ["mean", "representer", "hsic", "cca", "lda"])
+def test_zero_weight_regularizer_is_noop(rid):
+    ds = random_dataset(seed=7, dims=(6, 5, 4), classes=3, n=24)
     base = ModelSpec(target_kind="sigma_invsqrt_onehot", k=2)
     with_reg = ModelSpec(
-        target_kind="sigma_invsqrt_onehot", k=2, regularizers=(("mean", 0.0),)
+        target_kind="sigma_invsqrt_onehot", k=2, regularizers=((rid, 0.0),)
     )
     pa, pb = assemble(ds, base), assemble(ds, with_reg)
-    np.testing.assert_allclose(pa.objective, pb.objective, atol=1e-12)
-    np.testing.assert_allclose(pa.constraint, pb.constraint, atol=1e-12)
+    np.testing.assert_array_equal(pa.objective, pb.objective)
+    np.testing.assert_array_equal(pa.constraint, pb.constraint)
+    assert pa.objective_factor is not None and pb.objective_factor is not None
+    assert solve(pa).route == solve(pb).route == "factored"
+
+
+@pytest.mark.parametrize("transform", ["centered", "raw"])
+@pytest.mark.parametrize("kind", TARGET_KINDS)
+def test_target_kernel_matches_the_dense_target(kind, transform):
+    ds = random_dataset(seed=8, dims=(6, 5, 4), classes=3, n=24)
+    prob = assemble(ds, ModelSpec(kind, k=2, input_transform=transform))
+    views = ds.views
+    if transform == "centered":
+        views = [center_columns(X) for X in views]
+    Xt = np.vstack(views)
+    T = make_target(ds, kind).values
+    assert pencil_gap(prob.objective, Xt @ T.T @ T @ Xt.T) <= PENCIL_RTOL
+    assert (prob.objective_factor is not None) == (kind != "identity_n")
+
+
+@pytest.mark.parametrize("target, regularizers", [
+    *((kind, ()) for kind in TARGET_KINDS if kind != "identity_n"),
+    ("identity_n", (("hsic", 1.0),)),
+    ("identity_n", (("mean", 1.0), ("lda", 0.5))),
+])
+def test_unlabeled_data_is_refused_where_labels_are_needed(target, regularizers):
+    labeled = random_dataset(seed=9)
+    ds = MultiViewDataset(labeled.views)
+    spec = ModelSpec(target_kind=target, k=2, regularizers=regularizers)
+    with pytest.raises(ValueError, match="needs labels"):
+        assemble(ds, spec)
+    with pytest.raises(ValueError, match="needs labels"):
+        fit(ds, spec)
 
 
 def test_fit_recovers_least_squares_value():
@@ -165,8 +197,8 @@ def test_model_spec_validation():
     ],
 )
 def test_fit_matches_the_full_spectrum_oracle(target, regularizers, route):
-    """Without an objective-side regularizer the assembled objective G G^T
-    carries its factor (G, I) and is solved in its rank."""
+    """A supervised target term without an objective-side regularizer carries
+    the objective's factor and is solved in its rank."""
     ds = random_dataset(seed=7, dims=(6, 5, 4), classes=3, n=24)
     spec = ModelSpec(target_kind=target, k=2, gamma=1e-3, regularizers=regularizers)
     prob = assemble(ds, spec)

@@ -1,4 +1,8 @@
-"""Each regularizer's matrix form must match its pairwise-sum definition."""
+"""Each regularizer's matrix form must match its pairwise-sum definition.
+
+The builders return KernelTerms signed as they enter the pencil; the tests
+materialize them, so an objective-side penalty reads as minus the objective.
+"""
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from mvsubspace.regularizers import (
     mean_consistency,
     representer_consistency,
 )
+from mvsubspace.scatter import label_kernels, materialize
 
 from helpers import (
     balanced_labels,
@@ -34,18 +39,22 @@ def quadform(M, P, W):
     return float(np.trace(W.T @ P.T @ M @ P @ W))
 
 
+def one_class_kernels(n):
+    return label_kernels(build_indicator(np.ones(n, dtype=int)))
+
+
 def test_mean_consistency_identity():
     rng = np.random.default_rng(7)
     dims = (5, 4, 3)
     n, v = 18, 3
     views = [rng.standard_normal((d, n)) for d in dims]
     P, W, Pv = _random_pw(rng, dims, 2, 3)
-    term = mean_consistency(views)
+    _, constraint = materialize(mean_consistency(v, one_class_kernels(n)), views)
     m = [(W.T @ Pv[s].T @ views[s]).mean(axis=1) for s in range(v)]
     direct = n / (2 * v) * sum(
         np.sum((m[s] - m[t]) ** 2) for s in range(v) for t in range(v)
     )
-    assert quadform(term.constraint_add, P, W) == pytest.approx(direct, rel=1e-10)
+    assert quadform(constraint, P, W) == pytest.approx(direct, rel=1e-10)
 
 
 def test_representer_consistency_identity():
@@ -54,7 +63,7 @@ def test_representer_consistency_identity():
     n, v = 6, 3
     views = orthonormalish_views(rng, dims, n)
     P, W, Pv = _random_pw(rng, dims, 2, 3)
-    term = representer_consistency(views)
+    _, constraint = materialize(representer_consistency(), views)
     betas = []
     for s in range(v):
         G = views[s].T @ views[s]
@@ -63,23 +72,24 @@ def test_representer_consistency_identity():
     direct = 0.5 * sum(
         np.sum((betas[s] - betas[t]) ** 2) for s in range(v) for t in range(v)
     )
-    assert quadform(term.constraint_add, P, W) == pytest.approx(direct, rel=1e-8)
+    assert quadform(constraint, P, W) == pytest.approx(direct, rel=1e-8)
 
 
 def test_cca_coupling_identity():
     rng = np.random.default_rng(11)
     dims = (4, 6)
     n, v = 14, 2
-    tviews = [rng.standard_normal((d, n)) for d in dims]
-    tviews = [X - X.mean(axis=1, keepdims=True) for X in tviews]
+    views = [rng.standard_normal((d, n)) for d in dims]
+    tviews = [X - X.mean(axis=1, keepdims=True) for X in views]
     P, W, Pv = _random_pw(rng, dims, 3, 2)
-    term = cca_coupling(tviews)
+    H = one_class_kernels(n)["centering"]
+    objective, constraint = materialize(cca_coupling(v, H), views)
     Z = [W.T @ Pv[s].T @ tviews[s] for s in range(v)]
     direct = 0.5 * sum(
         np.sum((Z[s] - Z[t]) ** 2) for s in range(v) for t in range(v)
     )
-    assert quadform(term.objective_sub, P, W) == pytest.approx(direct, rel=1e-10)
-    assert np.allclose(term.constraint_add, 0.0)
+    assert quadform(-objective, P, W) == pytest.approx(direct, rel=1e-10)
+    assert np.allclose(constraint, 0.0)
 
 
 def test_hsic_alignment_is_per_view_between_scatter():
@@ -88,10 +98,10 @@ def test_hsic_alignment_is_per_view_between_scatter():
     labels = balanced_labels(3, n, rng)
     ind = build_indicator(labels)
     views = [rng.standard_normal((d, n)) for d in (4, 3)]
-    term = hsic_alignment(views, ind)
+    objective, constraint = materialize(hsic_alignment(label_kernels(ind)), views)
     want = -blockdiag_dense([between_class_scatter(X, ind) for X in views])
-    np.testing.assert_allclose(term.constraint_add, want, atol=1e-12)
-    assert np.allclose(term.objective_sub, 0.0)
+    np.testing.assert_allclose(constraint, want, atol=1e-12)
+    assert np.allclose(objective, 0.0)
 
 
 def test_lda_per_view_kernel():
@@ -102,6 +112,5 @@ def test_lda_per_view_kernel():
     views = [rng.standard_normal((3, n))]
     R = centering_matrix(n) - lam * between_kernel(ind)
     want = blockdiag_dense([views[0] @ R @ views[0].T])
-    np.testing.assert_allclose(
-        lda_per_view(views, ind, lam).objective_sub, want, atol=1e-12
-    )
+    objective, _ = materialize(lda_per_view(label_kernels(ind), lam), views)
+    np.testing.assert_allclose(-objective, want, atol=1e-12)
