@@ -38,11 +38,31 @@ finite (overflow), are kept, so the screen never drops the winner; at worst
 it keeps every column.  A row whose kept minimum is +inf has every distance
 +inf, and both answers are then column 0.
 
-Retrieval keeps the direct distances.  Sorting them with the default
-(unstable) ``argsort`` gives the same permutation as a stable sort whenever a
-row's values are distinct, since that permutation is unique; rows with an
-exact tie, found by comparing neighbours in sorted order, are sorted again
-stably.
+Retrieval keeps the direct distances and ranks each row with one sort of
+packed int64 keys.  Every d2 is a sum of squares that starts from +0.0, so it
+is never -0.0 or NaN, and is >= +0.0 (+inf after overflow).  For such
+doubles the int64 view of the bit pattern is monotone: a <= b exactly when
+view(a) <= view(b).  With m = n_gallery and b = bit_length(m - 1) bits, a
+gallery point j gets the key (view(d2_j) with its low b bits cleared) | j.
+Keys are distinct, since their low bits hold j, so any correct sort of them,
+stable or not and whatever kernel numpy dispatches to, yields one order, and
+the ranking is key & (2^b - 1).  Clearing low bits keeps the order weakly
+monotone, so high(a) < high(b) implies d2_a < d2_b.  If no two neighbours in
+a sorted row share their high bits, the row's high parts are distinct, its
+distances strictly ordered, and the key order is the unique ascending order
+of d2, which is what a stable sort returns.  A row where two neighbours do
+share their high bits (every exact tie, every pair of +inf, and distinct
+values whose bit patterns differ only in the low b bits) is sorted again
+with a stable ``argsort`` of its distances.
+
+Average precision sums hits / position over the relevant ranks of a row, in
+extended precision.  The reference forms P = cumsum(rel) / position and sums
+P * rel along each row.  Here the hits at the relevant ranks are exact
+integers, hits / position is divided once in longdouble and written into a
+zeroed array of the same shape, dtype and C order, so it holds exactly the
+values of P * rel (x * 1 = x, x * 0 = +0.0).  The same array reduced along
+the same axis by numpy's pairwise sum gives the same longdouble, so the AP
+is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -63,7 +83,7 @@ class LinearClassifier:
 def train_linear_classifier(Z, labels, ridge=1e-4):
     """Fit the one-vs-rest ridge classifier on columns of Z."""
     Z = np.asarray(Z, dtype=float)
-    labels = np.asarray(labels)
+    labels = _labels_for(labels, "labels", Z, "Z")
     c = int(labels.max())
     n = Z.shape[1]
     T = -np.ones((c, n))
@@ -98,6 +118,17 @@ def _checked(Z, name):
     return Z
 
 
+def _labels_for(labels, name, Z, z_name):
+    """``labels`` as an array; reject any but one entry per column of Z."""
+    labels = np.asarray(labels)
+    if labels.shape != (Z.shape[1],):
+        raise ValueError(
+            f"{name} must be one-dimensional with one entry per column of "
+            f"{z_name} ({Z.shape[1]}), got shape {labels.shape}"
+        )
+    return labels
+
+
 def _query_blocks(n_query, n_gallery):
     """Slices of query columns, each with a ``_BLOCK_BYTES`` distance matrix."""
     step = max(1, _BLOCK_BYTES // (8 * max(1, n_gallery)))
@@ -130,6 +161,7 @@ def knn1_classify(Z_train, labels_train, Z_test):
     """
     Zg = _checked(Z_train, "Z_train")
     Zq = _checked(Z_test, "Z_test")
+    labels_train = _labels_for(labels_train, "labels_train", Zg, "Z_train")
     if Zg.shape[1] == 0 and Zq.shape[1] > 0:
         raise ValueError("Z_train has no samples to classify Z_test against")
     finfo = np.finfo(float)
@@ -152,7 +184,7 @@ def knn1_classify(Z_train, labels_train, Z_test):
         screen.fill(np.inf)
         screen.flat[keep] = _squared_distances(Zq, Zg, r + rows.start, c)
         nearest[rows] = np.argmin(screen, axis=1)
-    return np.asarray(labels_train)[nearest]
+    return labels_train[nearest]
 
 
 def accuracy(predicted, actual):
@@ -191,26 +223,44 @@ class RetrievalResult:
     map_mean: float
 
 
+def _stable_order(d2):
+    """Per row of ``d2`` (distances >= +0.0, never NaN), the indices that sort
+    it stably: one in-place sort of packed int64 keys, and a stable argsort
+    only of rows whose keys collide (module docstring)."""
+    shift = max(d2.shape[1] - 1, 0).bit_length()
+    low = (1 << shift) - 1
+    keys = d2.view(np.int64) & ~low
+    keys |= np.arange(d2.shape[1])
+    keys.sort(axis=1)
+    collide = ((keys[:, 1:] ^ keys[:, :-1]) <= low).any(axis=1)
+    keys &= low
+    if collide.any():
+        keys[collide] = np.argsort(d2[collide], axis=1, kind="stable")
+    return keys
+
+
 def _direction_aps(Z_query, labels_query, Z_gallery, labels_gallery):
     labels_query = np.asarray(labels_query)
     labels_gallery = np.asarray(labels_gallery)
     n_query, n_gallery = Z_query.shape[1], Z_gallery.shape[1]
-    positions = np.arange(1, n_gallery + 1, dtype=np.longdouble)
     query_index, gallery_index = np.arange(n_query)[:, None], np.arange(n_gallery)
     aps = np.empty(n_query)
     for rows in _query_blocks(n_query, n_gallery):
         d2 = _squared_distances(Z_query, Z_gallery, query_index[rows], gallery_index)
-        order = np.argsort(d2, axis=1)
-        ranked = np.take_along_axis(d2, order, axis=1)
-        tied = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)
-        if tied.any():
-            order[tied] = np.argsort(d2[tied], axis=1, kind="stable")
-        ranked_labels = labels_gallery[order]
-        rel = (ranked_labels == labels_query[rows, None]).astype(np.longdouble)
-        totals = rel.sum(axis=1)
-        precision_at = np.cumsum(rel, axis=1) / positions
-        sums = (precision_at * rel).sum(axis=1)
-        aps[rows] = np.where(totals > 0, sums / np.maximum(totals, 1.0), 0.0)
+        rel = labels_gallery[_stable_order(d2)] == labels_query[rows, None]
+        # The k-th relevant rank of a row holds k hits: its running index
+        # among all relevant ranks less the count in the rows before it.
+        relevant = np.flatnonzero(rel)
+        totals = np.count_nonzero(rel, axis=1)
+        before = np.cumsum(totals) - totals
+        hits = np.arange(1, relevant.size + 1) - np.repeat(before, totals)
+        terms = np.zeros(rel.shape, dtype=np.longdouble)
+        terms.put(
+            relevant,
+            np.divide(hits, relevant % n_gallery + 1, dtype=np.longdouble),
+        )
+        sums = terms.sum(axis=1)
+        aps[rows] = np.where(totals > 0, sums / np.maximum(totals, 1), 0.0)
     return aps
 
 
@@ -223,6 +273,8 @@ def cross_modal_retrieve(Z_a, labels_a, Z_b, labels_b):
     """
     A = _checked(Z_a, "Z_a")
     B = _checked(Z_b, "Z_b")
+    labels_a = _labels_for(labels_a, "labels_a", A, "Z_a")
+    labels_b = _labels_for(labels_b, "labels_b", B, "Z_b")
     for Z, name in ((A, "Z_a"), (B, "Z_b")):
         if Z.shape[1] == 0:
             raise ValueError(f"{name} has no samples, so no mAP is defined")

@@ -5,6 +5,7 @@ import pytest
 
 from mvsubspace.evaluation import (
     _direction_aps,
+    _stable_order,
     accuracy,
     average_precision,
     classify,
@@ -192,6 +193,12 @@ def _adversarial_case(name):
         # GEMM distances cancel ~12 digits here, so the screen keeps many
         Zq = 1e6 + rng.standard_normal((3, 80))
         Zg = 1e6 + rng.standard_normal((3, 700))
+    elif name == "overflow":
+        # coordinates at 1e200 square to +inf; 1e150 gives finite sums
+        # near the top of the range, and unit scale ordinary distances
+        scales = 10.0 ** np.array([0, 150, 200])
+        Zq = rng.standard_normal((3, 60)) * scales[rng.integers(0, 3, 60)]
+        Zg = rng.standard_normal((3, 90)) * scales[rng.integers(0, 3, 90)]
     elif name == "gallery_of_one":
         Zq, Zg = rng.standard_normal((4, 9)), rng.standard_normal((4, 1))
     elif name == "zero_dimensions":
@@ -207,7 +214,7 @@ def _adversarial_case(name):
 
 ADVERSARIAL = [
     "duplicated_gallery", "rounded_ties", "one_ulp_apart", "offset_1e6",
-    "gallery_of_one", "zero_dimensions", "no_queries",
+    "overflow", "gallery_of_one", "zero_dimensions", "no_queries",
 ]
 
 
@@ -257,3 +264,56 @@ def test_rankings_do_not_depend_on_memory_layout():
         knn1_classify(np.asfortranarray(Zg), lg, np.asfortranarray(Zq)),
         knn1_classify(Zg, lg, Zq),
     )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 64, 65, 500])
+def test_stable_order_matches_a_stable_argsort(n):
+    # gallery sizes 1, 2 and 2^b, 2^b + 1 for the b low bits the index takes
+    rng = np.random.default_rng(13)
+    x = rng.exponential(size=n)
+    chain = np.empty(n)
+    chain[0] = 1.0
+    for i in range(1, n):
+        chain[i] = np.nextafter(chain[i - 1], np.inf)
+    tiny = np.arange(n) * np.nextafter(0.0, 1.0)
+    d2 = np.array([
+        x,  # distinct: the packed keys decide alone
+        np.round(4 * x) / 4,  # exact ties
+        chain[rng.permutation(n)],  # one-ulp steps that share their high bits
+        np.where(rng.random(n) < 0.3, chain[0], x),  # a tie among distinct values
+        tiny[rng.permutation(n)],  # subnormal steps, int64 views 0, 1, 2, ...
+        np.zeros(n),  # every distance of zero dimensions
+        np.where(rng.random(n) < 0.5, np.inf, x),  # overflowed distances
+        np.where(x > 1.0, np.finfo(float).max, np.inf),  # the top of the range
+        np.full(n, np.inf),
+    ])
+    before = d2.copy()
+    np.testing.assert_array_equal(
+        _stable_order(d2), np.argsort(d2, axis=1, kind="stable")
+    )
+    np.testing.assert_array_equal(d2, before)
+
+
+def _labelled_calls(labels):
+    """Each evaluation function with ``labels`` in the argument under test."""
+    Z = np.random.default_rng(14).standard_normal((3, 6))
+    good = np.array([1, 2, 1, 2, 1, 2])
+    return {
+        "labels": lambda: train_linear_classifier(Z, labels),
+        "labels_train": lambda: knn1_classify(Z, labels, Z),
+        "labels_a": lambda: cross_modal_retrieve(Z, labels, Z, good),
+        "labels_b": lambda: cross_modal_retrieve(Z, good, Z, labels),
+    }
+
+
+@pytest.mark.parametrize("name", ["labels", "labels_train", "labels_a", "labels_b"])
+@pytest.mark.parametrize(
+    "labels",
+    [np.ones(7, int), np.ones(5, int), np.ones((1, 6), int), np.ones((6, 1), int)],
+    ids=["longer", "shorter", "row", "column"],
+)
+def test_labels_need_one_entry_per_column(name, labels):
+    # longer labels used to pass silently through 1-NN and, past the first
+    # query block, through retrieval; shorter ones raised IndexError
+    with pytest.raises(ValueError, match=f"^{name} must be one-dimensional"):
+        _labelled_calls(labels)[name]()
