@@ -240,8 +240,6 @@ def _stable_order(d2):
 
 
 def _direction_aps(Z_query, labels_query, Z_gallery, labels_gallery):
-    labels_query = np.asarray(labels_query)
-    labels_gallery = np.asarray(labels_gallery)
     n_query, n_gallery = Z_query.shape[1], Z_gallery.shape[1]
     query_index, gallery_index = np.arange(n_query)[:, None], np.arange(n_gallery)
     aps = np.empty(n_query)
