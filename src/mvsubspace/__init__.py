@@ -47,7 +47,6 @@ from .methods import (
     SUPERVISED_METHODS,
     MethodId,
     build,
-    build_via_framework,
 )
 from .methods import fit as fit_method
 from .toy import make_toy_dataset, save_dataset
@@ -98,7 +97,6 @@ __all__ = [
     "SUPERVISED_METHODS",
     "MethodId",
     "build",
-    "build_via_framework",
     "fit_method",
     "make_toy_dataset",
     "save_dataset",

@@ -24,9 +24,8 @@ import numpy as np
 from scipy.special import expit
 
 from .data import MultiViewDataset
-from .framework import fit_solved, pencil
+from .framework import fit_solved, pencil, spec_terms
 from .gevd import GevdProblem, NumericalError, solve
-from .methods import _method_spec, build_from_views, method_terms
 from .scatter import materialize_grads
 
 ACTIVATIONS = ("tanh", "sigmoid")
@@ -173,6 +172,11 @@ def _solve_with_retry(problem, jitter):
         return solve(bumped), bumped
 
 
+def _terms(method, features, labels):
+    """The KernelTerms of the method's spec on the feature matrices."""
+    return spec_terms(method.spec, labels, features[0].shape[1], len(features))
+
+
 def spectral_loss(features, labels, method, k=None, jitter=1e-8):
     """Negated sum of the top-k eigenvalues of the method pencil on features.
 
@@ -181,7 +185,8 @@ def spectral_loss(features, labels, method, k=None, jitter=1e-8):
     """
     if k is not None and k != method.k:
         method = replace(method, k=int(k))
-    problem = build_from_views(method, features, labels)
+    terms = _terms(method, features, labels)
+    problem = pencil(terms, features, method.k, method.gamma)
     solution, _ = _solve_with_retry(problem, jitter)
     return float(-solution.eigenvalues.sum()), solution
 
@@ -233,7 +238,7 @@ def _loss_and_grads(nets, views, labels, method, activation, jitter, work=None):
         for net, X, out in zip(nets, views, work.acts)
     ]
     features = [c[-1] for c in caches]
-    terms = method_terms(method, features[0].shape[1], labels, len(features))
+    terms = _terms(method, features, labels)
     problem = pencil(terms, features, method.k, method.gamma)
     solution, solved = _solve_with_retry(problem, jitter)
     if method.k < solved.dim and solution.spectrum_gap < jitter:
@@ -308,8 +313,6 @@ def train(dataset, method, mlp_config, trainer_config):
     to the final weights.  Returns ``(nets, model, history)`` where ``model``
     is the linear subspace model fitted on the final network outputs.
     """
-    if dataset.labels is None and method.name != "MCCA":
-        raise ValueError(f"{method.name} needs labels")
     if mlp_config.out_dim < method.k:
         raise ValueError(
             f"out_dim={mlp_config.out_dim} must be at least k={method.k}"
@@ -340,7 +343,7 @@ def train(dataset, method, mlp_config, trainer_config):
         adam.step(params, _flatten_grads(param_grads))
     solution, features = final
     feature_ds = MultiViewDataset(tuple(features), dataset.labels)
-    model = fit_solved(feature_ds, solution, _method_spec(method))
+    model = fit_solved(feature_ds, solution, method.spec)
     return nets, model, np.asarray(history)
 
 

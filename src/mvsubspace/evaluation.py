@@ -81,9 +81,15 @@ class LinearClassifier:
 
 
 def train_linear_classifier(Z, labels, ridge=1e-4):
-    """Fit the one-vs-rest ridge classifier on columns of Z."""
+    """Fit the one-vs-rest ridge classifier on columns of Z.
+
+    ``labels`` are integers >= 1, class r scoring in row r - 1; a class below
+    the largest label may be absent from training.
+    """
     Z = np.asarray(Z, dtype=float)
     labels = _labels_for(labels, "labels", Z, "Z")
+    if not np.issubdtype(labels.dtype, np.integer) or (labels < 1).any():
+        raise ValueError("labels must be integers >= 1")
     c = int(labels.max())
     n = Z.shape[1]
     T = -np.ones((c, n))

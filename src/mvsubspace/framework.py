@@ -1,13 +1,17 @@
 """Unified assembly of multi-view subspace models.
 
 A ModelSpec names an input transform, a target kind, a list of weighted
-regularizers, and the hyperparameters (k, gamma, lam).  ``assemble`` writes
+regularizers, and the hyperparameters (k, gamma, lam).  ``spec_terms`` writes
 it as one list of ``scatter.KernelTerm``s over the raw views X, with H the
 input transform's kernel (H_n, or the identity for raw views) and every label
 kernel on one shared class indicator: the target term dense(X H T^T T H X^T),
 the constraint term blockdiag(X_s H X_s^T) and each regularizer's terms
-scaled by its weight.  ``pencil`` materializes them in one call, as for the
-catalog, and adds the Tikhonov ridge gamma I to the constraint.  ``fit``
+scaled by its weight.  The indicator is that of the labels when the spec
+reads labels (a supervised target kind or a labelled regularizer) and the
+one-class indicator otherwise.  ``pencil`` materializes the terms in one
+call and adds the Tikhonov ridge gamma I to the constraint; ``assemble`` is
+the two together.  Every catalog method of ``methods`` is such a spec, and
+the deep extension takes its gradient terms from the same list.  ``fit``
 solves the eigenproblem and recovers the regression weights in closed form,
 W = P^T X H T^T, which is exact because the constraint makes the whitened
 Gram the identity.
@@ -36,6 +40,7 @@ REGULARIZERS = {
     "hsic": lambda v, K, transform, lam: reg.hsic_alignment(K),
     "cca": lambda v, K, transform, lam: reg.cca_coupling(v, transform),
     "lda": lambda v, K, transform, lam: reg.lda_per_view(K, lam),
+    "joint": lambda v, K, transform, lam: reg.joint_constraint(v, transform),
 }
 LABELED_REGULARIZERS = ("hsic", "lda")
 
@@ -113,15 +118,11 @@ def pencil(terms, views, k, gamma):
     return GevdProblem(objective, constraint, k, factor)
 
 
-def _shared_indicator(dataset, spec):
-    """The class indicator of the labels, or one class for a spec that needs
-    none on a dataset without labels."""
-    if dataset.labels is not None:
-        return build_indicator(dataset.labels)
-    for name in (spec.target_kind, *(rid for rid, _ in spec.regularizers)):
-        if name in SUPERVISED_KINDS + LABELED_REGULARIZERS:
-            raise ValueError(f"{name} needs labels")
-    return build_indicator(np.ones(dataset.n_samples, dtype=int))
+def label_readers(spec):
+    """The parts of a spec that read the labels, at any weight: its target
+    kind if supervised and its labelled regularizers."""
+    names = (spec.target_kind, *(rid for rid, _ in spec.regularizers))
+    return [name for name in names if name in SUPERVISED_KINDS + LABELED_REGULARIZERS]
 
 
 def _target_kernel(kind, indicator, K, transform):
@@ -142,9 +143,18 @@ def _target_kernel(kind, indicator, K, transform):
     return LabelKernel(0.0, indicator.Y, R.T @ R)
 
 
-def assemble(dataset, spec):
-    """Materialize the eigenproblem a ModelSpec describes on a dataset."""
-    indicator = _shared_indicator(dataset, spec)
+def spec_terms(spec, labels, n, v):
+    """The KernelTerms of a ModelSpec on n samples of v views (gamma excluded).
+
+    ``labels`` may be None when the spec does not read them; ValueError
+    otherwise.
+    """
+    readers = label_readers(spec)
+    if not readers:
+        labels = np.ones(n, dtype=int)
+    elif labels is None:
+        raise ValueError(f"{readers[0]} needs labels")
+    indicator = build_indicator(labels)
     K = label_kernels(indicator)
     transform = K["centering"] if spec.input_transform == "centered" else None
     target = _target_kernel(spec.target_kind, indicator, K, transform)
@@ -154,8 +164,14 @@ def assemble(dataset, spec):
     ]
     for rid, w in spec.regularizers:
         if w:
-            built = REGULARIZERS[rid](dataset.n_views, K, transform, spec.lam)
+            built = REGULARIZERS[rid](v, K, transform, spec.lam)
             terms += [replace(term, coeff=w * term.coeff) for term in built]
+    return terms
+
+
+def assemble(dataset, spec):
+    """Materialize the eigenproblem a ModelSpec describes on a dataset."""
+    terms = spec_terms(spec, dataset.labels, dataset.n_samples, dataset.n_views)
     return pencil(terms, dataset.views, spec.k, spec.gamma)
 
 

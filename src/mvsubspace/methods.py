@@ -1,19 +1,20 @@
-"""Catalog of multi-view subspace methods as generalized eigenproblems.
+"""Catalog of multi-view subspace methods as ModelSpecs.
 
-Every method here is a pencil (objective, constraint) over the stacked views.
-``method_terms`` writes each method as a list of ``scatter.KernelTerm``s and
-``build`` materializes them.  The same term lists drive the analytic
-gradients of the deep extension, so the linear and deep paths cannot drift
-apart.
+Every method here is one row of ``_CATALOG``: the input transform, target
+kind and weighted regularizers of a ``framework.ModelSpec``, with "lam"
+standing for the method's own lam.  ``MethodId.spec`` is that spec, and
+``build`` materializes it through ``framework.assemble``, the same route as
+any other spec; the deep extension takes its gradient terms from the same
+spec, so the linear and deep paths cannot drift apart.
 
 Methods (CLI spellings):
 
     MCCA       correlation maximization, label free
     MvOPLS     orthonormalized multi-view regression on whitened one-hots
-    MvLDA      discriminant analysis of the concatenated views
+    MvLDA      discriminant analysis of the concatenated views (joint constraint)
     MvDA       per-view whitening with a shared mean coupling
     MvDA_VC    MvDA plus view-consistency on representer coefficients
-    MvMDA      cross-view class-center spreading on raw views
+    MvMDA      cross-view class-center spreading over within-class normalization
     MLDA       per-view discriminant diagonal with cross-view coupling
     GMA        MLDA objective over within-class normalization
     MvDA_CCA   MvDA objective augmented with pairwise view agreement
@@ -36,39 +37,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .data import MultiViewDataset, build_indicator
-from .framework import ModelSpec, assemble, fit_solved, pencil
+from .framework import ModelSpec, assemble, fit_solved, label_readers
 from .gevd import solve
-from .scatter import KernelTerm, label_kernels
 
-METHOD_NAMES = (
-    "MCCA",
-    "MvOPLS",
-    "MvLDA",
-    "MvDA",
-    "MvDA_VC",
-    "MvMDA",
-    "MLDA",
-    "GMA",
-    "MvDA_CCA",
-)
-
-SUPERVISED_METHODS = tuple(m for m in METHOD_NAMES if m != "MCCA")
-LAMBDA_METHODS = ("MvDA_VC", "MLDA", "GMA", "MvDA_CCA")
-
-_METHOD_IO = {
-    "MCCA": ("centered", "identity_n"),
-    "MvOPLS": ("centered", "sigma_invsqrt_onehot"),
-    "MvLDA": ("centered", "sigma_invsqrt_onehot"),
-    "MvDA": ("centered", "sigma_invsqrt_onehot"),
-    "MvDA_VC": ("centered", "sigma_invsqrt_onehot"),
-    "MvMDA": ("raw", "centered_normalized_label"),
-    "MLDA": ("centered", "identity_n"),
-    "GMA": ("centered", "identity_n"),
-    "MvDA_CCA": ("centered", "sigma_invsqrt_onehot"),
+# name -> (input transform, target kind, ((regularizer id, weight), ...)).
+_CATALOG = {
+    "MCCA": ("centered", "identity_n", ()),
+    "MvOPLS": ("centered", "sigma_invsqrt_onehot", ()),
+    "MvLDA": ("centered", "sigma_invsqrt_onehot", (("joint", 1.0),)),
+    "MvDA": ("centered", "sigma_invsqrt_onehot", (("mean", 1.0),)),
+    "MvDA_VC": (
+        "centered", "sigma_invsqrt_onehot", (("mean", 1.0), ("representer", "lam"))
+    ),
+    "MvMDA": ("centered", "centered_normalized_label", (("hsic", 1.0),)),
+    "MLDA": ("centered", "identity_n", (("lda", 1.0),)),
+    "GMA": ("centered", "identity_n", (("lda", 1.0), ("hsic", 1.0))),
+    "MvDA_CCA": ("centered", "sigma_invsqrt_onehot", (("mean", 1.0), ("cca", "lam"))),
 }
+
+METHOD_NAMES = tuple(_CATALOG)
+LAMBDA_METHODS = ("MvDA_VC", "MLDA", "GMA", "MvDA_CCA")
 
 
 @dataclass(frozen=True)
@@ -90,118 +78,35 @@ class MethodId:
         if self.gamma < 0 or self.lam < 0:
             raise ValueError("gamma and lam must be nonnegative")
 
-
-def method_terms(method, n, labels, v):
-    """Write a method's pencil as a list of KernelTerms (gamma excluded).
-
-    ``labels`` may be None only for MCCA, which uses one class.
-    """
-    name = method.name
-    lam = method.lam
-    if name == "MCCA":
-        labels = np.ones(n, dtype=int)
-    elif labels is None:
-        raise ValueError(f"{name} needs labels")
-    K = label_kernels(build_indicator(labels))
-    H, between, within = K["centering"], K["between"], K["within"]
-    if name == "MCCA":
-        terms = [
-            KernelTerm("objective", "dense", 1.0, H),
-            KernelTerm("constraint", "blockdiag", 1.0, H),
-        ]
-    elif name == "MvOPLS":
-        terms = [
-            KernelTerm("objective", "dense", 1.0, between),
-            KernelTerm("constraint", "blockdiag", 1.0, H),
-        ]
-    elif name == "MvLDA":
-        terms = [
-            KernelTerm("objective", "dense", 1.0, between),
-            KernelTerm("constraint", "dense", 1.0, H),
-        ]
-    elif name in ("MvDA", "MvDA_VC", "MvDA_CCA"):
-        terms = [
-            KernelTerm("objective", "dense", 1.0, between),
-            KernelTerm("constraint", "blockdiag", 1.0),
-            KernelTerm("constraint", "dense", -1.0 / v, K["mean"]),
-        ]
-        if name == "MvDA_VC":
-            terms.append(KernelTerm("constraint", "representer", lam, None))
-        if name == "MvDA_CCA":
-            terms.append(KernelTerm("objective", "dense", lam, H))
-            terms.append(KernelTerm("objective", "blockdiag", -lam * v, H))
-    elif name == "MvMDA":
-        terms = [
-            KernelTerm("objective", "dense", 1.0, K["center_distance"]),
-            KernelTerm("constraint", "blockdiag", 1.0, within),
-        ]
-    elif name in ("MLDA", "GMA"):
-        terms = [
-            KernelTerm("objective", "dense", 1.0, H),
-            KernelTerm("objective", "blockdiag", -1.0, H),
-            KernelTerm("objective", "blockdiag", lam, between),
-            KernelTerm("constraint", "blockdiag", 1.0, H if name == "MLDA" else within),
-        ]
-    else:
-        raise ValueError(f"unknown method {name!r}")
-    return terms
+    @property
+    def spec(self):
+        """The method's ModelSpec."""
+        transform, target, regularizers = _CATALOG[self.name]
+        return ModelSpec(
+            target_kind=target,
+            k=self.k,
+            gamma=self.gamma,
+            lam=self.lam,
+            input_transform=transform,
+            regularizers=tuple(
+                (rid, self.lam if w == "lam" else w) for rid, w in regularizers
+            ),
+            method=self.name,
+        )
 
 
-def build_from_views(method, views, labels):
-    """Build a method's GevdProblem directly from view matrices."""
-    views = [np.asarray(X, dtype=float) for X in views]
-    terms = method_terms(method, views[0].shape[1], labels, len(views))
-    return pencil(terms, views, method.k, method.gamma)
+SUPERVISED_METHODS = tuple(
+    name for name in METHOD_NAMES if label_readers(MethodId(name, k=1).spec)
+)
 
 
 def build(method, dataset):
-    """Build a method's GevdProblem from a dataset (the canonical route)."""
-    return build_from_views(method, list(dataset.views), dataset.labels)
-
-
-def _method_spec(method):
-    transform, target = _METHOD_IO[method.name]
-    mapping = {
-        "MCCA": (),
-        "MvOPLS": (),
-        "MvLDA": (),
-        "MvDA": (("mean", 1.0),),
-        "MvDA_VC": (("mean", 1.0), ("representer", method.lam)),
-        "MvMDA": (("hsic", 1.0),),
-        "MLDA": (("lda", 1.0),),
-        "GMA": (("lda", 1.0), ("hsic", 1.0)),
-        "MvDA_CCA": (("mean", 1.0), ("cca", method.lam)),
-    }[method.name]
-    return ModelSpec(
-        target_kind=target,
-        k=method.k,
-        gamma=method.gamma,
-        lam=method.lam,
-        input_transform=transform,
-        regularizers=mapping,
-        method=method.name,
-    )
-
-
-def build_via_framework(method, dataset):
-    """Rebuild a method's pencil through the generic assembly.
-
-    For MvLDA the views are first stacked into a single view, since its
-    constraint couples all views densely, which the per-view assembly form
-    expresses only for v = 1.  For MvMDA the generic mapping differs from the
-    canonical build by a per-view mean term (the label-alignment builder
-    centers its scatters, the direct MvMDA construction does not), so only
-    ``build`` is authoritative there.
-    """
-    if method.name == "MvLDA":
-        dataset = MultiViewDataset(
-            (np.vstack(dataset.views),), dataset.labels, dataset.label_map
-        )
-    return assemble(dataset, _method_spec(method))
+    """Build a method's GevdProblem from a dataset."""
+    return assemble(dataset, method.spec)
 
 
 def fit(method, dataset):
-    """Fit a catalog method: canonical build, GEVD solve, closed-form W."""
+    """Fit a catalog method: build, GEVD solve, closed-form W."""
     problem = build(method, dataset)
     solution = solve(problem)
-    return fit_solved(dataset, solution, _method_spec(method))
+    return fit_solved(dataset, solution, method.spec)

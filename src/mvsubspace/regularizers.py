@@ -61,6 +61,22 @@ def cca_coupling(v, transform):
     ]
 
 
+def joint_constraint(v, transform):
+    """The cross-view blocks of the transformed views' covariance.
+
+    dense(K) - blockdiag(K) for the input transform's kernel K (``transform``;
+    None for the identity) on the constraint side: added to the per-view
+    constraint blockdiag(X_s K X_s^T), it gives the covariance dense(X K X^T)
+    of the concatenated views.  One view has no cross-view blocks, so no terms.
+    """
+    if v == 1:
+        return []
+    return [
+        KernelTerm("constraint", "dense", 1.0, transform),
+        KernelTerm("constraint", "blockdiag", -1.0, transform),
+    ]
+
+
 def lda_per_view(kernels, lam):
     """Per-view discriminant shaping added to the objective.
 

@@ -232,10 +232,6 @@ class KernelTerm:
     kernel: LabelKernel | None = None
 
 
-def _times_kernel(M, kernel):
-    return M if kernel is None else kernel.apply(M)
-
-
 def _shared_indicator(terms, n):
     """The class indicator Y of the terms' kernels; one class if none has one."""
     Y = None
@@ -295,6 +291,28 @@ def _add_kernel_sum(total, eye, Mt, F, C_w, blocks):
             total[b, b] += eye * C_w[b, b]
 
 
+def _summed_terms(terms, pieces):
+    """The terms summed per side and layout: ``(kernels, couplings)``.
+
+    ``kernels`` maps each (side, layout) of the dense and blockdiag terms to
+    [eye, M], the sum of coeff * pieces(kernel) over its terms (kernel None
+    for the identity); ``couplings`` maps a side to the summed coefficient of
+    its representer terms.
+    """
+    kernels, couplings = {}, {}
+    for term in terms:
+        if term.layout == "representer":
+            couplings[term.side] = couplings.get(term.side, 0.0) + term.coeff
+        elif term.layout in ("dense", "blockdiag"):
+            eye, M = pieces(term.kernel)
+            total = kernels.setdefault((term.side, term.layout), [0.0, 0.0])
+            total[0] += term.coeff * eye
+            total[1] = total[1] + term.coeff * M
+        else:
+            raise ValueError(f"unknown term layout {term.layout!r}")
+    return kernels, couplings
+
+
 # Finite views can overflow a side; GevdProblem rejects it, so do not warn.
 @np.errstate(over="ignore", invalid="ignore")
 def materialize_with_factor(terms, views):
@@ -311,18 +329,9 @@ def materialize_with_factor(terms, views):
     n = views[0].shape[1]
     Y = _shared_indicator(terms, n)
     counts = Y.sum(axis=1)
-    pieces = {}  # (side, layout) -> [eye, Mt] summed over its terms
-    couplings = {}  # side -> summed coefficient of its representer terms
-    for term in terms:
-        if term.layout == "representer":
-            couplings[term.side] = couplings.get(term.side, 0.0) + term.coeff
-        elif term.layout in ("dense", "blockdiag"):
-            eye, Mt = _kernel_pieces(term.kernel, counts)
-            total = pieces.setdefault((term.side, term.layout), [0.0, 0.0])
-            total[0] += term.coeff * eye
-            total[1] = total[1] + term.coeff * Mt
-        else:
-            raise ValueError(f"unknown term layout {term.layout!r}")
+    pieces, couplings = _summed_terms(
+        terms, lambda kernel: _kernel_pieces(kernel, counts)
+    )
     raw_gram = bool(couplings) and max(X.shape[0] for X in views) <= n
     F, C_w = _class_statistics(
         views, Y, counts, raw_gram or any(eye for eye, _ in pieces.values())
@@ -359,29 +368,42 @@ def materialize(terms, views):
     return materialize_with_factor(terms, views)[:2]
 
 
+def _apply_sum(kernel, Z):
+    """Z K for a summed kernel, without the class products when its M is 0."""
+    return kernel.apply(Z) if kernel.M.any() else kernel.eye * Z
+
+
 def materialize_grads(terms, views, adjoints):
     """Per-view gradients of <bar_A, objective> + <bar_B, constraint>.
 
     ``adjoints`` is ``(bar_A, bar_B)``, symmetric d x d, in the order
     ``materialize`` returns the sides; with symmetric kernels the gradient of
-    coeff * <G, X K X^T> with respect to X is 2 coeff G X K.
+    <G, X K X^T> with respect to X is 2 G X K.  As in ``materialize``, the
+    terms of one side and layout first add their coeff * (eye, M) into one
+    kernel, so each side and layout applies one kernel whatever its number
+    of terms, and terms that cancel apply none.
     """
     adjoint = dict(zip(SIDES, adjoints))
+    Y = _shared_indicator(terms, views[0].shape[1])
+    identity = (1.0, np.zeros((Y.shape[0],) * 2))
+    kernels, couplings = _summed_terms(
+        terms, lambda kernel: identity if kernel is None else (kernel.eye, kernel.M)
+    )
     offsets = np.cumsum([0] + [X.shape[0] for X in views])
     grads = [np.zeros_like(X) for X in views]
-    for term in terms:
-        G = adjoint[term.side]
-        if term.layout == "dense":
-            full = 2.0 * term.coeff * _times_kernel(G @ np.vstack(views), term.kernel)
+    for (side, layout), (eye, M) in kernels.items():
+        if not (eye or M.any()):
+            continue
+        G, kernel = adjoint[side], LabelKernel(eye, Y, M)
+        if layout == "dense":
+            full = 2.0 * _apply_sum(kernel, G @ np.vstack(views))
             for s in range(len(views)):
                 grads[s] += full[offsets[s]:offsets[s + 1], :]
-        elif term.layout == "blockdiag":
+        else:
             for s, X in enumerate(views):
                 Gss = G[offsets[s]:offsets[s + 1], offsets[s]:offsets[s + 1]]
-                grads[s] += 2.0 * term.coeff * _times_kernel(Gss @ X, term.kernel)
-        elif term.layout == "representer":
-            for s, g in enumerate(_representer_grads(views, G, term.coeff)):
-                grads[s] += g
-        else:
-            raise ValueError(f"unknown term layout {term.layout!r}")
+                grads[s] += 2.0 * _apply_sum(kernel, Gss @ X)
+    for side, coeff in couplings.items():
+        for s, g in enumerate(_representer_grads(views, adjoint[side], coeff)):
+            grads[s] += g
     return grads

@@ -3,9 +3,15 @@
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from mvsubspace import MultiViewDataset
+from mvsubspace import MultiViewDataset, build_indicator
+from mvsubspace.framework import pencil
 from mvsubspace.gevd import GevdSolution, NumericalError, _fix_signs
-from mvsubspace.scatter import _times_kernel, pseudo_inverse_coupling, symmetrize
+from mvsubspace.scatter import (
+    KernelTerm,
+    label_kernels,
+    pseudo_inverse_coupling,
+    symmetrize,
+)
 
 
 def balanced_labels(classes, n, rng):
@@ -109,6 +115,10 @@ def blockdiag_dense(matrices):
     return out
 
 
+def _times_kernel(M, kernel):
+    return M if kernel is None else kernel.apply(M)
+
+
 def dense_materialize(terms, views):
     """``scatter.materialize`` with a full d x d matrix per term: blockdiag
     terms zero-padded, every product scaled into a copy and added."""
@@ -128,6 +138,71 @@ def dense_materialize(terms, views):
             raise ValueError(f"unknown term layout {term.layout!r}")
         sides[term.side] += term.coeff * M
     return symmetrize(sides["objective"]), symmetrize(sides["constraint"])
+
+
+def catalog_terms(method, n, labels, v):
+    """Oracle term lists of the catalog methods, written out by hand.
+
+    ``methods.build`` derives each pencil from the method's ModelSpec; these
+    are the same pencils spelled directly.  MCCA uses one class; ``labels``
+    may be None only there.
+    """
+    name = method.name
+    lam = method.lam
+    if name == "MCCA":
+        labels = np.ones(n, dtype=int)
+    elif labels is None:
+        raise ValueError(f"{name} needs labels")
+    K = label_kernels(build_indicator(labels))
+    H, between, within = K["centering"], K["between"], K["within"]
+    if name == "MCCA":
+        return [
+            KernelTerm("objective", "dense", 1.0, H),
+            KernelTerm("constraint", "blockdiag", 1.0, H),
+        ]
+    if name == "MvOPLS":
+        return [
+            KernelTerm("objective", "dense", 1.0, between),
+            KernelTerm("constraint", "blockdiag", 1.0, H),
+        ]
+    if name == "MvLDA":
+        return [
+            KernelTerm("objective", "dense", 1.0, between),
+            KernelTerm("constraint", "dense", 1.0, H),
+        ]
+    if name in ("MvDA", "MvDA_VC", "MvDA_CCA"):
+        terms = [
+            KernelTerm("objective", "dense", 1.0, between),
+            KernelTerm("constraint", "blockdiag", 1.0),
+            KernelTerm("constraint", "dense", -1.0 / v, K["mean"]),
+        ]
+        if name == "MvDA_VC":
+            terms.append(KernelTerm("constraint", "representer", lam, None))
+        if name == "MvDA_CCA":
+            terms.append(KernelTerm("objective", "dense", lam, H))
+            terms.append(KernelTerm("objective", "blockdiag", -lam * v, H))
+        return terms
+    if name == "MvMDA":
+        return [
+            KernelTerm("objective", "dense", 1.0, K["center_distance"]),
+            KernelTerm("constraint", "blockdiag", 1.0, within),
+        ]
+    if name in ("MLDA", "GMA"):
+        return [
+            KernelTerm("objective", "dense", 1.0, H),
+            KernelTerm("objective", "blockdiag", -1.0, H),
+            KernelTerm("objective", "blockdiag", lam, between),
+            KernelTerm("constraint", "blockdiag", 1.0, H if name == "MLDA" else within),
+        ]
+    raise ValueError(f"unknown method {name!r}")
+
+
+def catalog_pencil(method, dataset):
+    """The GevdProblem of ``catalog_terms``, materialized as ``build`` does."""
+    terms = catalog_terms(
+        method, dataset.n_samples, dataset.labels, dataset.n_views
+    )
+    return pencil(terms, list(dataset.views), method.k, method.gamma)
 
 
 # ``materialize`` builds pencils from sufficient statistics and sums in

@@ -109,6 +109,24 @@ def test_non_finite_embedding_exits_with_a_data_error(
     assert "Z_a has non-finite entries" in capsys.readouterr().err
 
 
+def test_non_integer_labels_exit_with_a_data_error(
+    toy_dir, tmp_path, capsys, monkeypatch
+):
+    # labels that reach the classifier as floats are reported, not indexed
+    real = cli.evaluation.train_linear_classifier
+
+    def float_labels(Z, labels, ridge):
+        return real(Z, labels.astype(float), ridge=ridge)
+
+    monkeypatch.setattr(cli.evaluation, "train_linear_classifier", float_labels)
+    cfg = write_cfg(
+        tmp_path / "cls.cfg", dataset=str(toy_dir), method="MvOPLS", k="2",
+        train_fraction="0.5", repeats="1",
+    )
+    assert main(["classify", "--config", cfg]) == 2
+    assert "labels must be integers >= 1" in capsys.readouterr().err
+
+
 def test_retrieve_rejects_other_view_counts(tmp_path, capsys):
     gen = write_cfg(tmp_path / "gen.cfg", classes="2", views="3", samples="30")
     data = tmp_path / "data3"

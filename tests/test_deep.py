@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mvsubspace import MethodId, MultiViewDataset, NumericalError
+from mvsubspace import MethodId, MultiViewDataset, NumericalError, build
 from mvsubspace.deep import (
     MlpConfig,
     _Workspace,
@@ -21,7 +21,6 @@ from mvsubspace.deep import (
     train,
 )
 from mvsubspace.gevd import solve
-from mvsubspace.methods import build_from_views
 from mvsubspace.toy import make_toy_dataset
 
 from helpers import fd_worst_violation, loss_only, random_dataset
@@ -92,9 +91,7 @@ def test_loss_is_negated_top_k_eigenvalue_sum():
     features = forward_views(nets, list(ds.views), "tanh")
     loss, solution = spectral_loss(features, ds.labels, method)
 
-    from mvsubspace.methods import build_from_views
-
-    prob = build_from_views(method, features, ds.labels)
+    prob = build(method, MultiViewDataset(tuple(features), ds.labels))
     eigvals = scipy.linalg.eigh(prob.objective, prob.constraint, eigvals_only=True)
     want = -np.sort(eigvals)[::-1][:2].sum()
     assert loss == pytest.approx(want, rel=1e-9)
@@ -108,9 +105,7 @@ def test_full_k_loss_is_whitened_trace():
     nets = init_networks(ds, mlp)
     features = forward_views(nets, list(ds.views), "tanh")
     loss, _ = spectral_loss(features, ds.labels, method, k=4)  # 2 views x out 2
-    from mvsubspace.methods import build_from_views
-
-    prob = build_from_views(method, features, ds.labels)
+    prob = build(method, MultiViewDataset(tuple(features), ds.labels))
     want = -np.trace(np.linalg.solve(prob.constraint, prob.objective))
     assert loss == pytest.approx(want, rel=1e-9)
 
@@ -240,6 +235,15 @@ def test_config_validation():
               TrainerConfig(epochs=1))
 
 
+def test_training_without_labels_needs_a_label_free_method():
+    ds = random_dataset(seed=1, dims=(3, 2), n=8)
+    unlabeled = MultiViewDataset(ds.views)
+    mlp, trainer = MlpConfig(hidden=(3,), out_dim=2), TrainerConfig(epochs=1)
+    train(unlabeled, MethodId("MCCA", k=1), mlp, trainer)
+    with pytest.raises(ValueError, match="needs labels"):
+        train(unlabeled, MethodId("MvOPLS", k=1), mlp, trainer)
+
+
 def test_retry_keeps_the_objective_factor():
     # the deep MvOPLS pencil is rank-c: the jittered retry still solves it in
     # that rank
@@ -247,7 +251,7 @@ def test_retry_keeps_the_objective_factor():
     labels = np.repeat([1, 2, 3], 4)
     features = [rng.standard_normal((6, 12)), np.zeros((6, 12))]
     method = MethodId("MvOPLS", k=2, gamma=0.0)
-    problem = build_from_views(method, features, labels)
+    problem = build(method, MultiViewDataset(tuple(features), labels))
     with pytest.raises(NumericalError):
         solve(problem)
     solution, solved = _solve_with_retry(problem, 1e-6)

@@ -93,6 +93,26 @@ def test_linear_classifier_constant_label():
     np.testing.assert_array_equal(classify(clf, Z), np.ones(10, dtype=int))
 
 
+@pytest.mark.parametrize("labels", [
+    np.array([0, 0, 1, 1, 2, 2]),
+    np.array([1, 1, -1, 2, 2, 2]),
+    np.array([1.0, 1.0, 2.0, 2.0, 3.0, 3.0]),
+], ids=["zero", "negative", "float"])
+def test_linear_classifier_rejects_labels_below_one_or_not_integer(labels):
+    Z = np.random.default_rng(7).standard_normal((3, 6))
+    with pytest.raises(ValueError, match="labels must be integers >= 1"):
+        train_linear_classifier(Z, labels)
+
+
+def test_linear_classifier_allows_a_class_absent_from_training():
+    rng = np.random.default_rng(8)
+    labels = np.repeat([1, 3], 6)
+    Z = rng.standard_normal((2, 12)) * 0.1 + 3.0 * np.eye(2)[:, labels // 2]
+    clf = train_linear_classifier(Z, labels)
+    assert clf.W.shape == (2, 3)
+    np.testing.assert_array_equal(classify(clf, Z), labels)
+
+
 def test_duplicated_rows_still_classify():
     # stacking the same features twice must not break the ridge solve
     rng = np.random.default_rng(6)

@@ -45,7 +45,7 @@ def test_assemble_single_view_no_regularizers():
     ) <= PENCIL_RTOL
 
 
-@pytest.mark.parametrize("rid", ["mean", "representer", "hsic", "cca", "lda"])
+@pytest.mark.parametrize("rid", ["mean", "representer", "hsic", "cca", "lda", "joint"])
 def test_zero_weight_regularizer_is_noop(rid):
     ds = random_dataset(seed=7, dims=(6, 5, 4), classes=3, n=24)
     base = ModelSpec(target_kind="sigma_invsqrt_onehot", k=2)
@@ -86,6 +86,18 @@ def test_unlabeled_data_is_refused_where_labels_are_needed(target, regularizers)
         assemble(ds, spec)
     with pytest.raises(ValueError, match="needs labels"):
         fit(ds, spec)
+
+
+def test_label_free_specs_ignore_the_labels():
+    """A spec that reads no labels is built on the one-class indicator, so
+    labelled and unlabelled data give the same pencil bit for bit."""
+    labeled = random_dataset(seed=10, dims=(5, 4, 3), classes=3, n=24)
+    unlabeled = MultiViewDataset(labeled.views)
+    regs = (("mean", 1.0), ("representer", 0.3), ("cca", 0.2), ("joint", 1.0))
+    spec = ModelSpec("identity_n", k=2, regularizers=regs)
+    pa, pb = assemble(labeled, spec), assemble(unlabeled, spec)
+    np.testing.assert_array_equal(pa.objective, pb.objective)
+    np.testing.assert_array_equal(pa.constraint, pb.constraint)
 
 
 def test_fit_recovers_least_squares_value():

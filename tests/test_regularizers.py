@@ -11,6 +11,7 @@ from mvsubspace import build_indicator
 from mvsubspace.regularizers import (
     cca_coupling,
     hsic_alignment,
+    joint_constraint,
     lda_per_view,
     mean_consistency,
     representer_consistency,
@@ -114,3 +115,17 @@ def test_lda_per_view_kernel():
     want = blockdiag_dense([views[0] @ R @ views[0].T])
     objective, _ = materialize(lda_per_view(label_kernels(ind), lam), views)
     np.testing.assert_allclose(-objective, want, atol=1e-12)
+
+
+def test_joint_constraint_is_the_cross_view_covariance():
+    rng = np.random.default_rng(8)
+    n = 16
+    views = [rng.standard_normal((d, n)) for d in (4, 3, 2)]
+    tviews = [X - X.mean(axis=1, keepdims=True) for X in views]
+    H = one_class_kernels(n)["centering"]
+    objective, constraint = materialize(joint_constraint(3, H), views)
+    stacked = np.vstack(tviews)
+    want = stacked @ stacked.T - blockdiag_dense([X @ X.T for X in tviews])
+    np.testing.assert_allclose(constraint, want, atol=1e-12)
+    assert np.allclose(objective, 0.0)
+    assert joint_constraint(1, H) == []

@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from mvsubspace import METHOD_NAMES, MethodId, build_indicator
+from mvsubspace import METHOD_NAMES, MethodId, ModelSpec, build_indicator
 from mvsubspace.data import center_columns
-from mvsubspace.framework import REGULARIZERS
-from mvsubspace.methods import method_terms
+from mvsubspace.framework import REGULARIZERS, spec_terms
 from mvsubspace.scatter import (
     KernelTerm,
     LabelKernel,
     label_kernels,
     materialize,
+    materialize_grads,
     pseudo_inverse_coupling,
     symmetrize,
 )
@@ -84,7 +84,7 @@ SHAPES = {
 def test_method_pencils_match_dense_materialize(name, shape):
     dims, n = SHAPES[shape]
     ds = random_dataset(seed=len(dims) + n, dims=dims, classes=3, n=n)
-    terms = method_terms(MethodId(name, k=1, lam=0.3), n, ds.labels, len(dims))
+    terms = spec_terms(MethodId(name, k=1, lam=0.3).spec, ds.labels, n, len(dims))
     got = materialize(terms, ds.views)
     want = dense_materialize(terms, ds.views)
     for g, w in zip(got, want):
@@ -103,6 +103,53 @@ def test_regularizers_match_dense_materialize(rid, dims, n):
     want = dense_materialize(terms, views)
     for g, w in zip(got, want):
         assert pencil_gap(g, w) <= PENCIL_RTOL
+
+
+# Every regularizer at a nonzero weight: a spec no catalog method spells.
+EVERY_REGULARIZER = ModelSpec(
+    "centered_onehot", k=1, lam=0.3,
+    regularizers=(("mean", 0.5), ("representer", 0.2), ("hsic", 0.3),
+                  ("cca", 0.4), ("lda", 0.7), ("joint", 0.6)),
+)
+
+
+@pytest.mark.parametrize("dims, n", [((3, 4, 2), 12), ((3, 2), 12)])
+def test_grads_match_finite_differences_of_materialize(dims, n):
+    """``materialize_grads`` against central differences of
+    <bar_A, objective> + <bar_B, constraint> in every view entry."""
+    assert {rid for rid, _ in EVERY_REGULARIZER.regularizers} == set(REGULARIZERS)
+    rng = np.random.default_rng(n + len(dims))
+    ds = random_dataset(seed=n, dims=dims, classes=3, n=n)
+    views = [X.copy() for X in ds.views]
+    terms = spec_terms(EVERY_REGULARIZER, ds.labels, n, len(dims))
+    d = sum(dims)
+    adjoints = tuple(symmetrize(rng.standard_normal((d, d))) for _ in range(2))
+
+    def value():
+        return sum(np.sum(bar * M) for bar, M in zip(adjoints, materialize(terms, views)))
+
+    grads = materialize_grads(terms, views, adjoints)
+    h = 1e-6
+    for X, g in zip(views, grads):
+        fd = np.empty_like(X)
+        for idx in np.ndindex(X.shape):
+            keep = X[idx]
+            X[idx] = keep + h
+            up = value()
+            X[idx] = keep - h
+            down = value()
+            X[idx] = keep
+            fd[idx] = (up - down) / (2 * h)
+        np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-6 * np.abs(fd).max())
+
+
+def test_grads_of_cancelling_terms_are_exactly_zero():
+    ds = random_dataset(seed=3, dims=(3, 2), classes=3, n=9)
+    H = label_kernels(build_indicator(ds.labels))["centering"]
+    terms = [KernelTerm("constraint", "blockdiag", c, H) for c in (1.0, -1.0)]
+    adjoints = (np.zeros((5, 5)), symmetrize(np.ones((5, 5))))
+    for g in materialize_grads(terms, list(ds.views), adjoints):
+        np.testing.assert_array_equal(g, np.zeros_like(g))
 
 
 def test_terms_of_one_pencil_share_one_indicator():
