@@ -108,14 +108,10 @@ def _split_list(cfg, key, parse):
         raise ConfigError(f"config key {key!r}: could not parse {raw!r}") from None
 
 
-def _method_id(cfg, k):
-    name = _get(cfg, "method")
-    if name not in methods.METHOD_NAMES:
-        raise ConfigError(
-            f"unknown method {name!r}; expected one of {', '.join(methods.METHOD_NAMES)}"
-        )
+def _spec(cfg, k):
+    """The configured catalog method's ModelSpec."""
     return methods.MethodId(
-        name=name, k=k, gamma=_get_float(cfg, "gamma"), lam=_get_float(cfg, "lambda")
+        _get(cfg, "method"), k, _get_float(cfg, "gamma"), _get_float(cfg, "lambda")
     )
 
 
@@ -161,11 +157,11 @@ def _prepare_split(ds, cfg, seed, use_pca):
     return train, test
 
 
-def _embeddings(cfg, train, test, method, k):
+def _embeddings(cfg, train, test, spec, k):
     """Fit on train and embed both sides; handles the deep path."""
     if _get_bool(cfg, "deep"):
         mlp_cfg = _mlp_config(cfg, k)
-        nets, model, history = deep_mod.train(train, method, mlp_cfg, _trainer_config(cfg))
+        nets, model, history = deep_mod.train(train, spec, mlp_cfg, _trainer_config(cfg))
         feats_train = deep_mod.forward_views(nets, train.views, mlp_cfg.activation)
         feats_test = deep_mod.forward_views(nets, test.views, mlp_cfg.activation)
         train_ds = MultiViewDataset(tuple(feats_train), train.labels)
@@ -173,18 +169,21 @@ def _embeddings(cfg, train, test, method, k):
         _, Z_train = framework.embed(model, train_ds)
         per_test, Z_test = framework.embed(model, test_ds)
         return Z_train, Z_test, per_test, model
-    model = methods.fit(method, train)
+    model = methods.fit(spec, train)
     _, Z_train = framework.embed(model, train)
     per_test, Z_test = framework.embed(model, test)
     return Z_train, Z_test, per_test, model
 
 
 def _accuracy_runs(cfg, ds, k, seed):
+    repeats = _get_int(cfg, "repeats")
+    if repeats < 1:
+        raise ConfigError(f"repeats must be at least 1, got {repeats}")
+    spec = _spec(cfg, k)
     accs = []
-    for r in range(_get_int(cfg, "repeats")):
+    for r in range(repeats):
         train, test = _prepare_split(ds, cfg, seed + r, _get_bool(cfg, "pca"))
-        method = _method_id(cfg, k)
-        Z_train, Z_test, _, _ = _embeddings(cfg, train, test, method, k)
+        Z_train, Z_test, _, _ = _embeddings(cfg, train, test, spec, k)
         clf = evaluation.train_linear_classifier(
             Z_train, train.labels, ridge=_get_float(cfg, "ridge")
         )
@@ -199,20 +198,20 @@ def cmd_fit(cfg, out_dir, seed):
     if _get_bool(cfg, "pca"):
         ds, _ = pca_reduce(ds, _get_float(cfg, "pca_energy"))
     k = _split_list(cfg, "k", int)[0]
-    method = _method_id(cfg, k)
+    spec = _spec(cfg, k)
     if out_dir is None:
         raise ConfigError("fit needs an output directory (--out or out_dir)")
     if _get_bool(cfg, "deep"):
         mlp_cfg = _mlp_config(cfg, k)
-        nets, model, history = deep_mod.train(ds, method, mlp_cfg, _trainer_config(cfg))
+        nets, model, history = deep_mod.train(ds, spec, mlp_cfg, _trainer_config(cfg))
         deep_mod.save_networks(nets, mlp_cfg, out_dir)
         framework.save_model(model, out_dir)
         print(f"final loss = {history[-1]:.6f} after {len(history)} epochs")
     else:
-        model = methods.fit(method, ds)
+        model = methods.fit(spec, ds)
         framework.save_model(model, out_dir)
     spectrum = ", ".join(f"{x:.6g}" for x in model.eigenvalues)
-    print(f"method = {method.name}")
+    print(f"method = {spec.method}")
     print(f"eigenvalues = {spectrum}")
     print(f"model written to {out_dir}")
     return 0
@@ -254,13 +253,13 @@ def cmd_retrieve(cfg, out_dir, seed):
         raise ConfigError("config key 'train_fraction' is required")
     k = _split_list(cfg, "k", int)[0]
     train, test = _prepare_split(ds, cfg, seed, _get_bool(cfg, "pca"))
-    method = _method_id(cfg, k)
-    _, _, per_test, _ = _embeddings(cfg, train, test, method, k)
+    spec = _spec(cfg, k)
+    _, _, per_test, _ = _embeddings(cfg, train, test, spec, k)
     result = evaluation.cross_modal_retrieve(
         per_test[0], test.labels, per_test[1], test.labels
     )
     lines = [
-        f"method = {method.name}",
+        f"method = {spec.method}",
         f"k = {k}",
         f"map_1_to_2 = {result.map_ab:.6f}",
         f"map_2_to_1 = {result.map_ba:.6f}",
@@ -291,9 +290,13 @@ def cmd_sweep(cfg, out_dir, seed):
         raise ConfigError("config key 'train_fraction' is required")
     lams = _split_list(cfg, "lambda", float)
     deep = _get_bool(cfg, "deep")
-    if "depth" in cfg and not deep:
-        raise ConfigError("a depth sweep needs deep = true")
-    depths = _split_list(cfg, "depth", int) if "depth" in cfg else [None]
+    depths = [None]
+    if "depth" in cfg:
+        if not deep:
+            raise ConfigError("a depth sweep needs deep = true")
+        depths = _split_list(cfg, "depth", int)
+        if min(depths) < 2:
+            raise ConfigError("depth must be at least 2")
     width = _get_int(cfg, "hidden_width")
     rows = ["k,train_fraction,lambda,depth,accuracy_mean,accuracy_std"]
     for k in ks:
@@ -304,8 +307,6 @@ def cmd_sweep(cfg, out_dir, seed):
                     cell["train_fraction"] = repr(frac)
                     cell["lambda"] = repr(lam)
                     if depth is not None:
-                        if depth < 2:
-                            raise ConfigError("depth must be at least 2")
                         cell["hidden"] = ",".join([str(width)] * (depth - 1))
                     accs = _accuracy_runs(cell, ds, k, seed)
                     depth_tag = "" if depth is None else str(depth)

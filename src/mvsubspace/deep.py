@@ -2,14 +2,15 @@
 
 Each view gets a small fully connected network h^i = act(V^i h^{i-1} + b^i),
 activation applied at every layer.  The training loss is the negated sum of
-the top-k generalized eigenvalues of the chosen method's pencil, built on the
-network outputs exactly as the linear catalog builds it on raw views.  One
-GEVD is solved per epoch on the full batch.
+the top-k generalized eigenvalues of a ``framework.ModelSpec``'s pencil (a
+catalog method's, from ``methods.MethodId``, or any other spec), built on the
+network outputs exactly as the linear fit builds it on raw views.  One GEVD
+is solved per epoch on the full batch.
 
 Gradients are analytic rather than taped: first-order eigenvalue
 perturbation gives the adjoints of the pencil sides (d loss / dA = -P P^T and
 d loss / dB = P diag(lambda) P^T for the kept B-orthonormal eigenvectors),
-the method's kernel terms push those onto the feature matrices, and ordinary
+the spec's kernel terms push those onto the feature matrices, and ordinary
 backpropagation carries them to the weights.  The contract is agreement with
 central finite differences to 1e-4 relative / 1e-7 absolute.
 """
@@ -17,7 +18,7 @@ central finite differences to 1e-4 relative / 1e-7 absolute.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -172,22 +173,22 @@ def _solve_with_retry(problem, jitter):
         return solve(bumped), bumped
 
 
-def _terms(method, features, labels):
-    """The KernelTerms of the method's spec on the feature matrices."""
-    return spec_terms(method.spec, labels, features[0].shape[1], len(features))
+def _solve_spec(spec, features, labels, jitter):
+    """The spec's KernelTerms on the feature matrices and the solution of
+    their pencil, with ``_solve_with_retry``'s one jittered retry."""
+    terms = spec_terms(spec, labels, features[0].shape[1], len(features))
+    problem = pencil(terms, features, spec.k, spec.gamma)
+    solution, _ = _solve_with_retry(problem, jitter)
+    return terms, solution
 
 
-def spectral_loss(features, labels, method, k=None, jitter=1e-8):
-    """Negated sum of the top-k eigenvalues of the method pencil on features.
+def spectral_loss(features, labels, spec, jitter=1e-8):
+    """Negated sum of the top-k eigenvalues of a ModelSpec's pencil on features.
 
     Returns ``(loss, solution)``.  A failed Cholesky gets one retry with a
     jitter-scaled ridge added to the constraint.
     """
-    if k is not None and k != method.k:
-        method = replace(method, k=int(k))
-    terms = _terms(method, features, labels)
-    problem = pencil(terms, features, method.k, method.gamma)
-    solution, _ = _solve_with_retry(problem, jitter)
+    _, solution = _solve_spec(spec, features, labels, jitter)
     return float(-solution.eigenvalues.sum()), solution
 
 
@@ -230,7 +231,7 @@ def _backprop(net, cache, grad_out, activation, work):
     return dWs, dbs
 
 
-def _loss_and_grads(nets, views, labels, method, activation, jitter, work=None):
+def _loss_and_grads(nets, views, labels, spec, activation, jitter, work=None):
     if work is None:
         work = _Workspace(nets, views[0].shape[1])
     caches = [
@@ -238,10 +239,8 @@ def _loss_and_grads(nets, views, labels, method, activation, jitter, work=None):
         for net, X, out in zip(nets, views, work.acts)
     ]
     features = [c[-1] for c in caches]
-    terms = _terms(method, features, labels)
-    problem = pencil(terms, features, method.k, method.gamma)
-    solution, solved = _solve_with_retry(problem, jitter)
-    if method.k < solved.dim and solution.spectrum_gap < jitter:
+    terms, solution = _solve_spec(spec, features, labels, jitter)
+    if spec.k < len(solution.P) and solution.spectrum_gap < jitter:
         raise NumericalError(
             f"eigenvalue crossing at the k-cut (gap {solution.spectrum_gap:.3e}); "
             "reduce k or increase the jitter"
@@ -260,7 +259,8 @@ def _loss_and_grads(nets, views, labels, method, activation, jitter, work=None):
 def loss_gradient(nets, dataset, config, method, activation="tanh"):
     """Per-parameter gradients of the spectral loss at the current weights.
 
-    Returns one ``(dWs, dbs)`` pair per view, shapes matching the networks.
+    ``method`` is the ModelSpec trained against.  Returns one ``(dWs, dbs)``
+    pair per view, shapes matching the networks.
     """
     _, _, _, grads = _loss_and_grads(
         nets, list(dataset.views), dataset.labels, method, activation, config.jitter
@@ -305,18 +305,16 @@ def _flatten_grads(param_grads):
     return flat
 
 
-def train(dataset, method, mlp_config, trainer_config):
-    """Train per-view networks against the spectral loss of a method.
+def train(dataset, spec, mlp_config, trainer_config):
+    """Train per-view networks against the spectral loss of a ModelSpec.
 
     Runs ``epochs`` full-batch evaluations; every epoch except the last is
     followed by one Adam step, so the returned history and model correspond
     to the final weights.  Returns ``(nets, model, history)`` where ``model``
     is the linear subspace model fitted on the final network outputs.
     """
-    if mlp_config.out_dim < method.k:
-        raise ValueError(
-            f"out_dim={mlp_config.out_dim} must be at least k={method.k}"
-        )
+    if mlp_config.out_dim < spec.k:
+        raise ValueError(f"out_dim={mlp_config.out_dim} must be at least k={spec.k}")
     nets = init_networks(dataset, mlp_config)
     activation = mlp_config.activation
     params = _flatten_params(nets)
@@ -333,7 +331,7 @@ def train(dataset, method, mlp_config, trainer_config):
     final = None
     for epoch in range(trainer_config.epochs):
         loss, solution, features, param_grads = _loss_and_grads(
-            nets, views, dataset.labels, method, activation, trainer_config.jitter,
+            nets, views, dataset.labels, spec, activation, trainer_config.jitter,
             work,
         )
         history.append(loss)
@@ -343,7 +341,7 @@ def train(dataset, method, mlp_config, trainer_config):
         adam.step(params, _flatten_grads(param_grads))
     solution, features = final
     feature_ds = MultiViewDataset(tuple(features), dataset.labels)
-    model = fit_solved(feature_ds, solution, method.spec)
+    model = fit_solved(feature_ds, solution, spec)
     return nets, model, np.asarray(history)
 
 

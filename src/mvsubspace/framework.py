@@ -71,13 +71,14 @@ class ModelSpec:
             raise ValueError(f"unknown input transform {self.input_transform!r}")
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
+        weights = [("gamma", self.gamma), ("lam", self.lam)]
         for rid, w in self.regularizers:
             if rid not in REGULARIZERS:
                 raise ValueError(f"unknown regularizer builder {rid!r}")
-            if w < 0:
-                raise ValueError(f"regularizer weight for {rid!r} must be nonnegative")
+            weights.append((f"regularizer weight for {rid!r}", w))
+        for name, value in weights:
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
 @dataclass(frozen=True)

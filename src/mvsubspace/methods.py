@@ -2,10 +2,11 @@
 
 Every method here is one row of ``_CATALOG``: the input transform, target
 kind and weighted regularizers of a ``framework.ModelSpec``, with "lam"
-standing for the method's own lam.  ``MethodId.spec`` is that spec, and
-``build`` materializes it through ``framework.assemble``, the same route as
-any other spec; the deep extension takes its gradient terms from the same
-spec, so the linear and deep paths cannot drift apart.
+standing for the method's own lam.  ``MethodId(name, k, gamma, lam)`` returns
+that row's spec, with the name in ``spec.method``; there is no other model
+type.  ``build`` and ``fit`` take any spec and materialize it through
+``framework.assemble``, and the deep extension trains on the same spec, so
+the linear and deep paths cannot drift apart.
 
 Methods (CLI spellings):
 
@@ -35,8 +36,6 @@ the build or the solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .framework import ModelSpec, assemble, fit_solved, label_readers
 from .gevd import solve
 
@@ -59,54 +58,36 @@ METHOD_NAMES = tuple(_CATALOG)
 LAMBDA_METHODS = ("MvDA_VC", "MLDA", "GMA", "MvDA_CCA")
 
 
-@dataclass(frozen=True)
-class MethodId:
-    """A catalog method plus its hyperparameters."""
-
-    name: str
-    k: int
-    gamma: float = 1e-4
-    lam: float = 1e-2
-
-    def __post_init__(self):
-        if self.name not in METHOD_NAMES:
-            raise ValueError(
-                f"unknown method {self.name!r}; expected one of {METHOD_NAMES}"
-            )
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
-        if self.gamma < 0 or self.lam < 0:
-            raise ValueError("gamma and lam must be nonnegative")
-
-    @property
-    def spec(self):
-        """The method's ModelSpec."""
-        transform, target, regularizers = _CATALOG[self.name]
-        return ModelSpec(
-            target_kind=target,
-            k=self.k,
-            gamma=self.gamma,
-            lam=self.lam,
-            input_transform=transform,
-            regularizers=tuple(
-                (rid, self.lam if w == "lam" else w) for rid, w in regularizers
-            ),
-            method=self.name,
+def MethodId(name, k, gamma=1e-4, lam=1e-2):
+    """The ModelSpec of catalog method ``name`` with these hyperparameters."""
+    if name not in _CATALOG:
+        raise ValueError(
+            f"unknown method {name!r}; expected one of {', '.join(METHOD_NAMES)}"
         )
+    transform, target, regularizers = _CATALOG[name]
+    return ModelSpec(
+        target_kind=target,
+        k=k,
+        gamma=gamma,
+        lam=lam,
+        input_transform=transform,
+        regularizers=tuple((rid, lam if w == "lam" else w) for rid, w in regularizers),
+        method=name,
+    )
 
 
 SUPERVISED_METHODS = tuple(
-    name for name in METHOD_NAMES if label_readers(MethodId(name, k=1).spec)
+    name for name in METHOD_NAMES if label_readers(MethodId(name, k=1))
 )
 
 
-def build(method, dataset):
-    """Build a method's GevdProblem from a dataset."""
-    return assemble(dataset, method.spec)
+def build(spec, dataset):
+    """Build a ModelSpec's GevdProblem from a dataset."""
+    return assemble(dataset, spec)
 
 
-def fit(method, dataset):
-    """Fit a catalog method: build, GEVD solve, closed-form W."""
-    problem = build(method, dataset)
+def fit(spec, dataset):
+    """Fit a ModelSpec: build, GEVD solve, closed-form W."""
+    problem = build(spec, dataset)
     solution = solve(problem)
-    return fit_solved(dataset, solution, method.spec)
+    return fit_solved(dataset, solution, spec)

@@ -3,7 +3,7 @@
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from mvsubspace import MultiViewDataset, build_indicator
+from mvsubspace import ModelSpec, MultiViewDataset, build_indicator
 from mvsubspace.framework import pencil
 from mvsubspace.gevd import GevdSolution, NumericalError, _fix_signs
 from mvsubspace.scatter import (
@@ -11,6 +11,14 @@ from mvsubspace.scatter import (
     label_kernels,
     pseudo_inverse_coupling,
     symmetrize,
+)
+
+
+# Every regularizer at a nonzero weight: a spec no catalog method spells.
+EVERY_REGULARIZER = ModelSpec(
+    "centered_onehot", k=1, lam=0.3,
+    regularizers=(("mean", 0.5), ("representer", 0.2), ("hsic", 0.3),
+                  ("cca", 0.4), ("lda", 0.7), ("joint", 0.6)),
 )
 
 
@@ -147,7 +155,7 @@ def catalog_terms(method, n, labels, v):
     are the same pencils spelled directly.  MCCA uses one class; ``labels``
     may be None only there.
     """
-    name = method.name
+    name = method.method
     lam = method.lam
     if name == "MCCA":
         labels = np.ones(n, dtype=int)

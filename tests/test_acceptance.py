@@ -5,6 +5,7 @@ Run with ``pytest -s tests/test_acceptance.py`` to see every verdict; without
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
@@ -42,6 +43,7 @@ from mvsubspace.scatter import label_kernels, materialize
 from mvsubspace.toy import make_toy_dataset
 
 from helpers import (
+    EVERY_REGULARIZER,
     balanced_labels,
     catalog_pencil,
     dense_label_kernels,
@@ -260,11 +262,17 @@ def test_criterion_07_two_view_correlation_matches_cca():
 
 
 def test_criterion_08_deep_gradients_match_finite_differences():
-    """Analytic parameter gradients vs central differences, 20 instances."""
+    """Analytic parameter gradients vs central differences, 24 instances: five
+    catalog methods and one regularized spec that no catalog method spells."""
     t0 = time.monotonic()
     worst = -np.inf
     count = 0
-    for name in ("MvOPLS", "MvLDA", "MvMDA", "MLDA", "MvDA_CCA"):
+    specs = [
+        MethodId(name, k=2, gamma=1e-3, lam=0.3)
+        for name in ("MvOPLS", "MvLDA", "MvMDA", "MLDA", "MvDA_CCA")
+    ]
+    specs.append(replace(EVERY_REGULARIZER, k=2, gamma=1e-3))
+    for method in specs:
         for activation in ("tanh", "sigmoid"):
             for seed in (17, 18):
                 rng = np.random.default_rng(seed)
@@ -273,7 +281,6 @@ def test_criterion_08_deep_gradients_match_finite_differences():
                     rng.standard_normal((d, 9)) + 0.8 * labels for d in (4, 3)
                 )
                 ds = MultiViewDataset(views, labels)
-                method = MethodId(name, k=2, gamma=1e-3, lam=0.3)
                 mlp = MlpConfig(
                     hidden=(5,), out_dim=4, activation=activation, seed=seed
                 )

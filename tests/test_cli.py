@@ -160,6 +160,35 @@ def test_depth_sweep_needs_deep(toy_dir, tmp_path, capsys):
     assert "needs deep = true" in capsys.readouterr().err
 
 
+def test_depth_list_is_checked_before_the_first_fit(toy_dir, tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path / "sweep.cfg", dataset=str(toy_dir), method="MvOPLS",
+        k="1", train_fraction="0.5", repeats="1", deep="true", depth="3,1",
+        hidden_width="4", epochs="2",
+    )
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "depth must be at least 2" in captured.err
+    assert captured.out == ""
+    assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["classify", "sweep"])
+@pytest.mark.parametrize("repeats", ["0", "-2"])
+def test_repeats_below_one_is_a_config_error(
+    toy_dir, tmp_path, capsys, command, repeats
+):
+    cfg = write_cfg(
+        tmp_path / "r.cfg", dataset=str(toy_dir), method="MvOPLS", k="1",
+        train_fraction="0.5", repeats=repeats,
+    )
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    captured = capsys.readouterr()
+    assert "repeats must be at least 1" in captured.err
+    assert captured.out == ""
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert main(["fit", "--config", str(tmp_path / "nope.cfg")]) == 2
     assert "not found" in capsys.readouterr().err
@@ -188,6 +217,21 @@ def test_unknown_method(toy_dir, tmp_path, capsys):
     cfg = write_cfg(tmp_path / "bad.cfg", dataset=str(toy_dir), method="PLS", k="1")
     assert main(["fit", "--config", cfg, "--out", str(tmp_path / "m")]) == 2
     assert "unknown method" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "keys, field",
+    [
+        ({"method": "MvOPLS", "gamma": "nan"}, "gamma"),
+        ({"method": "MLDA", "lambda": "inf"}, "lam"),
+    ],
+)
+def test_non_finite_hyperparameters_are_config_errors(
+    toy_dir, tmp_path, capsys, keys, field
+):
+    cfg = write_cfg(tmp_path / "bad.cfg", dataset=str(toy_dir), k="1", **keys)
+    assert main(["fit", "--config", cfg, "--out", str(tmp_path / "m")]) == 2
+    assert f"{field} must be finite and nonnegative" in capsys.readouterr().err
 
 
 def test_k_beyond_dimension(toy_dir, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Per-view networks, the spectral loss, and its analytic gradients."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -104,7 +106,8 @@ def test_full_k_loss_is_whitened_trace():
     mlp = MlpConfig(hidden=(3,), out_dim=2)
     nets = init_networks(ds, mlp)
     features = forward_views(nets, list(ds.views), "tanh")
-    loss, _ = spectral_loss(features, ds.labels, method, k=4)  # 2 views x out 2
+    full = replace(method, k=4)  # 2 views x out 2
+    loss, _ = spectral_loss(features, ds.labels, full)
     prob = build(method, MultiViewDataset(tuple(features), ds.labels))
     want = -np.trace(np.linalg.solve(prob.constraint, prob.objective))
     assert loss == pytest.approx(want, rel=1e-9)

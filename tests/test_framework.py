@@ -197,6 +197,20 @@ def test_model_spec_validation():
         ModelSpec(target_kind="identity_n", k=1, input_transform="scaled")
 
 
+@pytest.mark.parametrize("value", [-0.5, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "field, keys",
+    [
+        ("gamma", lambda w: {"gamma": w}),
+        ("lam", lambda w: {"lam": w}),
+        ("regularizer weight for 'hsic'", lambda w: {"regularizers": (("hsic", w),)}),
+    ],
+)
+def test_model_spec_rejects_negative_and_non_finite_weights(field, keys, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite and nonnegative"):
+        ModelSpec(target_kind="sigma_invsqrt_onehot", k=1, **keys(value))
+
+
 @pytest.mark.parametrize(
     "target, regularizers, route",
     [

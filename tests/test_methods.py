@@ -9,6 +9,7 @@ from mvsubspace import (
     SUPERVISED_METHODS,
     GevdProblem,
     MethodId,
+    ModelSpec,
     MultiViewDataset,
     NumericalError,
     build,
@@ -37,7 +38,7 @@ def test_fitted_models_satisfy_their_pencil(name):
     # adding gamma * I, up to the order of the sums.
     views = list(ds.views)
     objective, constraint = dense_materialize(
-        spec_terms(method.spec, ds.labels, ds.n_samples, len(views)), views
+        spec_terms(method, ds.labels, ds.n_samples, len(views)), views
     )
     old = GevdProblem(objective, constraint + method.gamma * np.eye(12), method.k)
     assert pencil_gap(prob.objective, old.objective) <= PENCIL_RTOL
@@ -62,14 +63,14 @@ ROUNDING_ONLY = ("MvDA", "MvDA_VC", "MvDA_CCA")
 def _assert_matches_oracle(method, ds):
     got, want = build(method, ds), catalog_pencil(method, ds)
     for g, w in ((got.objective, want.objective), (got.constraint, want.constraint)):
-        if method.name in ROUNDING_ONLY:
-            assert pencil_gap(g, w) <= PENCIL_RTOL, method.name
+        if method.method in ROUNDING_ONLY:
+            assert pencil_gap(g, w) <= PENCIL_RTOL, method.method
         else:
-            np.testing.assert_array_equal(g, w, err_msg=method.name)
+            np.testing.assert_array_equal(g, w, err_msg=method.method)
     assert (got.objective_factor is None) == (want.objective_factor is None)
     if got.objective_factor is not None:
         for g, w in zip(got.objective_factor, want.objective_factor):
-            np.testing.assert_array_equal(g, w, err_msg=method.name)
+            np.testing.assert_array_equal(g, w, err_msg=method.method)
 
 
 @pytest.mark.parametrize("name", METHOD_NAMES)
@@ -88,7 +89,7 @@ def test_catalog_matches_the_oracle_at_benchmark_shapes(dim, n):
 def test_mvlda_with_one_view_has_no_joint_terms():
     ds = random_dataset(seed=4, dims=(5,), classes=3, n=15)
     method = MethodId("MvLDA", k=2)
-    assert len(spec_terms(method.spec, ds.labels, ds.n_samples, 1)) == 2
+    assert len(spec_terms(method, ds.labels, ds.n_samples, 1)) == 2
     _assert_matches_oracle(method, ds)
 
 
@@ -172,6 +173,32 @@ def test_method_id_validation():
         MethodId("MCCA", k=0)
     with pytest.raises(ValueError, match="nonnegative"):
         MethodId("MCCA", k=1, gamma=-0.1)
+    with pytest.raises(ValueError, match="lam must be finite"):
+        MethodId("MvDA_VC", k=1, lam=-0.1)
+
+
+def _spelled_spec(name, k, gamma, lam):
+    """Each catalog method's ModelSpec written out by hand."""
+    target, regularizers = {
+        "MCCA": ("identity_n", ()),
+        "MvOPLS": ("sigma_invsqrt_onehot", ()),
+        "MvLDA": ("sigma_invsqrt_onehot", (("joint", 1.0),)),
+        "MvDA": ("sigma_invsqrt_onehot", (("mean", 1.0),)),
+        "MvDA_VC": ("sigma_invsqrt_onehot", (("mean", 1.0), ("representer", lam))),
+        "MvMDA": ("centered_normalized_label", (("hsic", 1.0),)),
+        "MLDA": ("identity_n", (("lda", 1.0),)),
+        "GMA": ("identity_n", (("lda", 1.0), ("hsic", 1.0))),
+        "MvDA_CCA": ("sigma_invsqrt_onehot", (("mean", 1.0), ("cca", lam))),
+    }[name]
+    return ModelSpec(target, k, gamma, lam, "centered", regularizers, name)
+
+
+@pytest.mark.parametrize("gamma, lam", [(1e-4, 1e-2), (1e-3, 0.3)])
+@pytest.mark.parametrize("name", METHOD_NAMES)
+def test_method_id_is_the_catalog_spec(name, gamma, lam):
+    spec = MethodId(name, 3, gamma, lam)
+    assert type(spec) is ModelSpec
+    assert spec == _spelled_spec(name, 3, gamma, lam)
 
 
 FACTORED_METHODS = ("MvOPLS", "MvLDA", "MvDA", "MvDA_VC", "MvMDA")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mvsubspace import METHOD_NAMES, MethodId, ModelSpec, build_indicator
+from mvsubspace import METHOD_NAMES, MethodId, build_indicator
 from mvsubspace.data import center_columns
 from mvsubspace.framework import REGULARIZERS, spec_terms
 from mvsubspace.scatter import (
@@ -17,6 +17,7 @@ from mvsubspace.scatter import (
 )
 
 from helpers import (
+    EVERY_REGULARIZER,
     PENCIL_RTOL,
     balanced_labels,
     between_class_scatter,
@@ -84,7 +85,7 @@ SHAPES = {
 def test_method_pencils_match_dense_materialize(name, shape):
     dims, n = SHAPES[shape]
     ds = random_dataset(seed=len(dims) + n, dims=dims, classes=3, n=n)
-    terms = spec_terms(MethodId(name, k=1, lam=0.3).spec, ds.labels, n, len(dims))
+    terms = spec_terms(MethodId(name, k=1, lam=0.3), ds.labels, n, len(dims))
     got = materialize(terms, ds.views)
     want = dense_materialize(terms, ds.views)
     for g, w in zip(got, want):
@@ -103,14 +104,6 @@ def test_regularizers_match_dense_materialize(rid, dims, n):
     want = dense_materialize(terms, views)
     for g, w in zip(got, want):
         assert pencil_gap(g, w) <= PENCIL_RTOL
-
-
-# Every regularizer at a nonzero weight: a spec no catalog method spells.
-EVERY_REGULARIZER = ModelSpec(
-    "centered_onehot", k=1, lam=0.3,
-    regularizers=(("mean", 0.5), ("representer", 0.2), ("hsic", 0.3),
-                  ("cca", 0.4), ("lda", 0.7), ("joint", 0.6)),
-)
 
 
 @pytest.mark.parametrize("dims, n", [((3, 4, 2), 12), ((3, 2), 12)])
