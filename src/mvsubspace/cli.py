@@ -157,10 +157,10 @@ def _prepare_split(ds, cfg, seed, use_pca):
     return train, test
 
 
-def _embeddings(cfg, train, test, spec, k):
+def _embeddings(cfg, train, test, spec):
     """Fit on train and embed both sides; handles the deep path."""
     if _get_bool(cfg, "deep"):
-        mlp_cfg = _mlp_config(cfg, k)
+        mlp_cfg = _mlp_config(cfg, spec.k)
         nets, model, history = deep_mod.train(train, spec, mlp_cfg, _trainer_config(cfg))
         feats_train = deep_mod.forward_views(nets, train.views, mlp_cfg.activation)
         feats_test = deep_mod.forward_views(nets, test.views, mlp_cfg.activation)
@@ -175,15 +175,14 @@ def _embeddings(cfg, train, test, spec, k):
     return Z_train, Z_test, per_test, model
 
 
-def _accuracy_runs(cfg, ds, k, seed):
+def _accuracy_runs(cfg, ds, spec, seed):
     repeats = _get_int(cfg, "repeats")
     if repeats < 1:
         raise ConfigError(f"repeats must be at least 1, got {repeats}")
-    spec = _spec(cfg, k)
     accs = []
     for r in range(repeats):
         train, test = _prepare_split(ds, cfg, seed + r, _get_bool(cfg, "pca"))
-        Z_train, Z_test, _, _ = _embeddings(cfg, train, test, spec, k)
+        Z_train, Z_test, _, _ = _embeddings(cfg, train, test, spec)
         clf = evaluation.train_linear_classifier(
             Z_train, train.labels, ridge=_get_float(cfg, "ridge")
         )
@@ -227,7 +226,7 @@ def cmd_classify(cfg, out_dir, seed):
     lines = []
     rows = ["k,accuracy_mean,accuracy_std"]
     for k in ks:
-        accs = _accuracy_runs(cfg, ds, k, seed)
+        accs = _accuracy_runs(cfg, ds, _spec(cfg, k), seed)
         lines.append(f"k = {k}")
         lines.append(f"accuracy_mean = {accs.mean():.6f}")
         lines.append(f"accuracy_std = {accs.std():.6f}")
@@ -254,7 +253,7 @@ def cmd_retrieve(cfg, out_dir, seed):
     k = _split_list(cfg, "k", int)[0]
     train, test = _prepare_split(ds, cfg, seed, _get_bool(cfg, "pca"))
     spec = _spec(cfg, k)
-    _, _, per_test, _ = _embeddings(cfg, train, test, spec, k)
+    _, _, per_test, _ = _embeddings(cfg, train, test, spec)
     result = evaluation.cross_modal_retrieve(
         per_test[0], test.labels, per_test[1], test.labels
     )
@@ -281,14 +280,17 @@ def cmd_sweep(cfg, out_dir, seed):
     if out_dir is None:
         raise ConfigError("sweep needs an output directory (--out or out_dir)")
     ks = _split_list(cfg, "k", int)
-    fracs = (
-        _split_list(cfg, "train_fraction", float)
-        if "train_fraction" in cfg
-        else None
-    )
-    if fracs is None:
+    if "train_fraction" not in cfg:
         raise ConfigError("config key 'train_fraction' is required")
+    fracs = _split_list(cfg, "train_fraction", float)
     lams = _split_list(cfg, "lambda", float)
+    # Every cell is checked before the first fit prints its row.
+    method, gamma = _get(cfg, "method"), _get_float(cfg, "gamma")
+    specs = {
+        (k, lam): methods.MethodId(method, k, gamma, lam) for k in ks for lam in lams
+    }
+    if not all(0.0 < frac < 1.0 for frac in fracs):
+        raise ConfigError("train_fraction must lie strictly between 0 and 1")
     deep = _get_bool(cfg, "deep")
     depths = [None]
     if "depth" in cfg:
@@ -305,10 +307,9 @@ def cmd_sweep(cfg, out_dir, seed):
                 for depth in depths:
                     cell = dict(cfg)
                     cell["train_fraction"] = repr(frac)
-                    cell["lambda"] = repr(lam)
                     if depth is not None:
                         cell["hidden"] = ",".join([str(width)] * (depth - 1))
-                    accs = _accuracy_runs(cell, ds, k, seed)
+                    accs = _accuracy_runs(cell, ds, specs[k, lam], seed)
                     depth_tag = "" if depth is None else str(depth)
                     rows.append(
                         f"{k},{frac},{lam},{depth_tag},"

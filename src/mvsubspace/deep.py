@@ -30,6 +30,8 @@ from .gevd import GevdProblem, NumericalError, solve
 from .scatter import materialize_grads
 
 ACTIVATIONS = ("tanh", "sigmoid")
+# Adam's moment decay rates and denominator guard.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def _act(name, Z, out=None):
@@ -133,7 +135,7 @@ def forward_views(nets, views, activation):
 
 @dataclass(frozen=True)
 class TrainerConfig:
-    """Optimizer settings (full-batch Adam) plus the spectral-loss guards.
+    """Full-batch Adam's step size and epoch count plus the spectral-loss guard.
 
     ``jitter`` doubles as the threshold below which the spectrum gap at the
     k-cut counts as an eigenvalue crossing, and as the ridge bump used for a
@@ -141,21 +143,16 @@ class TrainerConfig:
     """
 
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     epochs: int = 200
     jitter: float = 1e-8
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("Adam betas must lie in [0, 1)")
-        if self.jitter < 0:
-            raise ValueError("jitter must be nonnegative")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and positive")
+        if not (np.isfinite(self.jitter) and self.jitter >= 0):
+            raise ValueError("jitter must be finite and nonnegative")
 
 
 def _solve_with_retry(problem, jitter):
@@ -269,24 +266,21 @@ def loss_gradient(nets, dataset, config, method, activation="tanh"):
 
 
 class _Adam:
-    def __init__(self, shapes, lr, beta1, beta2, eps):
+    def __init__(self, shapes, lr):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros(s) for s in shapes]
         self.v = [np.zeros(s) for s in shapes]
 
     def step(self, params, grads):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for i, (p, g) in enumerate(zip(params, grads)):
             self.m[i] = b1 * self.m[i] + (1 - b1) * g
             self.v[i] = b2 * self.v[i] + (1 - b2) * (g * g)
             m_hat = self.m[i] / (1 - b1**self.t)
             v_hat = self.v[i] / (1 - b2**self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def _flatten_params(nets):
@@ -318,13 +312,7 @@ def train(dataset, spec, mlp_config, trainer_config):
     nets = init_networks(dataset, mlp_config)
     activation = mlp_config.activation
     params = _flatten_params(nets)
-    adam = _Adam(
-        [p.shape for p in params],
-        trainer_config.learning_rate,
-        trainer_config.beta1,
-        trainer_config.beta2,
-        trainer_config.eps,
-    )
+    adam = _Adam([p.shape for p in params], trainer_config.learning_rate)
     views = list(dataset.views)
     work = _Workspace(nets, dataset.n_samples)
     history = []

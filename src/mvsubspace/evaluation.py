@@ -84,8 +84,11 @@ def train_linear_classifier(Z, labels, ridge=1e-4):
     """Fit the one-vs-rest ridge classifier on columns of Z.
 
     ``labels`` are integers >= 1, class r scoring in row r - 1; a class below
-    the largest label may be absent from training.
+    the largest label may be absent from training.  ``ridge`` must be finite
+    and nonnegative.
     """
+    if not (np.isfinite(ridge) and ridge >= 0):
+        raise ValueError(f"ridge must be finite and nonnegative, got {ridge}")
     Z = np.asarray(Z, dtype=float)
     labels = _labels_for(labels, "labels", Z, "Z")
     if not np.issubdtype(labels.dtype, np.integer) or (labels < 1).any():

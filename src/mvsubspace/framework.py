@@ -1,20 +1,20 @@
 """Unified assembly of multi-view subspace models.
 
-A ModelSpec names an input transform, a target kind, a list of weighted
-regularizers, and the hyperparameters (k, gamma, lam).  ``spec_terms`` writes
-it as one list of ``scatter.KernelTerm``s over the raw views X, with H the
-input transform's kernel (H_n, or the identity for raw views) and every label
-kernel on one shared class indicator: the target term dense(X H T^T T H X^T),
-the constraint term blockdiag(X_s H X_s^T) and each regularizer's terms
-scaled by its weight.  The indicator is that of the labels when the spec
-reads labels (a supervised target kind or a labelled regularizer) and the
-one-class indicator otherwise.  ``pencil`` materializes the terms in one
-call and adds the Tikhonov ridge gamma I to the constraint; ``assemble`` is
-the two together.  Every catalog method of ``methods`` is such a spec, and
-the deep extension takes its gradient terms from the same list.  ``fit``
-solves the eigenproblem and recovers the regression weights in closed form,
-W = P^T X H T^T, which is exact because the constraint makes the whitened
-Gram the identity.
+Every model is fitted on centred views.  A ModelSpec names a target kind, a
+list of weighted regularizers, and the hyperparameters (k, gamma, lam).
+``spec_terms`` writes it as one list of ``scatter.KernelTerm``s over the raw
+views X, with H = H_n the centering kernel and every label kernel on one
+shared class indicator: the target term dense(X H T^T T H X^T) through the
+kernel ``TARGET_KERNELS`` names, the constraint term blockdiag(X_s H X_s^T)
+and each regularizer's terms scaled by its weight.  The indicator is that of
+the labels when the spec reads labels (a supervised target kind or a
+labelled regularizer) and the one-class indicator otherwise.  ``pencil``
+materializes the terms in one call and adds the Tikhonov ridge gamma I to
+the constraint; ``assemble`` is the two together.  Every catalog method of
+``methods`` is such a spec, and the deep extension takes its gradient terms
+from the same list.  ``fit`` solves the eigenproblem and recovers the
+regression weights in closed form, W = P^T X H T^T, which is exact because
+the constraint makes the whitened Gram the identity.
 """
 
 from __future__ import annotations
@@ -28,19 +28,27 @@ import numpy as np
 from . import regularizers as reg
 from .data import TARGET_KINDS, build_indicator, center_columns, make_target
 from .gevd import GevdProblem, solve
-from .scatter import KernelTerm, LabelKernel, label_kernels, materialize_with_factor
+from .scatter import KernelTerm, label_kernels, materialize_with_factor
 
-INPUT_TRANSFORMS = ("centered", "raw")
 SUPERVISED_KINDS = tuple(k for k in TARGET_KINDS if k != "identity_n")
 
-# Regularizer id -> builder(n_views, label kernels, transform kernel, lam).
+# Target kind -> the ``label_kernels`` name of H T^T T H for the target T of
+# ``make_target`` (T H = T for the centred kinds).
+TARGET_KERNELS = {
+    "identity_n": "centering",
+    "sigma_invsqrt_onehot": "between",
+    "centered_normalized_label": "center_distance",
+    "centered_onehot": "centered_onehot",
+}
+
+# Regularizer id -> builder(n_views, label kernels, lam).
 REGULARIZERS = {
-    "mean": lambda v, K, transform, lam: reg.mean_consistency(v, K),
-    "representer": lambda v, K, transform, lam: reg.representer_consistency(),
-    "hsic": lambda v, K, transform, lam: reg.hsic_alignment(K),
-    "cca": lambda v, K, transform, lam: reg.cca_coupling(v, transform),
-    "lda": lambda v, K, transform, lam: reg.lda_per_view(K, lam),
-    "joint": lambda v, K, transform, lam: reg.joint_constraint(v, transform),
+    "mean": lambda v, K, lam: reg.mean_consistency(v, K),
+    "representer": lambda v, K, lam: reg.representer_consistency(),
+    "hsic": lambda v, K, lam: reg.hsic_alignment(K),
+    "cca": lambda v, K, lam: reg.cca_coupling(v, K["centering"]),
+    "lda": lambda v, K, lam: reg.lda_per_view(K, lam),
+    "joint": lambda v, K, lam: reg.joint_constraint(v, K["centering"]),
 }
 LABELED_REGULARIZERS = ("hsic", "lda")
 
@@ -60,15 +68,12 @@ class ModelSpec:
     k: int
     gamma: float = 1e-4
     lam: float = 1e-2
-    input_transform: str = "centered"
     regularizers: tuple = ()
     method: str | None = None
 
     def __post_init__(self):
         if self.target_kind not in TARGET_KINDS:
             raise ValueError(f"unknown target kind {self.target_kind!r}")
-        if self.input_transform not in INPUT_TRANSFORMS:
-            raise ValueError(f"unknown input transform {self.input_transform!r}")
         if self.k < 1:
             raise ValueError("k must be at least 1")
         weights = [("gamma", self.gamma), ("lam", self.lam)]
@@ -101,11 +106,8 @@ class SubspaceModel:
 
 
 def _views_times_target(dataset, spec):
-    """X H T^T (d x o) over the stacked transformed views; X H for identity_n."""
-    views = dataset.views
-    if spec.input_transform == "centered":
-        views = [center_columns(X) for X in views]
-    stacked = np.vstack(views)
+    """X H T^T (d x o) over the stacked centred views; X H for identity_n."""
+    stacked = np.vstack([center_columns(X) for X in dataset.views])
     if spec.target_kind == "identity_n":
         return stacked
     return stacked @ make_target(dataset, spec.target_kind).values.T
@@ -126,24 +128,6 @@ def label_readers(spec):
     return [name for name in names if name in SUPERVISED_KINDS + LABELED_REGULARIZERS]
 
 
-def _target_kernel(kind, indicator, K, transform):
-    """H T^T T H as a label kernel for the target T of ``make_target`` and
-    the transform kernel H (None for raw views); T H = T for the centred kinds.
-    """
-    if kind == "identity_n":
-        return transform
-    if kind == "centered_normalized_label":
-        return K["center_distance"]
-    if kind == "sigma_invsqrt_onehot":
-        if transform is not None:
-            return K["between"]
-        return LabelKernel(0.0, indicator.Y, np.diag(1.0 / indicator.counts))
-    # centered_onehot: T = Y H_n = R Y with R = I - cnt 1^T / n.
-    counts = indicator.counts
-    R = np.eye(len(counts)) - np.outer(counts, np.ones(len(counts))) / counts.sum()
-    return LabelKernel(0.0, indicator.Y, R.T @ R)
-
-
 def spec_terms(spec, labels, n, v):
     """The KernelTerms of a ModelSpec on n samples of v views (gamma excluded).
 
@@ -157,15 +141,13 @@ def spec_terms(spec, labels, n, v):
         raise ValueError(f"{readers[0]} needs labels")
     indicator = build_indicator(labels)
     K = label_kernels(indicator)
-    transform = K["centering"] if spec.input_transform == "centered" else None
-    target = _target_kernel(spec.target_kind, indicator, K, transform)
     terms = [
-        KernelTerm("objective", "dense", 1.0, target),
-        KernelTerm("constraint", "blockdiag", 1.0, transform),
+        KernelTerm("objective", "dense", 1.0, K[TARGET_KERNELS[spec.target_kind]]),
+        KernelTerm("constraint", "blockdiag", 1.0, K["centering"]),
     ]
     for rid, w in spec.regularizers:
         if w:
-            built = REGULARIZERS[rid](v, K, transform, spec.lam)
+            built = REGULARIZERS[rid](v, K, spec.lam)
             terms += [replace(term, coeff=w * term.coeff) for term in built]
     return terms
 
@@ -204,19 +186,18 @@ def fit(dataset, spec):
 def embed(model, dataset):
     """Project a dataset into the learned subspace.
 
-    Views are centered with the *training* means when the model was fitted on
-    centered views, so held-out data lands in the same frame.  Returns the
-    per-view k x n embeddings and their (v k) x n vertical stack.
+    Views are centered with the *training* means, so held-out data lands in
+    the same frame.  Returns the per-view k x n embeddings and their (v k) x n
+    vertical stack.
     """
     if dataset.dims != model.dims:
         raise ValueError(
             f"dataset dims {dataset.dims} do not match model dims {model.dims}"
         )
-    per_view = []
-    for P, mu, X in zip(model.projections, model.means, dataset.views):
-        if model.spec.input_transform == "centered":
-            X = X - mu[:, None]
-        per_view.append(P.T @ X)
+    per_view = [
+        P.T @ (X - mu[:, None])
+        for P, mu, X in zip(model.projections, model.means, dataset.views)
+    ]
     return per_view, np.vstack(per_view)
 
 
@@ -261,7 +242,6 @@ def save_model(model, out_dir):
         "gamma": float(model.spec.gamma),
         "lam": float(model.spec.lam),
         "target_kind": model.spec.target_kind,
-        "input_transform": model.spec.input_transform,
         "regularizers": [[rid, float(w)] for rid, w in model.spec.regularizers],
         "method": model.spec.method,
         "dims": [int(d) for d in model.dims],
@@ -274,15 +254,20 @@ def save_model(model, out_dir):
 
 
 def load_model(model_dir):
-    """Rebuild a SubspaceModel saved by ``save_model``."""
+    """Rebuild a SubspaceModel saved by ``save_model``.
+
+    Older files record ``"input_transform": "centered"``; a model fitted on
+    any other transform cannot be represented and raises ValueError.
+    """
     root = Path(model_dir)
     meta = json.loads((root / "meta.json").read_text())
+    if meta.get("input_transform", "centered") != "centered":
+        raise ValueError(f"unsupported input transform {meta['input_transform']!r}")
     spec = ModelSpec(
         target_kind=meta["target_kind"],
         k=int(meta["k"]),
         gamma=float(meta["gamma"]),
         lam=float(meta["lam"]),
-        input_transform=meta["input_transform"],
         regularizers=tuple((rid, float(w)) for rid, w in meta["regularizers"]),
         method=meta.get("method"),
     )

@@ -1,12 +1,13 @@
 """Catalog of multi-view subspace methods as ModelSpecs.
 
-Every method here is one row of ``_CATALOG``: the input transform, target
-kind and weighted regularizers of a ``framework.ModelSpec``, with "lam"
-standing for the method's own lam.  ``MethodId(name, k, gamma, lam)`` returns
-that row's spec, with the name in ``spec.method``; there is no other model
-type.  ``build`` and ``fit`` take any spec and materialize it through
-``framework.assemble``, and the deep extension trains on the same spec, so
-the linear and deep paths cannot drift apart.
+Every method here is one row of ``_CATALOG``: the target kind and weighted
+regularizers of a ``framework.ModelSpec``, with "lam" standing for the
+method's own lam; like every spec, it is fitted on centred views.
+``MethodId(name, k, gamma, lam)`` returns that row's spec, with the name in
+``spec.method``; there is no other model type.  ``build`` and ``fit`` take
+any spec and materialize it through ``framework.assemble``, and the deep
+extension trains on the same spec, so the linear and deep paths cannot drift
+apart.
 
 Methods (CLI spellings):
 
@@ -39,19 +40,17 @@ from __future__ import annotations
 from .framework import ModelSpec, assemble, fit_solved, label_readers
 from .gevd import solve
 
-# name -> (input transform, target kind, ((regularizer id, weight), ...)).
+# name -> (target kind, ((regularizer id, weight), ...)).
 _CATALOG = {
-    "MCCA": ("centered", "identity_n", ()),
-    "MvOPLS": ("centered", "sigma_invsqrt_onehot", ()),
-    "MvLDA": ("centered", "sigma_invsqrt_onehot", (("joint", 1.0),)),
-    "MvDA": ("centered", "sigma_invsqrt_onehot", (("mean", 1.0),)),
-    "MvDA_VC": (
-        "centered", "sigma_invsqrt_onehot", (("mean", 1.0), ("representer", "lam"))
-    ),
-    "MvMDA": ("centered", "centered_normalized_label", (("hsic", 1.0),)),
-    "MLDA": ("centered", "identity_n", (("lda", 1.0),)),
-    "GMA": ("centered", "identity_n", (("lda", 1.0), ("hsic", 1.0))),
-    "MvDA_CCA": ("centered", "sigma_invsqrt_onehot", (("mean", 1.0), ("cca", "lam"))),
+    "MCCA": ("identity_n", ()),
+    "MvOPLS": ("sigma_invsqrt_onehot", ()),
+    "MvLDA": ("sigma_invsqrt_onehot", (("joint", 1.0),)),
+    "MvDA": ("sigma_invsqrt_onehot", (("mean", 1.0),)),
+    "MvDA_VC": ("sigma_invsqrt_onehot", (("mean", 1.0), ("representer", "lam"))),
+    "MvMDA": ("centered_normalized_label", (("hsic", 1.0),)),
+    "MLDA": ("identity_n", (("lda", 1.0),)),
+    "GMA": ("identity_n", (("lda", 1.0), ("hsic", 1.0))),
+    "MvDA_CCA": ("sigma_invsqrt_onehot", (("mean", 1.0), ("cca", "lam"))),
 }
 
 METHOD_NAMES = tuple(_CATALOG)
@@ -64,13 +63,12 @@ def MethodId(name, k, gamma=1e-4, lam=1e-2):
         raise ValueError(
             f"unknown method {name!r}; expected one of {', '.join(METHOD_NAMES)}"
         )
-    transform, target, regularizers = _CATALOG[name]
+    target, regularizers = _CATALOG[name]
     return ModelSpec(
         target_kind=target,
         k=k,
         gamma=gamma,
         lam=lam,
-        input_transform=transform,
         regularizers=tuple((rid, lam if w == "lam" else w) for rid, w in regularizers),
         method=name,
     )

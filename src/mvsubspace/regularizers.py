@@ -5,7 +5,10 @@ views, signed as they enter the pencil and all on one side: constraint terms
 act through the normalization of the projections, objective terms (penalties
 negated) through the coupling being maximized.  Label kernels are those of
 the pencil's one shared class indicator; ``framework.assemble`` scales each
-builder's terms by its weight.
+builder's terms by its weight.  The two builders that act on the views
+themselves, ``cca_coupling`` and ``joint_constraint``, take the kernel K of
+the views' transform: the framework passes the centering kernel H_n, since
+every model is fitted on centred views, and None stands for the identity.
 """
 
 from __future__ import annotations
@@ -49,12 +52,13 @@ def hsic_alignment(kernels):
 def cca_coupling(v, transform):
     """Penalty on pairwise distances between projected transformed views.
 
-    With Xt_s = X_s K the views under the input transform's kernel K
-    (``transform``; None for the identity), (1/2) sum_{s,t}
-    ||P_s^T Xt_s - P_t^T Xt_t||_F^2 is the quadratic form
+    With Xt_s = X_s K the views under the transform kernel K (``transform``),
+    (1/2) sum_{s,t} ||P_s^T Xt_s - P_t^T Xt_t||_F^2 is the quadratic form
     v * blockdiag(K) - dense(K); positive semidefinite, so its terms enter
-    the objective negated.
+    the objective negated.  One view has no pairs, so no terms.
     """
+    if v == 1:
+        return []
     return [
         KernelTerm("objective", "dense", 1.0, transform),
         KernelTerm("objective", "blockdiag", -float(v), transform),
@@ -64,10 +68,9 @@ def cca_coupling(v, transform):
 def joint_constraint(v, transform):
     """The cross-view blocks of the transformed views' covariance.
 
-    dense(K) - blockdiag(K) for the input transform's kernel K (``transform``;
-    None for the identity) on the constraint side: added to the per-view
-    constraint blockdiag(X_s K X_s^T), it gives the covariance dense(X K X^T)
-    of the concatenated views.  One view has no cross-view blocks, so no terms.
+    dense(K) - blockdiag(K) for the transform kernel K (``transform``) on the
+    constraint side: added to the per-view constraint blockdiag(X_s K X_s^T),
+    it gives the covariance dense(X K X^T) of the concatenated views.  One view has no cross-view blocks, so no terms.
     """
     if v == 1:
         return []

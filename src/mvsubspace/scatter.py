@@ -32,8 +32,8 @@ whatever the number of terms.  The objective's factor for the rank-c solve
 (``materialize_with_factor``) is this F and Mt.
 
 Exact zeros.  a vanishes in exact arithmetic for the centering, between,
-within and center_distance kernels; that is what makes them blind to the
-data mean.  Every entry of the computed a within 4 (c + 2) eps
+within, center_distance and centered_onehot kernels; that is what makes them
+blind to the data mean.  Every entry of the computed a within 4 (c + 2) eps
 (|eye| + (|M| cnt)_r) of zero, a bound on its rounding, is set to exactly 0,
 and when the mu row of a side's summed Mt is then zero, mu does not enter
 that side at all.  Without this step the rounding residue of a, multiplied
@@ -85,20 +85,24 @@ def label_kernels(indicator):
 
     With Sigma = Y Y^T, Q = Y^T Sigma^-1 Y and 1 1^T = Y^T 1_c 1_c^T Y:
     centering H_n = I - 1 1^T / n, between Q - 1 1^T / n, within I - Q (so
-    between + within = centering), mean 1 1^T / n, and center_distance
+    between + within = centering), mean 1 1^T / n, center_distance
     Y^T Sigma^-1 H_c Sigma^-1 Y, which spreads the class means of two views
-    around their average.  The one-class indicator gives the plain H_n.
+    around their average, and centered_onehot H_n Y^T Y H_n = Y^T R^T R Y with
+    R = I - cnt 1^T / n (Y H_n = R Y).  The one-class indicator gives the
+    plain H_n.
     """
-    Y, c = indicator.Y, indicator.n_classes
-    inv = np.diag(1.0 / indicator.counts)
+    Y, c, counts = indicator.Y, indicator.n_classes, indicator.counts
+    inv = np.diag(1.0 / counts)
     ones = np.full((c, c), 1.0 / Y.shape[1])
     Hc = np.eye(c) - 1.0 / c
+    R = np.eye(c) - np.outer(counts, np.ones(c)) / counts.sum()
     return {
         "centering": LabelKernel(1.0, Y, -ones),
         "between": LabelKernel(0.0, Y, inv - ones),
         "within": LabelKernel(1.0, Y, -inv),
         "mean": LabelKernel(0.0, Y, ones),
         "center_distance": LabelKernel(0.0, Y, inv @ Hc @ inv),
+        "centered_onehot": LabelKernel(0.0, Y, R.T @ R),
     }
 
 

@@ -87,12 +87,14 @@ def center_distance_kernel(indicator):
 def dense_label_kernels(indicator):
     """Dense forms of every kernel ``scatter.label_kernels`` returns."""
     n = indicator.Y.shape[1]
+    H = centering_matrix(n)
     return {
-        "centering": centering_matrix(n),
+        "centering": H,
         "between": between_kernel(indicator),
         "within": within_kernel(indicator),
         "mean": np.full((n, n), 1.0 / n),
         "center_distance": center_distance_kernel(indicator),
+        "centered_onehot": H @ indicator.Y.T @ indicator.Y @ H,
     }
 
 

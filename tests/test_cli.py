@@ -174,6 +174,52 @@ def test_depth_list_is_checked_before_the_first_fit(toy_dir, tmp_path, capsys):
     assert not (out / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "keys, message",
+    [
+        ({"k": "1,0"}, "k must be at least 1"),
+        ({"lambda": "0.01,nan"}, "lam must be finite and nonnegative"),
+        ({"train_fraction": "0.5,1.5"}, "train_fraction must lie strictly"),
+    ],
+)
+def test_every_sweep_cell_is_checked_before_the_first_fit(
+    toy_dir, tmp_path, capsys, keys, message
+):
+    cells = {"k": "1", "train_fraction": "0.5", "lambda": "0.01", **keys}
+    cfg = write_cfg(
+        tmp_path / "sweep.cfg", dataset=str(toy_dir), method="MvDA_VC",
+        repeats="1", **cells,
+    )
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "keys, message",
+    [
+        ({"ridge": "nan"}, "ridge must be finite and nonnegative"),
+        ({"ridge": "-5"}, "ridge must be finite and nonnegative"),
+        ({"deep": "true", "learning_rate": "nan"}, "learning_rate must be finite"),
+        ({"deep": "true", "jitter": "nan"}, "jitter must be finite"),
+    ],
+)
+def test_classifier_and_trainer_values_are_checked(
+    toy_dir, tmp_path, capsys, keys, message
+):
+    cfg = write_cfg(
+        tmp_path / "c.cfg", dataset=str(toy_dir), method="MvOPLS", k="2",
+        train_fraction="0.5", repeats="1", hidden="8", epochs="3", **keys,
+    )
+    assert main(["classify", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["classify", "sweep"])
 @pytest.mark.parametrize("repeats", ["0", "-2"])
 def test_repeats_below_one_is_a_config_error(

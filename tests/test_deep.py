@@ -232,6 +232,13 @@ def test_config_validation():
         TrainerConfig(epochs=0)
     with pytest.raises(ValueError, match="learning_rate"):
         TrainerConfig(learning_rate=0.0)
+    for value in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="learning_rate must be finite"):
+            TrainerConfig(learning_rate=value)
+        with pytest.raises(ValueError, match="jitter must be finite"):
+            TrainerConfig(jitter=value)
+    with pytest.raises(ValueError, match="jitter"):
+        TrainerConfig(jitter=-1e-8)
     ds = random_dataset(seed=1, dims=(3, 2), n=8)
     with pytest.raises(ValueError, match="out_dim=2 must be at least k=3"):
         train(ds, MethodId("MvOPLS", k=3), MlpConfig(hidden=(3,), out_dim=2),

@@ -104,6 +104,13 @@ def test_linear_classifier_rejects_labels_below_one_or_not_integer(labels):
         train_linear_classifier(Z, labels)
 
 
+@pytest.mark.parametrize("ridge", [-5.0, np.nan, np.inf])
+def test_linear_classifier_rejects_a_negative_or_non_finite_ridge(ridge):
+    Z = np.random.default_rng(0).standard_normal((2, 6))
+    with pytest.raises(ValueError, match="ridge must be finite and nonnegative"):
+        train_linear_classifier(Z, np.array([1, 1, 1, 2, 2, 2]), ridge=ridge)
+
+
 def test_linear_classifier_allows_a_class_absent_from_training():
     rng = np.random.default_rng(8)
     labels = np.repeat([1, 3], 6)

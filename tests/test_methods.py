@@ -190,7 +190,7 @@ def _spelled_spec(name, k, gamma, lam):
         "GMA": ("identity_n", (("lda", 1.0), ("hsic", 1.0))),
         "MvDA_CCA": ("sigma_invsqrt_onehot", (("mean", 1.0), ("cca", lam))),
     }[name]
-    return ModelSpec(target, k, gamma, lam, "centered", regularizers, name)
+    return ModelSpec(target, k, gamma, lam, regularizers, name)
 
 
 @pytest.mark.parametrize("gamma, lam", [(1e-4, 1e-2), (1e-3, 0.3)])
