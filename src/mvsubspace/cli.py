@@ -179,13 +179,14 @@ def _accuracy_runs(cfg, ds, spec, seed):
     repeats = _get_int(cfg, "repeats")
     if repeats < 1:
         raise ConfigError(f"repeats must be at least 1, got {repeats}")
+    ridge = _get_float(cfg, "ridge")
+    if not (np.isfinite(ridge) and ridge >= 0):
+        raise ConfigError(f"ridge must be finite and nonnegative, got {ridge}")
     accs = []
     for r in range(repeats):
         train, test = _prepare_split(ds, cfg, seed + r, _get_bool(cfg, "pca"))
         Z_train, Z_test, _, _ = _embeddings(cfg, train, test, spec)
-        clf = evaluation.train_linear_classifier(
-            Z_train, train.labels, ridge=_get_float(cfg, "ridge")
-        )
+        clf = evaluation.train_linear_classifier(Z_train, train.labels, ridge=ridge)
         accs.append(evaluation.accuracy(evaluation.classify(clf, Z_test), test.labels))
     return np.asarray(accs)
 

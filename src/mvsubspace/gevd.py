@@ -2,12 +2,31 @@
 
 The solver reduces  A p = lambda B p  (A symmetric, B symmetric positive
 definite) to an ordinary symmetric eigenproblem by Cholesky whitening,
-B = L L^T, C = L^-1 A L^-T, C u = lambda u, p = L^-T u.  LAPACK ``potrf``
-factors B, and one of two routes finds the top eigenpairs of C.
+B = L L^T, C = L^-1 A L^-T, C u = lambda u, p = L^-T u, and one of two
+routes finds the top eigenpairs of C.
 
-Full route.  ``sygst`` forms the lower triangle of C in place and only the
-k + 1 largest eigenpairs of C are computed (the k returned and one more for
-the spectrum gap), since k is usually far below d.
+Block-diagonal constraints.  Most pencils of the package have the
+constraint blockdiag(X_s K X_s^T) + gamma I, one block per view.  ``solve``
+finds the finest split of B into diagonal blocks from B itself: a block
+boundary is a row p with B[p:, :p] exactly zero (B is symmetric, so the
+lower triangle decides).  Only rows whose subdiagonal entry B[p, p-1] is
+zero are candidates, so a dense B costs one read of its subdiagonal, and a
+block-diagonal one a read of its lower off-block part.  Any nonzero entry,
+however small, joins the blocks it couples.  LAPACK ``potrf`` factors each
+block, and L = blockdiag(L_s) is kept as its blocks: every product with
+L^-1 or L^-T is one triangular solve per block, d_s^2 where a full L costs
+d^2.  At 3 x 250 dims the three block factorizations took 1.1 ms against
+8.9 ms for one d = 750 ``potrf`` (one BLAS thread).  A block that is not
+positive definite fails as a whole B would.
+
+Full route.  C is formed in its lower triangle and only the k + 1 largest
+eigenpairs of C are computed (the k returned and one more for the spectrum
+gap), since k is usually far below d.  With one block ``sygst`` forms C in
+place.  With several, block (s, t), t <= s, of C is L_s^-1 A_st L_t^-T: one
+triangular solve per block row and one per block column, (v + 1) d^3 / v^2
+flops for v equal blocks against ``sygst``'s d^3.  Measured on one BLAS
+thread with three equal blocks: 15.1 against 18.5 ms at d = 750, 0.37
+against 0.53 ms at d = 150, the two agreeing to 1e-15 of max|C|.
 
 Factored route.  A problem may carry an objective factor (S, M) with
 A = S M S^T, S d x r and M r x r symmetric (not necessarily semidefinite).
@@ -15,13 +34,14 @@ First M = V D V^T, and the columns of S V whose eigenvalue in D is zero
 (at most 1e-10 of the largest |D|, ``_FACTORED_ZERO_TOL``) are dropped:
 they add nothing to A, but whitening can magnify them into terms that later
 cancel, losing digits.  With S and M now that reduced S V and D, and r
-their rank, C = G M G^T with G = L^-1 S (one triangular solve), and with
+their rank, C = G M G^T with G = L^-1 S (triangular solves), and with
 the economic QR G = Q R, C = Q (R M R^T) Q^T: the nonzero spectrum of C is
 that of the r x r matrix R M R^T = U Lambda U^T, and p = L^-T Q u.  The
 full spectrum is Lambda plus d - r zeros; lambda_(k+1) for the gap is taken
 from that merged descending list, so the gap rule is the same on both
-routes.  The route costs a d^2 r solve and O(d r^2) where the full route
-pays ``sygst`` and a tridiagonal reduction, both O(d^3).  It is taken when
+routes.  The route costs at most a d^2 r solve and O(d r^2) where the full
+route pays the whitening and a tridiagonal reduction, both O(d^3).  It is
+taken when
 
 * r < d / 3 (``_FACTORED_RANK_RATIO``).  Measured on one BLAS thread with
   the factor check included and k = 9, the factored route took 0.25-0.8 of
@@ -35,6 +55,11 @@ pays ``sygst`` and a tridiagonal reduction, both O(d^3).  It is taken when
   vectors are arbitrary.
 
 Otherwise the full route runs, reusing the Cholesky factor.
+
+Checks.  ``GevdProblem`` reads each side once for both of its checks: one
+sweep of row stripes (``_SWEEP_ROWS`` rows, so a stripe and the columns it
+is compared with stay in cache) takes max|M| and max|M - M^T| together,
+1.0 ms against 2.2 ms for the two separate passes on a 750 x 750 side.
 
 Eigenvalues are returned in descending order and the recovered vectors are
 B-orthonormal, P^T B P = I_k.  Signs are fixed deterministically: the
@@ -51,7 +76,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, solve_triangular
+from scipy.linalg import eigh
+from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dpotrf, dsygst
 
 from .scatter import symmetrize
@@ -61,29 +87,49 @@ _FACTORED_RANK_RATIO = 1.0 / 3.0
 # An eigenvalue of M or of R M R^T at or below this share of the largest
 # magnitude counts as zero.
 _FACTORED_ZERO_TOL = 1e-10
+# Rows per stripe of the check sweep.  Measured at d = 750: 32 to 128 rows
+# take 1.0-1.1 ms, 256 rows 1.2 ms (the stripe's temporary leaves L2).
+_SWEEP_ROWS = 64
 
 
 class NumericalError(RuntimeError):
     """Numerical failure: indefinite constraint or degenerate spectrum."""
 
 
-def _finite_scale(M, name):
-    """The largest |entry| of M.  NaN propagates through max, so this one
-    pass also finds every non-finite entry."""
-    scale = np.abs(M).max(initial=0.0)
+# A non-finite side fails its finite check before its asymmetry is read.
+@np.errstate(invalid="ignore", over="ignore")
+def _sweep(M):
+    """(max|M|, max|M - M^T|) in one read of M; the second is None unless M
+    is square.
+
+    Stripe i of ``_SWEEP_ROWS`` rows gives its extremes for the scale and is
+    compared, from its diagonal rightwards, with the matching columns.  NaN
+    propagates through every maximum, so a non-finite entry anywhere makes
+    the scale non-finite.
+    """
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        return np.abs(M).max(initial=0.0), None
+    scales, worst = [0.0], [0.0]
+    for i in range(0, M.shape[0], _SWEEP_ROWS):
+        rows = M[i:i + _SWEEP_ROWS]
+        scales += (rows.max(), -rows.min())
+        asymmetry = rows[:, i:] - M[i:, i:i + _SWEEP_ROWS].T
+        np.abs(asymmetry, out=asymmetry)
+        worst.append(asymmetry.max())
+    return np.max(scales), np.max(worst)
+
+
+def _check_finite(scale, name):
+    """Raise unless the largest |entry| ``scale`` of a side is finite."""
     if not np.isfinite(scale):
         raise NumericalError(
             f"{name} matrix has non-finite entries; rescale the data"
         )
-    return scale
 
 
-def _check_symmetric(M, name, scale):
-    """Raise unless M is symmetric to 1e-10 of its largest entry ``scale``;
-    return whether it is exactly symmetric."""
-    asymmetry = M - M.T
-    np.abs(asymmetry, out=asymmetry)
-    worst = asymmetry.max()
+def _check_symmetric(worst, name, scale):
+    """Raise unless max|M - M^T| = ``worst`` is within 1e-10 of the largest
+    entry ``scale``; return whether M is exactly symmetric."""
     if worst > 1e-10 * max(scale, 1.0):
         raise ValueError(f"{name} matrix is not symmetric")
     return worst == 0.0
@@ -104,8 +150,8 @@ def _checked_factor(factor, A, scale_A):
         raise ValueError("objective factor must be (S, M), S d x r and M r x r")
     if not (np.isfinite(S).all() and np.isfinite(M).all()):
         raise ValueError("objective factor has non-finite entries")
-    scale_M = np.abs(M).max(initial=0.0)
-    if not _check_symmetric(M, "objective factor M", scale_M):
+    scale_M, asymmetry = _sweep(M)
+    if not _check_symmetric(asymmetry, "objective factor M", scale_M):
         M = symmetrize(M)
     # Finite factors can overflow; an overflowed product does not match.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -139,14 +185,16 @@ class GevdProblem:
     def __post_init__(self):
         A = np.asarray(self.objective, dtype=float)
         B = np.asarray(self.constraint, dtype=float)
-        scale_A = _finite_scale(A, "objective")
-        scale_B = _finite_scale(B, "constraint")
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        scale_A, asymmetry_A = _sweep(A)
+        scale_B, asymmetry_B = _sweep(B)
+        _check_finite(scale_A, "objective")
+        _check_finite(scale_B, "constraint")
+        if asymmetry_A is None:
             raise ValueError("objective must be a square matrix")
         if B.shape != A.shape:
             raise ValueError("objective and constraint must share a shape")
-        A_exact = _check_symmetric(A, "objective", scale_A)
-        B_exact = _check_symmetric(B, "constraint", scale_B)
+        A_exact = _check_symmetric(asymmetry_A, "objective", scale_A)
+        B_exact = _check_symmetric(asymmetry_B, "constraint", scale_B)
         if not 1 <= self.k <= A.shape[0]:
             raise ValueError(
                 f"k={self.k} is out of range for problem dimension d={A.shape[0]}"
@@ -186,25 +234,89 @@ def _fix_signs(P):
     return P
 
 
-def _solution(L, U, eigvals, next_eigval, route):
+def _diagonal_blocks(B):
+    """The finest split of symmetric B into diagonal blocks with exactly zero
+    entries off them, as row slices (module docstring).
+
+    Each candidate p (B[p, p-1] == 0) is checked against the columns before
+    it, rows p up to the next candidate; a nonzero entry in column j joins
+    the candidate to the block holding j and every block after it.
+    """
+    d = B.shape[0]
+    cuts = [int(p) for p in np.flatnonzero(np.diagonal(B, -1) == 0) + 1]
+    starts = [0]
+    for p, end in zip(cuts, cuts[1:] + [d]):
+        coupled = B[p:end, :p].any(axis=0)
+        if coupled.any():
+            first = int(np.argmax(coupled))
+            while starts[-1] > first:
+                starts.pop()
+        else:
+            starts.append(p)
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [d])]
+
+
+def _cholesky(B):
+    """B = L L^T with L = blockdiag(L_s) over B's diagonal blocks, as a list
+    of (rows, L_s)."""
+    factors = []
+    for rows in _diagonal_blocks(B):
+        L, info = dpotrf(B[rows, rows], lower=1)
+        if info != 0:
+            raise NumericalError(
+                "constraint matrix is not positive definite; increase the "
+                "tikhonov gamma"
+            )
+        factors.append((rows, L))
+    return factors
+
+
+def _lower_solve(factors, Z, trans=0):
+    """L^-1 Z, or L^-T Z with ``trans`` 1, one block of rows at a time.
+
+    BLAS ``trsm`` directly: on a 16 x 16 block of a deep epoch,
+    ``solve_triangular`` took 20 us where ``trsm`` takes 2.6 us."""
+    out = np.empty(Z.shape)
+    for rows, L in factors:
+        out[rows] = dtrsm(1.0, L, Z[rows], lower=1, trans_a=trans)
+    return out
+
+
+def _whitened(A, factors):
+    """C = L^-1 A L^-T in the lower triangle of a Fortran array."""
+    if len(factors) == 1:
+        C, info = dsygst(A, factors[0][1], itype=1, lower=1)
+        if info != 0:
+            raise NumericalError(f"LAPACK dsygst failed with info={info}")
+        return C
+    # Block row s first becomes L_s^-1 A[s, :s], then each block column t
+    # from the diagonal down is multiplied by L_t^-T.  The upper triangle
+    # stays zero.
+    C = np.zeros(A.shape, order="F")
+    for rows, L in factors:
+        C[rows, :rows.stop] = dtrsm(1.0, L, A[rows, :rows.stop], lower=1)
+    for rows, L in factors:
+        C[rows.start:, rows] = dtrsm(
+            1.0, L, C[rows.start:, rows], side=1, lower=1, trans_a=1
+        )
+    return C
+
+
+def _solution(factors, U, eigvals, next_eigval, route):
     """Back-transform the top-k whitened vectors U into a solution."""
     k = U.shape[1]
-    P = solve_triangular(L, U, lower=True, trans="T")
     return GevdSolution(
-        P=_fix_signs(P),
+        P=_fix_signs(_lower_solve(factors, U, trans=1)),
         eigenvalues=eigvals[:k].copy(),
         spectrum_gap=float(eigvals[k - 1] - next_eigval),
         route=route,
     )
 
 
-def _solve_full(problem, L):
+def _solve_full(problem, factors):
     d, k = problem.dim, problem.k
-    # sygst writes C = L^-1 A L^-T into the lower triangle only; the upper
-    # triangle keeps A's entries, so the eigensolver reads the lower one.
-    C, info = dsygst(problem.objective, L, itype=1, lower=1)
-    if info != 0:
-        raise NumericalError(f"LAPACK dsygst failed with info={info}")
+    # Only the lower triangle of C holds C; the eigensolver reads that one.
+    C = _whitened(problem.objective, factors)
     m = min(k + 1, d)
     eigvals, U = eigh(
         C, lower=True, subset_by_index=[d - m, d - 1], driver="evr", overwrite_a=True
@@ -212,10 +324,10 @@ def _solve_full(problem, L):
     eigvals = eigvals[::-1]
     U = U[:, ::-1]
     next_eigval = eigvals[k] if k < d else eigvals[k - 1]  # gap 0 when k = d
-    return _solution(L, U[:, :k], eigvals, next_eigval, "full")
+    return _solution(factors, U[:, :k], eigvals, next_eigval, "full")
 
 
-def _solve_factored(problem, L):
+def _solve_factored(problem, factors):
     """The factored route, or None when the top k reach the padded zeros."""
     S, M = problem.objective_factor
     k = problem.k
@@ -227,7 +339,7 @@ def _solve_factored(problem, L):
     r = int(nonzero.sum())
     if k > r:
         return None
-    Q, R = np.linalg.qr(solve_triangular(L, S @ V[:, nonzero], lower=True))
+    Q, R = np.linalg.qr(_lower_solve(factors, S @ V[:, nonzero]))
     eigvals, U = np.linalg.eigh(symmetrize((R * D[nonzero]) @ R.T))
     eigvals = eigvals[::-1]
     U = U[:, ::-1]
@@ -235,23 +347,18 @@ def _solve_factored(problem, L):
         return None
     # The d - r padded zeros sort between Lambda's positive and negative part.
     next_eigval = max(eigvals[k], 0.0) if k < r else 0.0
-    return _solution(L, Q @ U[:, :k], eigvals, next_eigval, "factored")
+    return _solution(factors, Q @ U[:, :k], eigvals, next_eigval, "factored")
 
 
 def solve(problem):
     """Solve the pencil and return the top-k B-orthonormal eigenvectors."""
-    L, info = dpotrf(problem.constraint, lower=1)
-    if info != 0:
-        raise NumericalError(
-            "constraint matrix is not positive definite; increase the "
-            "tikhonov gamma"
-        )
+    factors = _cholesky(problem.constraint)
     factor = problem.objective_factor
     if factor is not None and factor[0].shape[1] < _FACTORED_RANK_RATIO * problem.dim:
-        solution = _solve_factored(problem, L)
+        solution = _solve_factored(problem, factors)
         if solution is not None:
             return solution
-    return _solve_full(problem, L)
+    return _solve_full(problem, factors)
 
 
 def objective_value(solution):

@@ -3,8 +3,8 @@
 Every pencil side in the package is a sum of KernelTerms over factored
 LabelKernels; ``materialize`` turns such a sum into dense matrices and
 ``materialize_grads`` pushes pencil adjoints back onto the views.  Every
-matrix produced here is explicitly symmetrized, so downstream eigensolvers
-never see asymmetry beyond exact floating-point roundoff.
+side produced here is exactly symmetric, so downstream eigensolvers never
+see asymmetry beyond exact floating-point roundoff.
 
 Sufficient statistics.  The terms of one ``materialize`` call share one
 class indicator Y (c x n, class counts cnt, Sigma = diag(cnt)); a call whose
@@ -25,11 +25,24 @@ K = eye I + Y^T M Y gives
 
 where K 1 = Y^T a.  A blockdiag term takes the diagonal blocks of the same
 expression.  The terms of one side and layout add their (eye, Mt) first, so
-a call makes one centred d x n copy of the views, one n d^2 product (C_w)
-and a few n d c ones (S and the class means that centre the copy), and then
-one F Mt F^T per side and layout (per diagonal block for blockdiag),
-whatever the number of terms.  The objective's factor for the rank-c solve
+a call makes one centred d x n copy of the views, the Gram C_w, a few n d c
+products (S and the class means that centre the copy), and then one
+F Mt F^T per side and layout (per diagonal block for blockdiag), whatever
+the number of terms.  The objective's factor for the rank-c solve
 (``materialize_with_factor``) is this F and Mt.
+
+Gram blocks only where read.  C_w is formed whole, one n d^2 product, only
+when a dense term has eye != 0 or the representer coupling needs the raw
+Gram.  When only blockdiag terms read it, the call forms its diagonal blocks
+alone, one n d_s^2 product per view: at 3 x 250 dims and n = 250 on one
+BLAS thread, 1.4 ms against 5.3 ms for the whole Gram.
+
+Each side written once.  A side with dense terms starts as one fresh array,
+eye C_w + F Mt F^T (gemm adds the product into the scaled copy of C_w in
+place); the blockdiag blocks are added into it, and it is symmetrized once,
+in place, one pair of mirrored tiles at a time.  C_w and its blocks are
+products X X^T, exactly symmetric, so a side without dense terms only
+symmetrizes the F Mt F^T of each block.
 
 Exact zeros.  a vanishes in exact arithmetic for the centering, between,
 within, center_distance and centered_onehot kernels; that is what makes them
@@ -52,12 +65,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemm
+
+
+# Tile edge of ``_symmetrize_in_place``: a tile and its mirror stay in cache.
+_TILE = 128
 
 
 def symmetrize(M):
     S = M + M.T
     S *= 0.5
     return S
+
+
+def _symmetrize_in_place(M):
+    """``symmetrize`` into M itself, one pair of mirrored tiles at a time:
+    the same values without a second d x d array or a strided whole-matrix
+    transpose."""
+    d = M.shape[0]
+    for i in range(0, d, _TILE):
+        for j in range(i, d, _TILE):
+            upper = M[i:i + _TILE, j:j + _TILE]
+            upper += M[j:j + _TILE, i:i + _TILE].T
+            upper *= 0.5
+            if j > i:
+                M[j:j + _TILE, i:i + _TILE] = upper.T
+    return M
 
 
 @dataclass(frozen=True)
@@ -249,20 +282,28 @@ def _shared_indicator(terms, n):
 
 
 def _class_statistics(views, Y, counts, gram):
-    """F = [S, mu] of the stacked views and, when ``gram``, C_w (else None).
+    """F = [S, mu] of the stacked views and as much of C_w as ``gram`` asks:
+    ``(F, C_w, blocks)``.
 
-    The stacked copy of the views is centred in place by mu and then by the
-    class means, so C_w is one product of the class-centred views.
+    ``gram`` "full" gives C_w and its diagonal blocks (views of it),
+    "blocks" only the diagonal blocks, one X_w,s X_w,s^T per view, and None
+    neither (None and Nones).  The stacked copy of the views is centred in
+    place by mu and then by the class means, so every Gram is one product of
+    the class-centred views.
     """
     X = np.vstack(views)
     mu = X.sum(axis=1) / X.shape[1]
     X -= mu[:, None]
     S = X @ Y.T
     F = np.column_stack((S, mu))
-    if not gram:
-        return F, None
+    rows = _view_blocks(views)
+    if gram is None:
+        return F, None, [None] * len(rows)
     X -= (S / counts) @ Y
-    return F, X @ X.T
+    if gram == "full":
+        C_w = X @ X.T
+        return F, C_w, [C_w[b, b] for b in rows]
+    return F, None, [X[b] @ X[b].T for b in rows]
 
 
 def _kernel_pieces(kernel, counts):
@@ -285,14 +326,16 @@ def _without_unused_mean(F, Mt):
     return (F[:, :-1], Mt[:-1, :-1]) if not Mt[-1].any() else (F, Mt)
 
 
-def _add_kernel_sum(total, eye, Mt, F, C_w, blocks):
-    """total[b, b] += eye C_w[b, b] + F_b Mt F_b^T for every row block b."""
+def _kernel_sum(eye, Mt, F, C_w):
+    """eye C_w + F Mt F^T as one fresh array (module docstring)."""
     F, Mt = _without_unused_mean(F, Mt)
-    FM = F @ Mt
-    for b in blocks:
-        total[b, b] += FM[b] @ F[b].T
-        if eye:
-            total[b, b] += eye * C_w[b, b]
+    if not eye:
+        return (F @ Mt) @ F.T
+    # gemm adds F (F Mt)^T into the Fortran-ordered transpose of the copy of
+    # eye C_w, in place: the copy becomes eye C_w + F Mt F^T.
+    total = np.multiply(C_w, eye)
+    return dgemm(1.0, F, F @ Mt, trans_b=True, beta=1.0, c=total.T,
+                 overwrite_c=True).T
 
 
 def _summed_terms(terms, pieces):
@@ -337,24 +380,25 @@ def materialize_with_factor(terms, views):
         terms, lambda kernel: _kernel_pieces(kernel, counts)
     )
     raw_gram = bool(couplings) and max(X.shape[0] for X in views) <= n
-    F, C_w = _class_statistics(
-        views, Y, counts, raw_gram or any(eye for eye, _ in pieces.values())
+    reads = {layout for (_, layout), (eye, _) in pieces.items() if eye}
+    F, C_w, C_blocks = _class_statistics(
+        views, Y, counts,
+        "full" if raw_gram or "dense" in reads else
+        "blocks" if "blockdiag" in reads else None,
     )
     d = F.shape[0]
-    layouts = {"dense": [slice(None)], "blockdiag": _view_blocks(views)}
-    gram = None
-    if raw_gram:
-        gram = np.zeros((d, d))
-        _add_kernel_sum(gram, *_kernel_pieces(None, counts), F, C_w, layouts["dense"])
+    gram = _kernel_sum(*_kernel_pieces(None, counts), F, C_w) if raw_gram else None
     sides = []
     for side in SIDES:
-        total = np.zeros((d, d))
-        for layout, blocks in layouts.items():
-            if (side, layout) in pieces:
-                _add_kernel_sum(total, *pieces[side, layout], F, C_w, blocks)
+        dense = pieces.get((side, "dense"))
+        total = _kernel_sum(*dense, F, C_w) if dense else np.zeros((d, d))
+        if (side, "blockdiag") in pieces:
+            for b, C_b in zip(_view_blocks(views), C_blocks):
+                block = _kernel_sum(*pieces[side, "blockdiag"], F[b], C_b)
+                total[b, b] += block if dense else symmetrize(block)
         if side in couplings:
             total += couplings[side] * pseudo_inverse_coupling(views, gram)
-        sides.append(symmetrize(total))
+        sides.append(_symmetrize_in_place(total) if dense else total)
     objective = [term for term in terms if term.side == "objective"]
     factor = None
     if (len(objective) == 1 and objective[0].layout == "dense"

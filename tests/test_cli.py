@@ -220,6 +220,29 @@ def test_classifier_and_trainer_values_are_checked(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("deep", ["false", "true"])
+@pytest.mark.parametrize("ridge", ["nan", "-5"])
+@pytest.mark.parametrize("command", ["classify", "sweep"])
+def test_ridge_is_checked_before_the_first_fit(
+    toy_dir, tmp_path, capsys, monkeypatch, command, ridge, deep
+):
+    fits = []
+    monkeypatch.setattr(cli.methods, "fit", lambda *a: fits.append(a))
+    monkeypatch.setattr(cli.deep_mod, "train", lambda *a: fits.append(a))
+    cfg = write_cfg(
+        tmp_path / "r.cfg", dataset=str(toy_dir), method="MvOPLS", k="1,2",
+        train_fraction="0.5", repeats="2", ridge=ridge, deep=deep, hidden="6",
+        epochs="2",
+    )
+    out = tmp_path / "r"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "ridge must be finite and nonnegative" in captured.err
+    assert captured.out == ""
+    assert fits == []
+    assert not (out / "sweep.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["classify", "sweep"])
 @pytest.mark.parametrize("repeats", ["0", "-2"])
 def test_repeats_below_one_is_a_config_error(
@@ -305,6 +328,28 @@ def test_singular_constraint_exits_numerically(tmp_path, capsys):
     )
     assert main(["fit", "--config", cfg, "--out", str(tmp_path / "m")]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_one_singular_view_block_exits_numerically(tmp_path, capsys):
+    # a dead feature in the middle view: with gamma = 0 only that view's
+    # block of the MvOPLS constraint is singular, exactly
+    rng = np.random.default_rng(1)
+    data = tmp_path / "dead"
+    data.mkdir()
+    for s, d in enumerate((3, 2, 3), start=1):
+        X = rng.standard_normal((30, d))
+        if s == 2:
+            X[:, 1] = 0.0
+        np.savetxt(data / f"view_{s}.csv", X, delimiter=",")
+    np.savetxt(data / "labels.csv", np.repeat([1, 2, 3], 10), fmt="%d")
+    cfg = write_cfg(
+        tmp_path / "fit.cfg", dataset=str(data), method="MvOPLS", k="1",
+        gamma="0",
+    )
+    assert main(["fit", "--config", cfg, "--out", str(tmp_path / "m")]) == 3
+    assert "not positive definite" in capsys.readouterr().err
+    cfg = write_cfg(tmp_path / "ok.cfg", dataset=str(data), method="MvOPLS", k="1")
+    assert main(["fit", "--config", cfg, "--out", str(tmp_path / "m")]) == 0
 
 
 def test_overflowing_data_exits_numerically(tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
 from helpers import dense_gevd
+from mvsubspace import gevd
 from mvsubspace.gevd import GevdProblem, NumericalError, objective_value, solve
 from mvsubspace.scatter import symmetrize
 
@@ -292,3 +293,131 @@ def test_objective_factor_within_tolerance_is_accepted():
     A = symmetrize((S @ M) @ S.T)
     prob = GevdProblem(A + 1e-12, np.eye(9), 1, (S, M))
     assert prob.objective_factor[0] is S
+
+
+def _block_factor(rng, dims):
+    """A block-diagonal lower-triangular L, one well-conditioned Cholesky
+    factor per entry of ``dims``; L L^T is then exactly zero off the blocks."""
+    L = np.zeros((sum(dims),) * 2)
+    start = 0
+    for d_s in dims:
+        R = rng.standard_normal((d_s, d_s))
+        rows = slice(start, start + d_s)
+        L[rows, rows] = np.linalg.cholesky(R @ R.T / d_s + np.eye(d_s))
+        start += d_s
+    return L
+
+
+def _block_pencil(seed, dims, spectrum, k, factored):
+    """A pencil with constraint blockdiag over ``dims`` and generalized
+    eigenvalues ``spectrum`` (plus zeros up to d when ``factored``, which
+    attaches the objective factor (S, M))."""
+    rng = np.random.default_rng(seed)
+    L = _block_factor(rng, dims)
+    d, r = L.shape[0], len(spectrum)
+    Q, _ = np.linalg.qr(rng.standard_normal((d, r if factored else d)))
+    if not factored:
+        LQ = L @ Q
+        return GevdProblem((LQ * spectrum) @ LQ.T, L @ L.T, k)
+    W, _ = np.linalg.qr(rng.standard_normal((r, r)))
+    S = L @ Q @ W
+    M = (W.T * spectrum) @ W
+    return GevdProblem((S @ M) @ S.T, L @ L.T, k, (S, M))
+
+
+@pytest.fixture
+def potrf_orders(monkeypatch):
+    """The order of every matrix ``solve`` hands to ``potrf``."""
+    orders, potrf = [], gevd.dpotrf
+
+    def counting(B, **kwargs):
+        orders.append(B.shape[0])
+        return potrf(B, **kwargs)
+
+    monkeypatch.setattr(gevd, "dpotrf", counting)
+    return orders
+
+
+@pytest.mark.parametrize("dims", [(5, 4, 3), (12,)], ids=["uneven", "v=1"])
+@pytest.mark.parametrize("route", ["full", "factored"])
+def test_block_diagonal_constraint_matches_the_oracle(dims, route, potrf_orders):
+    """One factorization per view block; the answer is the dense one's."""
+    spectrum = np.array([3.0, 2.0, -1.0]) if route == "factored" else (
+        np.arange(sum(dims), 0, -1.0) - 4.0)
+    prob = _block_pencil(len(dims), dims, spectrum, 2, route == "factored")
+    sol, want = solve(prob), dense_gevd(prob)
+    assert sol.route == route
+    assert potrf_orders == list(dims)
+    tol = 1e-12 * np.abs(spectrum).max()
+    np.testing.assert_allclose(sol.eigenvalues, want.eigenvalues, rtol=0, atol=tol)
+    assert sol.spectrum_gap == pytest.approx(want.spectrum_gap, rel=0, abs=tol)
+    np.testing.assert_allclose(sol.P, want.P, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("route", ["full", "factored"])
+def test_a_tiny_entry_off_the_blocks_joins_them(route, potrf_orders):
+    """1e-300 between the first and the last view block: a single
+    factorization of the whole constraint, and still the oracle's answer."""
+    spectrum = np.array([3.0, 2.0, -1.0]) if route == "factored" else (
+        np.arange(12, 0, -1.0) - 4.0)
+    prob = _block_pencil(3, (5, 4, 3), spectrum, 2, route == "factored")
+    B = prob.constraint.copy()
+    B[10, 1] = B[1, 10] = 1e-300
+    prob = GevdProblem(prob.objective, B, 2, prob.objective_factor)
+    sol, want = solve(prob), dense_gevd(prob)
+    assert potrf_orders == [12]
+    np.testing.assert_allclose(sol.eigenvalues, want.eigenvalues, rtol=0, atol=1e-11)
+    np.testing.assert_allclose(sol.P, want.P, rtol=0, atol=1e-10)
+
+
+def test_blocks_are_found_from_the_zeros():
+    B = np.eye(9)
+    B[1, 2] = B[2, 1] = 0.5  # joins rows 1 and 2
+    B[3, 5] = B[5, 3] = 0.5  # joins rows 3 to 5, whose subdiagonal is zero
+    B[8, 6] = B[6, 8] = 0.5  # joins rows 6 to 8
+    blocks = gevd._diagonal_blocks(B)
+    assert [(b.start, b.stop) for b in blocks] == [(0, 1), (1, 3), (3, 6), (6, 9)]
+
+
+def test_an_indefinite_view_block_raises(potrf_orders):
+    L = _block_factor(np.random.default_rng(0), (5, 4, 3))
+    B = L @ L.T
+    B[6, 6] = -1.0  # inside the middle block
+    with pytest.raises(NumericalError, match="positive definite"):
+        solve(GevdProblem(np.eye(12), B, 1))
+    assert potrf_orders == [5, 4]
+
+
+@pytest.mark.parametrize("d", [1, 63, 64, 65, 150])
+def test_check_sweep_reads_max_and_asymmetry(d):
+    assert 150 % gevd._SWEEP_ROWS  # a last stripe shorter than the others
+    M = np.random.default_rng(d).standard_normal((d, d))
+    scale, asymmetry = gevd._sweep(M)
+    assert scale == np.abs(M).max()
+    assert asymmetry == np.abs(M - M.T).max()
+
+
+# In a 150 x 150 side (stripes of 64 rows: 64, 64, 22): a diagonal block, an
+# off-diagonal block on either side of the diagonal, the last partial block.
+_FAULT_PLACES = {"diagonal": (70, 75), "upper": (10, 100), "lower": (100, 10),
+                 "last partial": (140, 147), "last row": (149, 3)}
+
+
+@pytest.mark.parametrize("place", _FAULT_PLACES)
+@pytest.mark.parametrize("fault", ["nan", "inf", "-inf", "asymmetry"])
+@pytest.mark.parametrize("side", ["objective", "constraint"])
+def test_check_sweep_finds_a_fault_anywhere(place, fault, side):
+    rng = np.random.default_rng(3)
+    R = rng.standard_normal((150, 150))
+    good = R @ R.T + 150 * np.eye(150)
+    bad = good.copy()
+    i, j = _FAULT_PLACES[place]
+    if fault == "asymmetry":
+        bad[i, j] += 1e-6 * np.abs(good).max()
+        error, match = ValueError, f"{side} matrix is not symmetric"
+    else:
+        bad[i, j] = float(fault)
+        error, match = NumericalError, f"{side} matrix has non-finite"
+    sides = {"objective": good, "constraint": good, side: bad}
+    with pytest.raises(error, match=match):
+        GevdProblem(sides["objective"], sides["constraint"], 1)

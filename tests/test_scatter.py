@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mvsubspace import METHOD_NAMES, MethodId, build_indicator
+from mvsubspace import METHOD_NAMES, MethodId, build_indicator, scatter
 from mvsubspace.framework import REGULARIZERS, spec_terms
 from mvsubspace.scatter import (
     KernelTerm,
@@ -67,18 +67,21 @@ def test_label_kernel_apply_matches_dense_kernel(eye):
     np.testing.assert_allclose(got, Z @ K, rtol=0, atol=1e-13)
 
 
-# (dims, n): n above every d, d above n, one view, and one view with d_s > n
-# among views with d_s <= n (the representer coupling's per-view fallback).
+# (dims, n): n above every d, d above n, one view, one view with d_s > n
+# among views with d_s <= n (the representer coupling's per-view fallback),
+# and d = 210 over several symmetrization tiles, the last one partial.
 SHAPES = {
     "n>d": ((5, 4, 3), 40),
     "d>n": ((9, 8, 7), 6),
     "v=1": ((6,), 20),
     "mixed": ((3, 12, 4), 8),
+    "tiles": ((70, 60, 80), 50),
 }
 
 
 @pytest.mark.parametrize("name, shape", [
-    *((name, shape) for name in METHOD_NAMES for shape in ("n>d", "d>n", "v=1")),
+    *((name, shape) for name in METHOD_NAMES
+      for shape in ("n>d", "d>n", "v=1", "tiles")),
     ("MvDA_VC", "mixed"),
 ])
 def test_method_pencils_match_dense_materialize(name, shape):
@@ -89,6 +92,40 @@ def test_method_pencils_match_dense_materialize(name, shape):
     want = dense_materialize(terms, ds.views)
     for g, w in zip(got, want):
         assert pencil_gap(g, w) <= PENCIL_RTOL
+        np.testing.assert_array_equal(g, g.T)
+
+
+# The part of C_w each catalog pencil reads: the whole Gram for a dense term
+# with an identity part or the representer coupling, else its view blocks.
+GRAM_READS = {
+    "MCCA": "full", "MvOPLS": "blocks", "MvLDA": "full", "MvDA": "blocks",
+    "MvDA_VC": "full", "MvMDA": "blocks", "MLDA": "full", "GMA": "full",
+    "MvDA_CCA": "full",
+}
+
+
+@pytest.mark.parametrize("name", METHOD_NAMES)
+def test_the_gram_is_formed_only_where_a_layout_reads_it(name, monkeypatch):
+    asked = []
+    statistics = scatter._class_statistics
+
+    def recording(views, Y, counts, gram):
+        asked.append(gram)
+        return statistics(views, Y, counts, gram)
+
+    monkeypatch.setattr(scatter, "_class_statistics", recording)
+    ds = random_dataset(seed=1, dims=(5, 4, 3), classes=3, n=40)
+    materialize(spec_terms(MethodId(name, k=1), ds.labels, 40, 3), ds.views)
+    assert asked == [GRAM_READS[name]]
+
+
+@pytest.mark.parametrize("d", [1, 5, 128, 129, 300])
+def test_symmetrize_in_place_matches_symmetrize(d):
+    M = np.random.default_rng(d).standard_normal((d, d))
+    want = symmetrize(M)
+    got = scatter._symmetrize_in_place(M)
+    assert got is M
+    np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("dims, n", SHAPES.values(), ids=SHAPES.keys())
