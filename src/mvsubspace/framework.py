@@ -14,7 +14,10 @@ the constraint; ``assemble`` is the two together.  Every catalog method of
 ``methods`` is such a spec, and the deep extension takes its gradient terms
 from the same list.  ``fit`` solves the eigenproblem and recovers the
 regression weights in closed form, W = P^T X H T^T, which is exact because
-the constraint makes the whitened Gram the identity.
+the constraint makes the whitened Gram the identity.  W is formed view by
+view, sum_s P_s^T (X_s - mu_s 1^T) T^T, with no stacked copy of the views;
+each view is centred before it is projected, so a large view mean does not
+cancel in W.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import regularizers as reg
-from .data import TARGET_KINDS, build_indicator, center_columns, make_target
+from .data import TARGET_KINDS, build_indicator, make_target
 from .gevd import GevdProblem, solve
 from .scatter import KernelTerm, label_kernels, materialize_with_factor
 
@@ -105,14 +108,6 @@ class SubspaceModel:
         return self.projections[0].shape[1]
 
 
-def _views_times_target(dataset, spec):
-    """X H T^T (d x o) over the stacked centred views; X H for identity_n."""
-    stacked = np.vstack([center_columns(X) for X in dataset.views])
-    if spec.target_kind == "identity_n":
-        return stacked
-    return stacked @ make_target(dataset, spec.target_kind).values.T
-
-
 def pencil(terms, views, k, gamma):
     """The GevdProblem of KernelTerms on views: one
     ``scatter.materialize_with_factor`` call plus gamma I on the constraint."""
@@ -159,14 +154,18 @@ def assemble(dataset, spec):
 
 
 def fit_solved(dataset, solution, spec):
-    """Package a GEVD solution into a SubspaceModel (shared fitting tail)."""
+    """Package a GEVD solution into a SubspaceModel (shared fitting tail);
+    W is formed view by view with the training means (module docstring)."""
     dims = dataset.dims
     offsets = np.cumsum((0,) + dims)
     projections = tuple(
         solution.P[offsets[s]:offsets[s + 1], :] for s in range(dataset.n_views)
     )
-    W = solution.P.T @ _views_times_target(dataset, spec)
     means = tuple(X.mean(axis=1) for X in dataset.views)
+    W = sum(P.T @ (X - mu[:, None])
+            for P, mu, X in zip(projections, means, dataset.views))
+    if spec.target_kind != "identity_n":
+        W = W @ make_target(dataset, spec.target_kind).values.T
     return SubspaceModel(
         projections=projections,
         W=W,

@@ -26,10 +26,14 @@ K = eye I + Y^T M Y gives
 where K 1 = Y^T a.  A blockdiag term takes the diagonal blocks of the same
 expression.  The terms of one side and layout add their (eye, Mt) first, so
 a call makes one centred d x n copy of the views, the Gram C_w, a few n d c
-products (S and the class means that centre the copy), and then one
-F Mt F^T per side and layout (per diagonal block for blockdiag), whatever
-the number of terms.  The objective's factor for the rank-c solve
-(``materialize_with_factor``) is this F and Mt.
+products (S, and the class means, which one gemm subtracts from the copy in
+place), and then one F Mt F^T per side and layout (per diagonal block for
+blockdiag), whatever the number of terms.  With one class (the one-class
+indicator of a label-free spec) S = X_c 1 is exactly zero: it is set to 0,
+not computed, and the centred copy is already class-centred.  Computed, S
+would be a rounding residue that depends on where the copy lies in memory.
+The objective's factor for the rank-c solve (``materialize_with_factor``)
+is this F and Mt.
 
 Gram blocks only where read.  C_w is formed whole, one n d^2 product, only
 when a dense term has eye != 0 or the representer coupling needs the raw
@@ -281,6 +285,18 @@ def _shared_indicator(terms, n):
     return np.ones((1, n)) if Y is None else Y
 
 
+def _subtract_product(X, A, B):
+    """X -= A B in place: one gemm adds -A B into whichever of X and X^T is
+    Fortran-ordered, so no temporary the size of X is made.  A and B are
+    passed as the transposes of C-ordered arrays, which gemm reads without
+    a copy."""
+    if X.flags.f_contiguous:
+        dgemm(-1.0, A.T, B.T, trans_a=True, trans_b=True, beta=1.0, c=X,
+              overwrite_c=True)
+    else:
+        dgemm(-1.0, B.T, A.T, beta=1.0, c=X.T, overwrite_c=True)
+
+
 def _class_statistics(views, Y, counts, gram):
     """F = [S, mu] of the stacked views and as much of C_w as ``gram`` asks:
     ``(F, C_w, blocks)``.
@@ -289,17 +305,22 @@ def _class_statistics(views, Y, counts, gram):
     "blocks" only the diagonal blocks, one X_w,s X_w,s^T per view, and None
     neither (None and Nones).  The stacked copy of the views is centred in
     place by mu and then by the class means, so every Gram is one product of
-    the class-centred views.
+    the class-centred views.  With one class S is exactly zero and the
+    centred copy is already class-centred.
     """
     X = np.vstack(views)
     mu = X.sum(axis=1) / X.shape[1]
     X -= mu[:, None]
-    S = X @ Y.T
+    one_class = len(counts) == 1
+    S = np.zeros((len(X), 1)) if one_class else X @ Y.T
     F = np.column_stack((S, mu))
     rows = _view_blocks(views)
     if gram is None:
         return F, None, [None] * len(rows)
-    X -= (S / counts) @ Y
+    if not one_class:
+        # Y is one-hot, so every entry of the product is exact and this is
+        # X - (S / counts) Y bit for bit.
+        _subtract_product(X, S / counts, Y)
     if gram == "full":
         C_w = X @ X.T
         return F, C_w, [C_w[b, b] for b in rows]

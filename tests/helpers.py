@@ -4,10 +4,12 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from mvsubspace import ModelSpec, MultiViewDataset, build_indicator
+from mvsubspace.data import center_columns, make_target
 from mvsubspace.framework import pencil
 from mvsubspace.gevd import GevdSolution, NumericalError, _fix_signs
 from mvsubspace.scatter import (
     KernelTerm,
+    _view_blocks,
     label_kernels,
     pseudo_inverse_coupling,
     symmetrize,
@@ -224,6 +226,35 @@ PENCIL_RTOL = 1e-13
 def pencil_gap(got, want):
     """max|got - want| relative to max|want|."""
     return np.abs(got - want).max() / max(np.abs(want).max(), np.finfo(float).tiny)
+
+
+def views_times_target(dataset, spec):
+    """X H T^T (d x o) over the stacked centred views; X H for identity_n.
+
+    The stacked-copy form of ``framework.fit_solved``'s W = P^T X H T^T.
+    """
+    stacked = np.vstack([center_columns(X) for X in dataset.views])
+    if spec.target_kind == "identity_n":
+        return stacked
+    return stacked @ make_target(dataset, spec.target_kind).values.T
+
+
+def stacked_class_statistics(views, Y, counts, gram):
+    """``scatter._class_statistics`` through ``np.vstack``: the stacked copy
+    is centred in place by mu, then by the one-hot product (S / counts) Y."""
+    X = np.vstack(views)
+    mu = X.sum(axis=1) / X.shape[1]
+    X -= mu[:, None]
+    S = X @ Y.T
+    F = np.column_stack((S, mu))
+    rows = _view_blocks(views)
+    if gram is None:
+        return F, None, [None] * len(rows)
+    X -= (S / counts) @ Y
+    if gram == "full":
+        C_w = X @ X.T
+        return F, C_w, [C_w[b, b] for b in rows]
+    return F, None, [X[b] @ X[b].T for b in rows]
 
 
 def regularized_gram_inverse(X):

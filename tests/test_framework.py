@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mvsubspace import (
+    MethodId,
     ModelSpec,
     MultiViewDataset,
     assemble,
@@ -19,6 +20,7 @@ from mvsubspace import (
     solve,
 )
 from mvsubspace.data import TARGET_KINDS, center_columns
+from mvsubspace.deep import MlpConfig, TrainerConfig, forward_views, train
 from mvsubspace.scatter import KernelTerm, symmetrize
 
 from helpers import (
@@ -27,6 +29,7 @@ from helpers import (
     dense_materialize,
     pencil_gap,
     random_dataset,
+    views_times_target,
 )
 
 
@@ -255,3 +258,56 @@ def test_fit_matches_the_full_spectrum_oracle(target, regularizers, route):
     want = dense_gevd(prob)
     got = fit(ds, spec).eigenvalues
     np.testing.assert_allclose(got, want.eigenvalues, rtol=1e-12, atol=1e-12)
+
+
+# W is a sum of per-view products, not one product of the stacked views; it
+# agrees with the stacked oracle to this share of its largest entry.
+W_RTOL = 1e-13
+
+# (dims, n): n above every d, d above n, one view.
+W_SHAPES = {"n>d": ((6, 5, 4), 40), "d>n": ((9, 8, 7), 12), "v=1": ((6,), 20)}
+
+
+def _stacked_weights(model, dataset):
+    """P^T X H T^T through the stacked oracle."""
+    return np.vstack(model.projections).T @ views_times_target(dataset, model.spec)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("shape", W_SHAPES)
+@pytest.mark.parametrize("kind", TARGET_KINDS)
+def test_weights_match_the_stacked_oracle(kind, shape, order):
+    dims, n = W_SHAPES[shape]
+    ds = random_dataset(seed=n + len(dims), dims=dims, classes=3, n=n)
+    ds = MultiViewDataset(tuple(np.asarray(X, order=order) for X in ds.views), ds.labels)
+    assert ds.views[0].flags[f"{order}_CONTIGUOUS"]
+    model = fit(ds, ModelSpec(kind, k=2, gamma=1e-3))
+    assert pencil_gap(model.W, _stacked_weights(model, ds)) <= W_RTOL
+
+
+def test_deep_model_weights_match_the_stacked_oracle():
+    ds = random_dataset(seed=43, dims=(4, 3), n=30, shift=1.0)
+    mlp = MlpConfig(hidden=(4,), out_dim=3)
+    nets, model, _ = train(ds, MethodId("MvOPLS", k=2, gamma=1e-3), mlp,
+                           TrainerConfig(epochs=3))
+    features = forward_views(nets, list(ds.views), mlp.activation)
+    feature_ds = MultiViewDataset(tuple(features), ds.labels)
+    assert pencil_gap(model.W, _stacked_weights(model, feature_ds)) <= W_RTOL
+
+
+@pytest.mark.parametrize("kind", TARGET_KINDS)
+def test_weights_of_offset_views_are_as_accurate_as_the_stacked_oracle(kind):
+    """Each view is centred before it is projected, so a large common mean
+    costs W no more accuracy than the stacked construction loses, up to the
+    rounding of the products (W_RTOL of the reference's largest entry)."""
+    base = random_dataset(seed=44, dims=(6, 5, 4), classes=3, n=40)
+    ds = MultiViewDataset(tuple(X + 1e6 for X in base.views), base.labels)
+    model = fit(ds, ModelSpec(kind, k=2, gamma=1e-3))
+    P = np.vstack(model.projections).astype(np.longdouble)
+    views = [X.astype(np.longdouble) for X in ds.views]
+    ref = P.T @ np.vstack([X - X.mean(axis=1, keepdims=True) for X in views])
+    if kind != "identity_n":
+        ref = ref @ make_target(ds, kind).values.T.astype(np.longdouble)
+    got = np.abs(model.W - ref).max()
+    oracle = np.abs(_stacked_weights(model, ds) - ref).max()
+    assert got <= oracle + W_RTOL * np.abs(ref).max()

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from mvsubspace import METHOD_NAMES, MethodId, build_indicator, scatter
+from mvsubspace import (
+    METHOD_NAMES,
+    MethodId,
+    MultiViewDataset,
+    build,
+    build_indicator,
+    scatter,
+)
+from mvsubspace.data import center_columns
 from mvsubspace.framework import REGULARIZERS, spec_terms
 from mvsubspace.scatter import (
     KernelTerm,
@@ -26,6 +34,7 @@ from helpers import (
     pencil_gap,
     random_dataset,
     regularized_gram_inverse,
+    stacked_class_statistics,
     svd_ridge_pinv,
     within_class_scatter,
 )
@@ -117,6 +126,47 @@ def test_the_gram_is_formed_only_where_a_layout_reads_it(name, monkeypatch):
     ds = random_dataset(seed=1, dims=(5, 4, 3), classes=3, n=40)
     materialize(spec_terms(MethodId(name, k=1), ds.labels, 40, 3), ds.views)
     assert asked == [GRAM_READS[name]]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("gram", ["full", "blocks", None])
+@pytest.mark.parametrize("dims, n", SHAPES.values(), ids=SHAPES.keys())
+def test_class_statistics_match_the_stacked_oracle(dims, n, gram, order):
+    ds = random_dataset(seed=len(dims) + n, dims=dims, classes=3, n=n)
+    views = [np.asarray(X, order=order) for X in ds.views]
+    indicator = build_indicator(ds.labels)
+    got = scatter._class_statistics(views, indicator.Y, indicator.counts, gram)
+    want = stacked_class_statistics(views, indicator.Y, indicator.counts, gram)
+    np.testing.assert_array_equal(got[0], want[0])
+    assert (got[1] is None) == (want[1] is None)
+    if got[1] is not None:
+        np.testing.assert_array_equal(got[1], want[1])
+    for g, w in zip(got[2], want[2], strict=True):
+        assert (g is None) == (w is None)
+        if g is not None:
+            np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_one_class_statistics_are_exact(order):
+    """With one class S = X_c 1 is exactly zero and C_w = X_c X_c^T."""
+    ds = random_dataset(seed=45, dims=(5, 4, 3), n=40)
+    views = [np.asarray(X + 3.0, order=order) for X in ds.views]
+    Y = np.ones((1, 40))
+    F, C_w, _ = scatter._class_statistics(views, Y, Y.sum(axis=1), "full")
+    Xc = np.vstack([center_columns(X) for X in views])
+    assert not F[:, 0].any()
+    np.testing.assert_array_equal(F[:, 1], np.concatenate([X.mean(axis=1) for X in views]))
+    np.testing.assert_array_equal(C_w, Xc @ Xc.T)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_mcca_objective_is_the_centred_gram(order):
+    ds = random_dataset(seed=46, dims=(6, 5, 4), n=50)
+    views = tuple(np.asarray(X + 1e3, order=order) for X in ds.views)
+    problem = build(MethodId("MCCA", k=2), MultiViewDataset(views))
+    Xc = np.vstack([center_columns(X) for X in views])
+    np.testing.assert_array_equal(problem.objective, Xc @ Xc.T)
 
 
 @pytest.mark.parametrize("d", [1, 5, 128, 129, 300])
