@@ -9,13 +9,10 @@ rounded whatever the memory layout of the input, and ties go to the lowest
 gallery index.  The fast paths below return exactly the answers of that
 definition, not approximations of them.
 
-1-NN screens with GEMM.  Per query q it forms s(g) = ||g||^2 - 2 q^T g, which
-is d2(q, g) - ||q||^2 in exact arithmetic, keeps every g with
-s(g) <= min_h s(h) + 2 tol, recomputes only those with the direct formula and
-takes their argmin; the others read +inf.  The reference winner g* is always
-kept, so the answer is the same bit for bit.  Proof, with u = eps/2 the unit
-roundoff, gamma_n = n u / (1 - n u), d the dimension and
-N = ||q||^2 + ||g||^2:
+Both start from a GEMM screen.  Per query q it forms s(g) = ||g||^2 - 2 q^T g,
+which is d2(q, g) - ||q||^2 in exact arithmetic.  With u = eps/2 the unit
+roundoff, gamma_n = n u / (1 - n u), d the dimension, N = ||q||^2 + ||g||^2
+and hats marking computed values:
 
 * direct formula: each term fl(fl(q_k - g_k)^2) carries at most gamma_3
   relative error and summing d nonnegative terms, in any order, adds
@@ -26,34 +23,79 @@ N = ||q||^2 + ||g||^2:
   <= gamma_d N / 2; the final addition rounds a value of size at most
   2N (1 + gamma_d) once; so |s^ - s| <= 2 gamma_(d+1) N.
 
-Both errors together are at most e(g) = 4 gamma_(d+2) N.  With h the screen's
-minimiser, s^(g*) <= d2(g*) - ||q||^2 + e(g*) <= d2(h) - ||q||^2 + e(g*) + e(h)
-<= s^(h) + 2 max_g e(g), because d2^(g*) <= d2^(h).  The code uses
+Both errors together are at most e(g) = 4 gamma_(d+2) N, so
+|s^(g) - (d2^(g) - ||q||^2)| <= e(g).  The code uses
 tol = (4d + 8) (eps (||q||^2 + max_g ||g||^2) + tiny), twice the first-order
-bound: the factor covers the 1 / (1 - n u) denominators and the rounding of
-the norms, of tol and of the limit, and ``tiny`` (the smallest normal float)
-covers gradual underflow, whose absolute errors the relative bounds miss.
-Screen values that are NaN, and every value of a row whose limit is not
-finite (overflow), are kept, so the screen never drops the winner; at worst
-it keeps every column.  A row whose kept minimum is +inf has every distance
+bound on max_g e(g): the factor covers the 1 / (1 - n u) denominators and
+the rounding of the norms, of tol and of the 1-NN limit below, and ``tiny``
+(the smallest normal float) covers gradual underflow, whose absolute errors
+the relative bounds miss.  The GEMM rounds differently per BLAS kernel and
+thread count; the answers below do not, because they rest on this bound
+alone.
+
+1-NN keeps every g with s^(g) <= min_h s^(h) + 2 tol, recomputes only those
+with the direct formula and takes their argmin; the others read +inf.  The
+reference winner g* is always kept: with h the screen's minimiser,
+s^(g*) <= d2^(g*) - ||q||^2 + e(g*) <= d2^(h) - ||q||^2 + e(g*)
+<= s^(h) + e(h) + e(g*) <= s^(h) + 2 max_g e(g), within the limit.  Screen
+values that are NaN, and every value of a row whose limit is not finite
+(overflow), are kept, so the screen never drops the winner; at worst it
+keeps every column.  A row whose kept minimum is +inf has every distance
 +inf, and both answers are then column 0.
 
-Retrieval keeps the direct distances and ranks each row with one sort of
-packed int64 keys.  Every d2 is a sum of squares that starts from +0.0, so it
-is never -0.0 or NaN, and is >= +0.0 (+inf after overflow).  For such
-doubles the int64 view of the bit pattern is monotone: a <= b exactly when
-view(a) <= view(b).  With m = n_gallery and b = bit_length(m - 1) bits, a
-gallery point j gets the key (view(d2_j) with its low b bits cleared) | j.
-Keys are distinct, since their low bits hold j, so any correct sort of them,
-stable or not and whatever kernel numpy dispatches to, yields one order, and
-the ranking is key & (2^b - 1).  Clearing low bits keeps the order weakly
-monotone, so high(a) < high(b) implies d2_a < d2_b.  If no two neighbours in
-a sorted row share their high bits, the row's high parts are distinct, its
-distances strictly ordered, and the key order is the unique ascending order
-of d2, which is what a stable sort returns.  A row where two neighbours do
-share their high bits (every exact tie, every pair of +inf, and distinct
-values whose bit patterns differ only in the low b bits) is sorted again
-with a stable ``argsort`` of its distances.
+Retrieval sorts each row by the screen and computes the direct formula only
+where the screen cannot decide the order.
+
+* Keys.  The int64 view of a double is monotone in its value on values
+  >= +0.0 but reversed on negative ones, and s^ can be negative.  The
+  sign-flip map b -> b ^ ((b >> 63) & (2^63 - 1)) is the identity where the
+  sign bit is clear; where it is set it flips the 63 low bits, taking
+  b = -2^63 + a (a the magnitude bits) to -1 - a, a negative key that falls
+  as the magnitude grows.  So key order is value order on every non-NaN
+  double, except that -0.0 (key -1) precedes +0.0 (key 0).  With
+  m = n_gallery and p = bit_length(m - 1) bits, gallery point j gets the key
+  (flip(view(s^_j)) with its low p bits cleared) | j.  Keys are distinct,
+  since their low bits hold j, so any correct sort of them, stable or not
+  and whatever kernel numpy dispatches to, yields one order, and the
+  ranking is key & (2^p - 1).  Clearing low bits keeps the order weakly
+  monotone: values whose flipped patterns share their high bits (within
+  2^p units in the last place of each other) sort by index, whatever their
+  own order.
+* Runs.  Read a row's screen values in key order, v_0, ..., v_(m-1), and
+  cut it after v_i wherever fl(v_(i+1) - v_i) > 2 tol.  Rounding is
+  monotone and 2 tol is a double (doubling is exact), so the exact gap then
+  exceeds 2 tol too.  In a row whose values are non-decreasing, v_i is the
+  largest value before the cut and v_(i+1) the smallest after it, so every
+  x before and y after have s^(y) - s^(x) > 2 tol, and
+  d2^(y) - d2^(x) >= s^(y) - s^(x) - e(x) - e(y) > 0: the reference order
+  keeps each run (the points between two cuts) together, in the row's order
+  of runs.  A run of one point is in place.  Only members of longer runs get
+  the direct formula (once they are more than half of a query block, it is
+  cheaper to broadcast it over the whole block and read theirs); each run's
+  consecutive members are compared by (d2^, gallery index), and only runs
+  out of that order are sorted again, all in one ``lexsort``.  On distinct,
+  well-separated distances no run is longer than one and the direct formula
+  is not evaluated at all.
+* Rows that take the direct path whole.  Under weakly monotone keys a row
+  is out of screen order only inside a group that shares its high bits;
+  there a value before a cut may exceed one after it, and an adjacent gap
+  no longer bounds every pair across it.  Rows that are not non-decreasing,
+  and rows whose tol or end values are not finite (overflow, or a NaN
+  screen value from inf - inf), are therefore not cut: their direct
+  distances are ranked whole, as below.  Such rows need two distinct
+  screen values within 2^p units in the last place, in reverse index
+  order, or a distance near the top of the range.
+
+A whole row of direct distances is ranked by the same packed keys; every d2
+is a sum of squares that starts from +0.0, so it is never -0.0 or NaN, and
+the sign-flip map leaves it unchanged.  Without -0.0, equal values have
+equal high bits.  If no two neighbours in a sorted row share their high bits
+(compared as unsigned, since the XOR of a negative and a nonnegative key is
+negative), the row's values are strictly ordered and the key order is the
+unique ascending order, which is what a stable sort returns.  A row where
+two neighbours do share their high bits (every exact tie, every pair of
++inf, and distinct values whose bit patterns differ only in the low p bits)
+is sorted again with a stable ``argsort``.
 
 Average precision sums hits / position over the relevant ranks of a row, in
 extended precision.  The reference forms P = cumsum(rel) / position and sums
@@ -161,6 +203,26 @@ def _squared_distances(Z_query, Z_gallery, qi, gi):
     return d2
 
 
+def _screened_blocks(Z_query, Z_gallery):
+    """Per query block: its slice of query columns, the GEMM screen
+    ||g||^2 - 2 q^T g of each of its queries against every gallery column,
+    and each query's tol (module docstring)."""
+    finfo = np.finfo(float)
+    factor = 4 * Z_gallery.shape[0] + 8
+    # Finite samples can overflow the screen; the callers handle inf and NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_norms = np.einsum("dg,dg->g", Z_gallery, Z_gallery)
+        g_max = g_norms.max(initial=0.0)
+    for rows in _query_blocks(Z_query.shape[1], Z_gallery.shape[1]):
+        Qb = Z_query[:, rows]
+        with np.errstate(over="ignore", invalid="ignore"):
+            screen = (-2.0 * Qb).T @ Z_gallery
+            screen += g_norms
+            q_norms = np.einsum("dq,dq->q", Qb, Qb)
+            tol = factor * (finfo.eps * (q_norms + g_max) + finfo.tiny)
+        yield rows, screen, tol
+
+
 def knn1_classify(Z_train, labels_train, Z_test):
     """Nearest-neighbor labels under Euclidean distance.
 
@@ -173,20 +235,10 @@ def knn1_classify(Z_train, labels_train, Z_test):
     labels_train = _labels_for(labels_train, "labels_train", Zg, "Z_train")
     if Zg.shape[1] == 0 and Zq.shape[1] > 0:
         raise ValueError("Z_train has no samples to classify Z_test against")
-    finfo = np.finfo(float)
-    factor = 4 * Zg.shape[0] + 8
     nearest = np.empty(Zq.shape[1], dtype=np.intp)
-    # Finite samples can overflow the screen; overflow only widens it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        g_norms = np.einsum("dg,dg->g", Zg, Zg)
-        g_max = g_norms.max(initial=0.0)
-    for rows in _query_blocks(Zq.shape[1], Zg.shape[1]):
-        Qb = Zq[:, rows]
+    for rows, screen, tol in _screened_blocks(Zq, Zg):
+        # Overflow only widens the screen.
         with np.errstate(over="ignore", invalid="ignore"):
-            screen = (-2.0 * Qb).T @ Zg
-            screen += g_norms
-            q_norms = np.einsum("dq,dq->q", Qb, Qb)
-            tol = factor * (finfo.eps * (q_norms + g_max) + finfo.tiny)
             limit = screen.min(axis=1) + 2.0 * tol
             keep = np.flatnonzero(~(screen > limit[:, None]))
         r, c = np.divmod(keep, Zg.shape[1])
@@ -232,29 +284,104 @@ class RetrievalResult:
     map_mean: float
 
 
-def _stable_order(d2):
-    """Per row of ``d2`` (distances >= +0.0, never NaN), the indices that sort
-    it stably: one in-place sort of packed int64 keys, and a stable argsort
-    only of rows whose keys collide (module docstring)."""
-    shift = max(d2.shape[1] - 1, 0).bit_length()
-    low = (1 << shift) - 1
-    keys = d2.view(np.int64) & ~low
-    keys |= np.arange(d2.shape[1])
+# Flips the 63 low bits of a negative double's int64 view (module docstring).
+_LOW_63 = np.int64(0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _sorted_keys(values):
+    """Per row of ``values``, its packed int64 keys sorted in place, and the
+    mask of the low bits that hold the column index (module docstring)."""
+    low = (1 << max(values.shape[1] - 1, 0).bit_length()) - 1
+    bits = values.view(np.int64)
+    keys = bits >> 63
+    keys &= _LOW_63
+    keys ^= bits
+    keys &= ~low
+    keys |= np.arange(values.shape[1])
     keys.sort(axis=1)
-    collide = ((keys[:, 1:] ^ keys[:, :-1]) <= low).any(axis=1)
+    return keys, low
+
+
+def _stable_order(values):
+    """Per row of ``values`` (never NaN or -0.0), the indices that sort it
+    stably: one in-place sort of packed int64 keys, and a stable argsort
+    only of rows whose keys collide (module docstring)."""
+    keys, low = _sorted_keys(values)
+    collide = ((keys[:, 1:] ^ keys[:, :-1]).view(np.uint64) <= low).any(axis=1)
     keys &= low
     if collide.any():
-        keys[collide] = np.argsort(d2[collide], axis=1, kind="stable")
+        keys[collide] = np.argsort(values[collide], axis=1, kind="stable")
     return keys
 
 
+def _screen_order(Z_query, Z_gallery, rows, screen, tol):
+    """Per query of ``rows``, the gallery indices in direct-distance order,
+    ties to the lowest index: the screen's key order, with the direct
+    formula only where the screen cannot decide (module docstring)."""
+    n = screen.shape[1]
+    order, low = _sorted_keys(screen)
+    order &= low
+    ranked = screen.take(order + n * np.arange(screen.shape[0])[:, None])
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = ranked[:, 1:] - ranked[:, :-1]
+        cut = gaps > (2.0 * tol)[:, None]
+    finite = (
+        np.isfinite(ranked[:, :1]).all(axis=1)
+        & np.isfinite(ranked[:, -1:]).all(axis=1)
+        & np.isfinite(tol)
+    )
+    if cut.all() and finite.all():
+        return order
+    whole = np.flatnonzero(~finite | ~(gaps >= 0).all(axis=1))
+    if whole.size:
+        order[whole] = _stable_order(_squared_distances(
+            Z_query, Z_gallery, whole[:, None] + rows.start, np.arange(n)
+        ))
+    # linked[i, j]: positions j and j + 1 of row i lie in one run.
+    linked = np.zeros(order.shape, dtype=bool)
+    np.logical_not(cut, out=linked[:, :-1])
+    linked[whole] = False
+    if linked.any():
+        _order_runs(Z_query, Z_gallery, rows, order, linked)
+    return order
+
+
+def _order_runs(Z_query, Z_gallery, rows, order, linked):
+    """Put each run of ``order`` in (direct distance, gallery index) order."""
+    n = order.shape[1]
+    member = linked.copy()
+    member[:, 1:] |= linked[:, :-1]
+    at = np.flatnonzero(member)
+    gallery = order.take(at)
+    row = at // n
+    if 2 * at.size > order.size:
+        # Gathered per member, the direct formula costs about twice as much
+        # per entry as broadcast over the block (37 against 15 ns at d = 9),
+        # so past half the block it is cheaper to compute the whole block.
+        block = rows.start + np.arange(len(order))[:, None]
+        d2 = _squared_distances(Z_query, Z_gallery, block, np.arange(n))
+        d2 = d2.take(row * n + gallery)
+    else:
+        d2 = _squared_distances(Z_query, Z_gallery, row + rows.start, gallery)
+    # Consecutive members share a run exactly when the first links onward.
+    same = linked.take(at[:-1])
+    ahead = (d2[:-1] < d2[1:]) | ((d2[:-1] == d2[1:]) & (gallery[:-1] < gallery[1:]))
+    wrong = same & ~ahead
+    if wrong.any():
+        run = np.cumsum(np.concatenate(([True], ~same)))
+        unordered = np.zeros(run[-1] + 1, dtype=bool)
+        unordered[run[1:][wrong]] = True
+        redo = np.flatnonzero(unordered[run])
+        resorted = np.lexsort((gallery[redo], d2[redo], run[redo]))
+        order.put(at[redo], gallery[redo[resorted]])
+
+
 def _direction_aps(Z_query, labels_query, Z_gallery, labels_gallery):
-    n_query, n_gallery = Z_query.shape[1], Z_gallery.shape[1]
-    query_index, gallery_index = np.arange(n_query)[:, None], np.arange(n_gallery)
-    aps = np.empty(n_query)
-    for rows in _query_blocks(n_query, n_gallery):
-        d2 = _squared_distances(Z_query, Z_gallery, query_index[rows], gallery_index)
-        rel = labels_gallery[_stable_order(d2)] == labels_query[rows, None]
+    n_gallery = Z_gallery.shape[1]
+    aps = np.empty(Z_query.shape[1])
+    for rows, screen, tol in _screened_blocks(Z_query, Z_gallery):
+        order = _screen_order(Z_query, Z_gallery, rows, screen, tol)
+        rel = labels_gallery[order] == labels_query[rows, None]
         # The k-th relevant rank of a row holds k hits: its running index
         # among all relevant ranks less the count in the rows before it.
         relevant = np.flatnonzero(rel)

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from mvsubspace import evaluation
 from mvsubspace.evaluation import (
     _direction_aps,
+    _screen_order,
     _stable_order,
     accuracy,
     average_precision,
@@ -226,6 +228,58 @@ def _adversarial_case(name):
         scales = 10.0 ** np.array([0, 150, 200])
         Zq = rng.standard_normal((3, 60)) * scales[rng.integers(0, 3, 60)]
         Zg = rng.standard_normal((3, 90)) * scales[rng.integers(0, 3, 90)]
+    elif name == "subnormal":
+        # coordinates whose squares underflow (1e-160) or that are subnormal
+        # themselves (1e-310): the screen's tol rests on its tiny term alone
+        scales = np.array([1e-155, 1e-160, 1e-310])
+        Zq = rng.standard_normal((3, 70)) * scales[rng.integers(0, 3, 70)]
+        Zg = rng.standard_normal((3, 110)) * scales[rng.integers(0, 3, 110)]
+    elif name == "signed_zeros":
+        Zq = np.round(rng.standard_normal((3, 60)))
+        Zg = np.round(rng.standard_normal((3, 150)))
+        for Z in (Zq, Zg):
+            zero = Z == 0
+            Z[zero] = np.where(rng.random(zero.sum()) < 0.5, -0.0, 0.0)
+    elif name == "one_duplicated_pair":
+        Zq = rng.standard_normal((4, 40))
+        Zg = rng.standard_normal((4, 90))
+        Zg[:, 61] = Zg[:, 17]
+    elif name == "straddling_zero":
+        # every gallery point lies at distance 1 from (1, 0) up to rounding,
+        # so that query's screen values are a few ulps either side of zero:
+        # exact ring points, their one-ulp neighbours and points at random
+        # angles, whose direct distances round to ties and near-ties
+        ring = np.array([[1.0, 1.0, 0.0, 2.0], [1.0, -1.0, 0.0, 0.0]])
+        angle = rng.uniform(0.0, 2.0 * np.pi, 40)
+        Zg = np.hstack([ring] + [
+            np.where(np.arange(2)[:, None] == k, np.nextafter(ring, to), ring)
+            for k in range(2) for to in (-np.inf, np.inf)
+        ] + [[1.0 + np.cos(angle), np.sin(angle)]])[:, rng.permutation(60)]
+        Zq = np.hstack([
+            [[1.0], [0.0]], np.nextafter([[1.0], [0.0]], 1.0), Zg[:, :3],
+            rng.standard_normal((2, 5)),
+        ])
+    elif name == "sphere_near_ties":
+        # Gallery points on the sphere of radius 1 + 1e-10 about a query,
+        # whose norm is 1: their screen values ~2e-10 differ by rounding,
+        # ~1e-16, far beyond the 2^p ulps the keys clear, so the rows stay in
+        # screen order while the direct distances disagree with it.
+        q = rng.standard_normal((3, 1))
+        q /= np.sqrt((q**2).sum())
+        u = rng.standard_normal((3, 80))
+        Zg = q + (1.0 + 1e-10) * u / np.sqrt((u**2).sum(axis=0))
+        Zq = np.hstack([q, q + 1e-3 * rng.standard_normal((3, 4))])
+    elif name == "absorbed_screen":
+        # A 1e8 offset absorbs the 1e-3 coordinate into ||g||^2, so the
+        # screen ties exactly where the direct distances differ; the 1e3
+        # gallery points stay apart.  Runs are then out of distance order,
+        # few per row one way and every point the other.
+        Zq = np.vstack([np.full(40, 1e8), 1e-3 * rng.standard_normal(40)])
+        far = rng.random(120) < 0.8
+        Zg = np.vstack([
+            np.full(120, 1e8),
+            np.where(far, 1e3, 1e-3) * rng.standard_normal(120),
+        ])
     elif name == "gallery_of_one":
         Zq, Zg = rng.standard_normal((4, 9)), rng.standard_normal((4, 1))
     elif name == "zero_dimensions":
@@ -241,7 +295,9 @@ def _adversarial_case(name):
 
 ADVERSARIAL = [
     "duplicated_gallery", "rounded_ties", "one_ulp_apart", "offset_1e6",
-    "overflow", "gallery_of_one", "zero_dimensions", "no_queries",
+    "overflow", "subnormal", "signed_zeros", "one_duplicated_pair",
+    "straddling_zero", "sphere_near_ties", "absorbed_screen", "gallery_of_one",
+    "zero_dimensions", "no_queries",
 ]
 
 
@@ -279,6 +335,63 @@ def test_knn_matches_the_oracle_on_random_near_ties():
         )
 
 
+def test_straddling_case_puts_screen_values_either_side_of_zero():
+    # the case above only tests the sign-flip keys if its screen crosses zero
+    Zq, _, Zg, _ = _adversarial_case("straddling_zero")
+    (_, screen, tol), = evaluation._screened_blocks(Zq[:, :1], Zg)
+    assert (screen < 0).any() and (screen > 0).any()
+    assert (np.abs(screen) <= 2 * tol).all()
+
+
+def _count_direct_entries(monkeypatch):
+    """Route ``_squared_distances`` through a wrapper; return its tally of
+    (query, gallery) entries."""
+    entries = []
+    direct = evaluation._squared_distances
+
+    def counted(Z_query, Z_gallery, qi, gi):
+        entries.append(np.broadcast(qi, gi).size)
+        return direct(Z_query, Z_gallery, qi, gi)
+
+    monkeypatch.setattr(evaluation, "_squared_distances", counted)
+    return entries
+
+
+def test_retrieval_evaluates_the_direct_formula_only_inside_runs(monkeypatch):
+    rng = np.random.default_rng(15)
+    Za, Zb = rng.standard_normal((4, 50)), rng.standard_normal((4, 60))
+    la, lb = rng.integers(1, 4, 50), rng.integers(1, 4, 60)
+    entries = _count_direct_entries(monkeypatch)
+    cross_modal_retrieve(Za, la, Zb, lb)
+    assert sum(entries) == 0
+    # one duplicated gallery pair: a run of two in each of the 50 rows that
+    # rank Zb, none in the rows that rank Za (its two queries are equal)
+    Zb[:, 41] = Zb[:, 8]
+    entries.clear()
+    res = cross_modal_retrieve(Za, la, Zb, lb)
+    assert sum(entries) == 2 * 50
+    np.testing.assert_array_equal(res.ap_ab, dense_direction_aps(Za, la, Zb, lb))
+    np.testing.assert_array_equal(res.ap_ba, dense_direction_aps(Zb, lb, Za, la))
+
+
+def test_runs_are_cut_only_in_rows_in_screen_order():
+    # One query at 0 in one dimension, so screen and direct distances are
+    # both g^2.  x = g_0^2 = 4 + 16 ulp, y = g_1^2 = 4 and z = g_2^2 = 4 + 8 ulp
+    # share their high bits among 1024 gallery points, so the keys order them
+    # x, y, z by index.  With tol = 3 ulp the gap from y to z exceeds 2 tol;
+    # cutting there alone would rank x before z.
+    g = 10.0 + np.arange(1024.0)
+    g[:3] = 2.0 + np.array([8, 0, 4]) * 2.0**-51
+    Zg, Zq = g[None, :], np.zeros((1, 1))
+    d2 = g[None, :] ** 2
+    assert list(d2[0, :3] - 4.0) == [16 * 2.0**-50, 0.0, 8 * 2.0**-50]
+    tol = np.array([3 * 2.0**-50])
+    np.testing.assert_array_equal(
+        _screen_order(Zq, Zg, slice(0, 1), d2.copy(), tol),
+        np.argsort(d2, axis=1, kind="stable"),
+    )
+
+
 def test_rankings_do_not_depend_on_memory_layout():
     Zq, lq, Zg, lg = _adversarial_case("offset_1e6")
     res = cross_modal_retrieve(Zq[:, :80], lq, Zg[:, :80], lg[:80])
@@ -313,6 +426,13 @@ def test_stable_order_matches_a_stable_argsort(n):
         np.where(rng.random(n) < 0.5, np.inf, x),  # overflowed distances
         np.where(x > 1.0, np.finfo(float).max, np.inf),  # the top of the range
         np.full(n, np.inf),
+        -x,  # negative: keys through the sign-flip map
+        -chain[rng.permutation(n)],  # negative one-ulp steps
+        -(tiny + 5e-324)[rng.permutation(n)],  # negative subnormal steps
+        x - np.median(x),  # straddling zero
+        np.round(4 * x) / 4 - 1.0,  # exact ties either side of +0.0
+        np.where(rng.random(n) < 0.5, -x, 0.0),  # negatives and +0.0
+        np.where(rng.random(n) < 0.5, -np.inf, x),  # -inf among positives
     ])
     before = d2.copy()
     np.testing.assert_array_equal(
