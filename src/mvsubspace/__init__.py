@@ -10,7 +10,6 @@ from .data import (
     IndicatorMatrix,
     MultiViewDataset,
     PcaReducer,
-    TargetMatrix,
     build_indicator,
     center_columns,
     load_dataset,
@@ -57,7 +56,6 @@ __all__ = [
     "IndicatorMatrix",
     "MultiViewDataset",
     "PcaReducer",
-    "TargetMatrix",
     "build_indicator",
     "center_columns",
     "load_dataset",

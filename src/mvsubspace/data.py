@@ -137,16 +137,8 @@ def build_indicator(labels):
     return IndicatorMatrix(Y=Y, counts=counts)
 
 
-@dataclass(frozen=True)
-class TargetMatrix:
-    """A target matrix (o x n) together with the kind that produced it."""
-
-    values: np.ndarray
-    kind: str
-
-
 def make_target(dataset, kind):
-    """Build the regression target for one of the supported kinds.
+    """The o x n regression target for one of the supported kinds.
 
     centered_onehot            Y H_n
     sigma_invsqrt_onehot       Sigma^{-1/2} Y   (rows scaled by 1/sqrt(n_r))
@@ -157,18 +149,17 @@ def make_target(dataset, kind):
         raise ValueError(f"unknown target kind {kind!r}; expected one of {TARGET_KINDS}")
     n = dataset.n_samples
     if kind == "identity_n":
-        return TargetMatrix(np.eye(n), kind)
+        return np.eye(n)
     if dataset.labels is None:
         raise ValueError(f"target kind {kind!r} needs labels")
     ind = build_indicator(dataset.labels)
     if kind == "centered_onehot":
-        values = center_columns(ind.Y)
-    elif kind == "sigma_invsqrt_onehot":
-        values = ind.Y / np.sqrt(ind.counts)[:, None]
-    else:  # centered_normalized_label
-        Yn = ind.Y / ind.counts[:, None]
-        values = Yn - Yn.mean(axis=0, keepdims=True)
-    return TargetMatrix(values, kind)
+        return center_columns(ind.Y)
+    if kind == "sigma_invsqrt_onehot":
+        return ind.Y / np.sqrt(ind.counts)[:, None]
+    # centered_normalized_label
+    Yn = ind.Y / ind.counts[:, None]
+    return Yn - Yn.mean(axis=0, keepdims=True)
 
 
 def _read_matrix(path):

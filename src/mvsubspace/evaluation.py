@@ -69,33 +69,28 @@ where the screen cannot decide the order.
   x before and y after have s^(y) - s^(x) > 2 tol, and
   d2^(y) - d2^(x) >= s^(y) - s^(x) - e(x) - e(y) > 0: the reference order
   keeps each run (the points between two cuts) together, in the row's order
-  of runs.  A run of one point is in place.  Only members of longer runs get
-  the direct formula (once they are more than half of a query block, it is
-  cheaper to broadcast it over the whole block and read theirs); each run's
-  consecutive members are compared by (d2^, gallery index), and only runs
-  out of that order are sorted again, all in one ``lexsort``.  On distinct,
-  well-separated distances no run is longer than one and the direct formula
-  is not evaluated at all.
-* Rows that take the direct path whole.  Under weakly monotone keys a row
-  is out of screen order only inside a group that shares its high bits;
-  there a value before a cut may exceed one after it, and an adjacent gap
-  no longer bounds every pair across it.  Rows that are not non-decreasing,
-  and rows whose tol or end values are not finite (overflow, or a NaN
-  screen value from inf - inf), are therefore not cut: their direct
-  distances are ranked whole, as below.  Such rows need two distinct
-  screen values within 2^p units in the last place, in reverse index
-  order, or a distance near the top of the range.
-
-A whole row of direct distances is ranked by the same packed keys; every d2
-is a sum of squares that starts from +0.0, so it is never -0.0 or NaN, and
-the sign-flip map leaves it unchanged.  Without -0.0, equal values have
-equal high bits.  If no two neighbours in a sorted row share their high bits
-(compared as unsigned, since the XOR of a negative and a nonnegative key is
-negative), the row's values are strictly ordered and the key order is the
-unique ascending order, which is what a stable sort returns.  A row where
-two neighbours do share their high bits (every exact tie, every pair of
-+inf, and distinct values whose bit patterns differ only in the low p bits)
-is sorted again with a stable ``argsort``.
+  of runs.  A run of one point is in place.
+* Repair.  Only members of longer runs get the direct formula (once they
+  are more than half of a query block, it is cheaper to broadcast it over
+  the whole block and read theirs).  Each run's consecutive members are
+  compared by (d2^, gallery index), and every run found out of that order
+  is sorted again by that pair, all in one ``lexsort``.  Every d2^ is a sum
+  of squares that starts from +0.0, so it is never NaN, and with distinct
+  indices the pair is a total order: a run comes back in reference order
+  whatever order it arrives in.  Correctness never rests on the
+  screen order inside a run, only on the cuts: each run must hold the
+  points of one stretch of the reference order.  On distinct,
+  well-separated distances no run is longer than one and the direct
+  formula is not evaluated at all.
+* Rows that are one run.  Under weakly monotone keys a row is out of screen
+  order only inside a group that shares its high bits; there a value before
+  a cut may exceed one after it, and an adjacent gap no longer bounds every
+  pair across it.  Rows that are not non-decreasing, and rows whose tol or
+  end values are not finite (overflow, or a NaN screen value from
+  inf - inf), are therefore not cut: the whole row is one run, trivially
+  one stretch of the reference order, and enters the repair in index order.
+  Such rows need two distinct screen values within 2^p units in the last
+  place, in reverse index order, or a distance near the top of the range.
 
 Average precision sums hits / position over the relevant ranks of a row, in
 extended precision.  The reference forms P = cumsum(rel) / position and sums
@@ -302,18 +297,6 @@ def _sorted_keys(values):
     return keys, low
 
 
-def _stable_order(values):
-    """Per row of ``values`` (never NaN or -0.0), the indices that sort it
-    stably: one in-place sort of packed int64 keys, and a stable argsort
-    only of rows whose keys collide (module docstring)."""
-    keys, low = _sorted_keys(values)
-    collide = ((keys[:, 1:] ^ keys[:, :-1]).view(np.uint64) <= low).any(axis=1)
-    keys &= low
-    if collide.any():
-        keys[collide] = np.argsort(values[collide], axis=1, kind="stable")
-    return keys
-
-
 def _screen_order(Z_query, Z_gallery, rows, screen, tol):
     """Per query of ``rows``, the gallery indices in direct-distance order,
     ties to the lowest index: the screen's key order, with the direct
@@ -332,15 +315,14 @@ def _screen_order(Z_query, Z_gallery, rows, screen, tol):
     )
     if cut.all() and finite.all():
         return order
-    whole = np.flatnonzero(~finite | ~(gaps >= 0).all(axis=1))
-    if whole.size:
-        order[whole] = _stable_order(_squared_distances(
-            Z_query, Z_gallery, whole[:, None] + rows.start, np.arange(n)
-        ))
     # linked[i, j]: positions j and j + 1 of row i lie in one run.
     linked = np.zeros(order.shape, dtype=bool)
     np.logical_not(cut, out=linked[:, :-1])
-    linked[whole] = False
+    whole = ~finite | ~(gaps >= 0).all(axis=1)
+    linked[whole, :-1] = True
+    # The repair sorts a row whatever its order; in index order its ties are
+    # already in place and the lexsort meets its index key presorted.
+    order[whole] = np.arange(n)
     if linked.any():
         _order_runs(Z_query, Z_gallery, rows, order, linked)
     return order

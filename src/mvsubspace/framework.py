@@ -165,7 +165,7 @@ def fit_solved(dataset, solution, spec):
     W = sum(P.T @ (X - mu[:, None])
             for P, mu, X in zip(projections, means, dataset.views))
     if spec.target_kind != "identity_n":
-        W = W @ make_target(dataset, spec.target_kind).values.T
+        W = W @ make_target(dataset, spec.target_kind).T
     return SubspaceModel(
         projections=projections,
         W=W,

@@ -236,7 +236,7 @@ def views_times_target(dataset, spec):
     stacked = np.vstack([center_columns(X) for X in dataset.views])
     if spec.target_kind == "identity_n":
         return stacked
-    return stacked @ make_target(dataset, spec.target_kind).values.T
+    return stacked @ make_target(dataset, spec.target_kind).T
 
 
 def stacked_class_statistics(views, Y, counts, gram):

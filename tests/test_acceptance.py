@@ -74,7 +74,7 @@ def test_criterion_01_least_squares_equals_spectrum():
         spec = ModelSpec(target_kind="sigma_invsqrt_onehot", k=k, gamma=1e-4)
         model = fit(ds, spec)
         Xc = center_columns(X)
-        Yt = make_target(ds, spec.target_kind).values
+        Yt = make_target(ds, spec.target_kind)
         P, W = model.projections[0], model.W
         got = (
             np.linalg.norm(Yt - W.T @ P.T @ Xc) ** 2
@@ -99,7 +99,7 @@ def test_criterion_02_whitened_target_gives_between_scatter():
         labels = balanced_labels(c, n, rng)
         X = rng.standard_normal((d, n))
         ds = MultiViewDataset((X,), labels)
-        Yt = make_target(ds, "sigma_invsqrt_onehot").values
+        Yt = make_target(ds, "sigma_invsqrt_onehot")
         Xc = center_columns(X)
         got = Xc @ Yt.T @ Yt @ Xc.T
         want = X @ label_kernels(build_indicator(labels))["between"].apply(X).T

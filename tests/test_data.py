@@ -95,17 +95,17 @@ def test_make_target_kinds():
     ds = MultiViewDataset((np.eye(3),), np.array([1, 2, 1]))
     Y = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
     np.testing.assert_allclose(
-        make_target(ds, "centered_onehot").values, center_columns(Y), atol=1e-15
+        make_target(ds, "centered_onehot"), center_columns(Y), atol=1e-15
     )
     np.testing.assert_allclose(
-        make_target(ds, "sigma_invsqrt_onehot").values,
+        make_target(ds, "sigma_invsqrt_onehot"),
         np.array([[2.0 ** -0.5, 0.0, 2.0 ** -0.5], [0.0, 1.0, 0.0]]),
     )
-    np.testing.assert_array_equal(make_target(ds, "identity_n").values, np.eye(3))
+    np.testing.assert_array_equal(make_target(ds, "identity_n"), np.eye(3))
     # class-centered soft labels: rows of Sigma^-1 Y minus their column means
     Yn = Y / np.array([2.0, 1.0])[:, None]
     np.testing.assert_allclose(
-        make_target(ds, "centered_normalized_label").values,
+        make_target(ds, "centered_normalized_label"),
         Yn - Yn.mean(axis=0),
         atol=1e-15,
     )

@@ -7,7 +7,7 @@ from mvsubspace import evaluation
 from mvsubspace.evaluation import (
     _direction_aps,
     _screen_order,
-    _stable_order,
+    _sorted_keys,
     accuracy,
     average_precision,
     classify,
@@ -228,6 +228,13 @@ def _adversarial_case(name):
         scales = 10.0 ** np.array([0, 150, 200])
         Zq = rng.standard_normal((3, 60)) * scales[rng.integers(0, 3, 60)]
         Zg = rng.standard_normal((3, 90)) * scales[rng.integers(0, 3, 90)]
+    elif name == "all_overflow":
+        # coordinates at 1e154 square to near the top of the range, so every
+        # tol, and many norms and distances, overflow: every row is one run.
+        # 200 queries against 400 gallery points span three query blocks
+        # either way.
+        Zq = 1e154 * rng.standard_normal((3, 200))
+        Zg = 1e154 * rng.standard_normal((3, 400))
     elif name == "subnormal":
         # coordinates whose squares underflow (1e-160) or that are subnormal
         # themselves (1e-310): the screen's tol rests on its tiny term alone
@@ -295,9 +302,9 @@ def _adversarial_case(name):
 
 ADVERSARIAL = [
     "duplicated_gallery", "rounded_ties", "one_ulp_apart", "offset_1e6",
-    "overflow", "subnormal", "signed_zeros", "one_duplicated_pair",
-    "straddling_zero", "sphere_near_ties", "absorbed_screen", "gallery_of_one",
-    "zero_dimensions", "no_queries",
+    "overflow", "all_overflow", "subnormal", "signed_zeros",
+    "one_duplicated_pair", "straddling_zero", "sphere_near_ties",
+    "absorbed_screen", "gallery_of_one", "zero_dimensions", "no_queries",
 ]
 
 
@@ -374,6 +381,20 @@ def test_retrieval_evaluates_the_direct_formula_only_inside_runs(monkeypatch):
     np.testing.assert_array_equal(res.ap_ba, dense_direction_aps(Zb, lb, Za, la))
 
 
+def test_a_row_that_overflows_is_ranked_as_one_run(monkeypatch):
+    # query 7's squared norm overflows, so its tol does: its row is ranked as
+    # one run, one direct entry per gallery point in one pass, and every
+    # other row needs none
+    rng = np.random.default_rng(16)
+    Zq, Zg = rng.standard_normal((4, 50)), rng.standard_normal((4, 60))
+    Zq[:, 7] *= 1e160
+    lq, lg = rng.integers(1, 4, 50), rng.integers(1, 4, 60)
+    entries = _count_direct_entries(monkeypatch)
+    aps = _direction_aps(Zq, lq, Zg, lg)
+    assert entries == [60]
+    np.testing.assert_array_equal(aps, dense_direction_aps(Zq, lq, Zg, lg))
+
+
 def test_runs_are_cut_only_in_rows_in_screen_order():
     # One query at 0 in one dimension, so screen and direct distances are
     # both g^2.  x = g_0^2 = 4 + 16 ulp, y = g_1^2 = 4 and z = g_2^2 = 4 + 8 ulp
@@ -408,7 +429,8 @@ def test_rankings_do_not_depend_on_memory_layout():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 64, 65, 500])
 def test_stable_order_matches_a_stable_argsort(n):
-    # gallery sizes 1, 2 and 2^b, 2^b + 1 for the b low bits the index takes
+    # The packed keys that order the screen, on rows of screen values.
+    # Gallery sizes 1, 2 and 2^b, 2^b + 1 for the b low bits the index takes.
     rng = np.random.default_rng(13)
     x = rng.exponential(size=n)
     chain = np.empty(n)
@@ -416,7 +438,7 @@ def test_stable_order_matches_a_stable_argsort(n):
     for i in range(1, n):
         chain[i] = np.nextafter(chain[i - 1], np.inf)
     tiny = np.arange(n) * np.nextafter(0.0, 1.0)
-    d2 = np.array([
+    values = np.array([
         x,  # distinct: the packed keys decide alone
         np.round(4 * x) / 4,  # exact ties
         chain[rng.permutation(n)],  # one-ulp steps that share their high bits
@@ -434,11 +456,27 @@ def test_stable_order_matches_a_stable_argsort(n):
         np.where(rng.random(n) < 0.5, -x, 0.0),  # negatives and +0.0
         np.where(rng.random(n) < 0.5, -np.inf, x),  # -inf among positives
     ])
-    before = d2.copy()
+    before = values.copy()
+    keys, low = _sorted_keys(values)
+    np.testing.assert_array_equal(values, before)
+    order = keys & low
+    # the low bits hold each column once
     np.testing.assert_array_equal(
-        _stable_order(d2), np.argsort(d2, axis=1, kind="stable")
+        np.sort(order, axis=1), np.broadcast_to(np.arange(n), values.shape)
     )
-    np.testing.assert_array_equal(d2, before)
+    # read in key order, values never fall where the keys differ above the
+    # low bits (as unsigned: the XOR of a negative and a nonnegative key is
+    # negative)
+    ranked = np.take_along_axis(values, order, axis=1)
+    apart = (keys[:, 1:] ^ keys[:, :-1]).view(np.uint64) > low
+    assert (ranked[:, 1:] >= ranked[:, :-1])[apart].all()
+    # where no neighbours share their high bits, the key order is the stable
+    # ascending order; the distinct rows, x and -x, are always such rows
+    decided = apart.all(axis=1)
+    assert decided[[0, 9]].all()
+    np.testing.assert_array_equal(
+        order[decided], np.argsort(values[decided], axis=1, kind="stable")
+    )
 
 
 def _labelled_calls(labels):

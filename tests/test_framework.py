@@ -38,7 +38,7 @@ def test_assemble_single_view_no_regularizers():
     spec = ModelSpec(target_kind="sigma_invsqrt_onehot", k=2, gamma=1e-3)
     prob = assemble(ds, spec)
     Xc = center_columns(ds.views[0])
-    Yt = make_target(ds, "sigma_invsqrt_onehot").values
+    Yt = make_target(ds, "sigma_invsqrt_onehot")
     np.testing.assert_allclose(prob.objective, Xc @ Yt.T @ Yt @ Xc.T, atol=1e-12)
     np.testing.assert_allclose(
         prob.constraint, Xc @ Xc.T + 1e-3 * np.eye(4), atol=1e-12
@@ -69,7 +69,7 @@ def test_target_kernel_matches_the_dense_target(kind):
     ds = random_dataset(seed=8, dims=(6, 5, 4), classes=3, n=24)
     prob = assemble(ds, ModelSpec(kind, k=2))
     Xt = np.vstack([center_columns(X) for X in ds.views])
-    T = make_target(ds, kind).values
+    T = make_target(ds, kind)
     assert pencil_gap(prob.objective, Xt @ T.T @ T @ Xt.T) <= PENCIL_RTOL
     assert (prob.objective_factor is not None) == (kind != "identity_n")
 
@@ -107,7 +107,7 @@ def test_fit_recovers_least_squares_value():
     spec = ModelSpec(target_kind="sigma_invsqrt_onehot", k=3, gamma=1e-4)
     model = fit(ds, spec)
     Xc = center_columns(ds.views[0])
-    Yt = make_target(ds, spec.target_kind).values
+    Yt = make_target(ds, spec.target_kind)
     P, W = model.projections[0], model.W
     residual = np.linalg.norm(Yt - W.T @ P.T @ Xc) ** 2
     ridge = spec.gamma * np.linalg.norm(P @ W) ** 2
@@ -307,7 +307,7 @@ def test_weights_of_offset_views_are_as_accurate_as_the_stacked_oracle(kind):
     views = [X.astype(np.longdouble) for X in ds.views]
     ref = P.T @ np.vstack([X - X.mean(axis=1, keepdims=True) for X in views])
     if kind != "identity_n":
-        ref = ref @ make_target(ds, kind).values.T.astype(np.longdouble)
+        ref = ref @ make_target(ds, kind).T.astype(np.longdouble)
     got = np.abs(model.W - ref).max()
     oracle = np.abs(_stacked_weights(model, ds) - ref).max()
     assert got <= oracle + W_RTOL * np.abs(ref).max()
