@@ -31,10 +31,8 @@ from .evaluation import (
 from .framework import (
     ModelSpec,
     SubspaceModel,
-    assemble,
     decision_values,
     embed,
-    fit,
     load_model,
     predict,
     save_model,
@@ -78,10 +76,8 @@ __all__ = [
     "train_linear_classifier",
     "ModelSpec",
     "SubspaceModel",
-    "assemble",
     "decision_values",
     "embed",
-    "fit",
     "load_model",
     "predict",
     "save_model",

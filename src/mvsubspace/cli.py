@@ -223,16 +223,17 @@ def cmd_classify(cfg, out_dir, seed):
         raise ConfigError("classification needs labels.csv in the dataset")
     if "train_fraction" not in cfg:
         raise ConfigError("config key 'train_fraction' is required")
-    ks = _split_list(cfg, "k", int)
+    # Every k is checked before the first fit.
+    specs = [_spec(cfg, k) for k in _split_list(cfg, "k", int)]
     lines = []
     rows = ["k,accuracy_mean,accuracy_std"]
-    for k in ks:
-        accs = _accuracy_runs(cfg, ds, _spec(cfg, k), seed)
-        lines.append(f"k = {k}")
+    for spec in specs:
+        accs = _accuracy_runs(cfg, ds, spec, seed)
+        lines.append(f"k = {spec.k}")
         lines.append(f"accuracy_mean = {accs.mean():.6f}")
         lines.append(f"accuracy_std = {accs.std():.6f}")
         lines.append("accuracy_runs = " + ",".join(f"{a:.6f}" for a in accs))
-        rows.append(f"{k},{accs.mean():.6f},{accs.std():.6f}")
+        rows.append(f"{spec.k},{accs.mean():.6f},{accs.std():.6f}")
     report = "\n".join(lines)
     print(report)
     if out_dir is not None:

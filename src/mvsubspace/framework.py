@@ -6,18 +6,18 @@ list of weighted regularizers, and the hyperparameters (k, gamma, lam).
 views X, with H = H_n the centering kernel and every label kernel on one
 shared class indicator: the target term dense(X H T^T T H X^T) through the
 kernel ``TARGET_KERNELS`` names, the constraint term blockdiag(X_s H X_s^T)
-and each regularizer's terms scaled by its weight.  The indicator is that of
-the labels when the spec reads labels (a supervised target kind or a
-labelled regularizer) and the one-class indicator otherwise.  ``pencil``
-materializes the terms in one call and adds the Tikhonov ridge gamma I to
-the constraint; ``assemble`` is the two together.  Every catalog method of
-``methods`` is such a spec, and the deep extension takes its gradient terms
-from the same list.  ``fit`` solves the eigenproblem and recovers the
-regression weights in closed form, W = P^T X H T^T, which is exact because
-the constraint makes the whitened Gram the identity.  W is formed view by
-view, sum_s P_s^T (X_s - mu_s 1^T) T^T, with no stacked copy of the views;
-each view is centred before it is projected, so a large view mean does not
-cancel in W.
+and each regularizer's terms, from its ``regularizers.REGULARIZERS`` builder,
+scaled by its weight.  The indicator is that of the labels when the spec
+reads labels (a supervised target kind or a labelled regularizer) and the
+one-class indicator otherwise.  ``pencil`` materializes the terms in one call
+and adds the Tikhonov ridge gamma I to the constraint; ``methods.build`` is
+the two together, and the deep extension takes its gradient terms from the
+same list.  ``fit_solved`` packages a solution and recovers the regression
+weights in closed form, W = P^T X H T^T, which is exact because the
+constraint makes the whitened Gram the identity.  W is formed view by view,
+sum_s P_s^T (X_s - mu_s 1^T) T^T, with no stacked copy of the views; each
+view is centred before it is projected, so a large view mean does not cancel
+in W.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import regularizers as reg
 from .data import TARGET_KINDS, build_indicator, make_target
-from .gevd import GevdProblem, solve
-from .scatter import KernelTerm, label_kernels, materialize_with_factor
+from .gevd import GevdProblem
+from .regularizers import LABELED_REGULARIZERS, REGULARIZERS
+from .scatter import KernelTerm, _view_blocks, label_kernels, materialize_with_factor
 
 SUPERVISED_KINDS = tuple(k for k in TARGET_KINDS if k != "identity_n")
 
@@ -43,17 +43,6 @@ TARGET_KERNELS = {
     "centered_normalized_label": "center_distance",
     "centered_onehot": "centered_onehot",
 }
-
-# Regularizer id -> builder(n_views, label kernels, lam).
-REGULARIZERS = {
-    "mean": lambda v, K, lam: reg.mean_consistency(v, K),
-    "representer": lambda v, K, lam: reg.representer_consistency(),
-    "hsic": lambda v, K, lam: reg.hsic_alignment(K),
-    "cca": lambda v, K, lam: reg.cca_coupling(v, K["centering"]),
-    "lda": lambda v, K, lam: reg.lda_per_view(K, lam),
-    "joint": lambda v, K, lam: reg.joint_constraint(v, K["centering"]),
-}
-LABELED_REGULARIZERS = ("hsic", "lda")
 
 
 @dataclass(frozen=True)
@@ -147,20 +136,10 @@ def spec_terms(spec, labels, n, v):
     return terms
 
 
-def assemble(dataset, spec):
-    """Materialize the eigenproblem a ModelSpec describes on a dataset."""
-    terms = spec_terms(spec, dataset.labels, dataset.n_samples, dataset.n_views)
-    return pencil(terms, dataset.views, spec.k, spec.gamma)
-
-
 def fit_solved(dataset, solution, spec):
     """Package a GEVD solution into a SubspaceModel (shared fitting tail);
     W is formed view by view with the training means (module docstring)."""
-    dims = dataset.dims
-    offsets = np.cumsum((0,) + dims)
-    projections = tuple(
-        solution.P[offsets[s]:offsets[s + 1], :] for s in range(dataset.n_views)
-    )
+    projections = tuple(solution.P[b, :] for b in _view_blocks(dataset.views))
     means = tuple(X.mean(axis=1) for X in dataset.views)
     W = sum(P.T @ (X - mu[:, None])
             for P, mu, X in zip(projections, means, dataset.views))
@@ -173,13 +152,6 @@ def fit_solved(dataset, solution, spec):
         eigenvalues=solution.eigenvalues.copy(),
         spec=spec,
     )
-
-
-def fit(dataset, spec):
-    """Assemble, solve, and package a model for a ModelSpec."""
-    problem = assemble(dataset, spec)
-    solution = solve(problem)
-    return fit_solved(dataset, solution, spec)
 
 
 def embed(model, dataset):

@@ -5,9 +5,9 @@ regularizers of a ``framework.ModelSpec``, with "lam" standing for the
 method's own lam; like every spec, it is fitted on centred views.
 ``MethodId(name, k, gamma, lam)`` returns that row's spec, with the name in
 ``spec.method``; there is no other model type.  ``build`` and ``fit`` take
-any spec and materialize it through ``framework.assemble``, and the deep
-extension trains on the same spec, so the linear and deep paths cannot drift
-apart.
+any spec and materialize its ``framework.spec_terms`` through
+``framework.pencil``, and the deep extension trains on the same terms, so the
+linear and deep paths cannot drift apart.
 
 Methods (CLI spellings):
 
@@ -37,7 +37,7 @@ the build or the solver.
 
 from __future__ import annotations
 
-from .framework import ModelSpec, assemble, fit_solved, label_readers
+from .framework import ModelSpec, fit_solved, label_readers, pencil, spec_terms
 from .gevd import solve
 
 # name -> (target kind, ((regularizer id, weight), ...)).
@@ -81,7 +81,8 @@ SUPERVISED_METHODS = tuple(
 
 def build(spec, dataset):
     """Build a ModelSpec's GevdProblem from a dataset."""
-    return assemble(dataset, spec)
+    terms = spec_terms(spec, dataset.labels, dataset.n_samples, dataset.n_views)
+    return pencil(terms, dataset.views, spec.k, spec.gamma)
 
 
 def fit(spec, dataset):

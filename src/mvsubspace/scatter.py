@@ -231,15 +231,12 @@ def _representer_grads(views, G, coeff):
     E = K D^T X K on the column side.
     """
     v = len(views)
-    offsets = np.cumsum([0] + [Z.shape[0] for Z in views])
+    blocks = _view_blocks(views)
     pinvs = [_ridge_pinv(Z, s) for s, Z in enumerate(views)]
     Fs = [F for F, _, _ in pinvs]
     grads = []
     for u, (Z, (F, inverse, rows)) in enumerate(zip(views, pinvs)):
-        Gu = [
-            G[offsets[u]:offsets[u + 1], offsets[w]:offsets[w + 1]]
-            for w in range(v)
-        ]
+        Gu = [G[blocks[u], bw] for bw in blocks]
         D = (v - 1) * (Gu[u] @ F)
         for w in range(v):
             if w != u:
@@ -458,7 +455,7 @@ def materialize_grads(terms, views, adjoints):
     kernels, couplings = _summed_terms(
         terms, lambda kernel: identity if kernel is None else (kernel.eye, kernel.M)
     )
-    offsets = np.cumsum([0] + [X.shape[0] for X in views])
+    blocks = _view_blocks(views)
     grads = [np.zeros_like(X) for X in views]
     for (side, layout), (eye, M) in kernels.items():
         if not (eye or M.any()):
@@ -466,12 +463,11 @@ def materialize_grads(terms, views, adjoints):
         G, kernel = adjoint[side], LabelKernel(eye, Y, M)
         if layout == "dense":
             full = 2.0 * _apply_sum(kernel, G @ np.vstack(views))
-            for s in range(len(views)):
-                grads[s] += full[offsets[s]:offsets[s + 1], :]
+            for g, b in zip(grads, blocks):
+                g += full[b, :]
         else:
-            for s, X in enumerate(views):
-                Gss = G[offsets[s]:offsets[s + 1], offsets[s]:offsets[s + 1]]
-                grads[s] += 2.0 * _apply_sum(kernel, Gss @ X)
+            for g, b, X in zip(grads, blocks, views):
+                g += 2.0 * _apply_sum(kernel, G[b, b] @ X)
     for side, coeff in couplings.items():
         for s, g in enumerate(_representer_grads(views, adjoint[side], coeff)):
             grads[s] += g

@@ -8,20 +8,23 @@ import numpy as np
 
 from .data import MultiViewDataset
 
+# The class-independent nuisance latents: their number and scale.
+NUISANCE_DIM = 2
+NUISANCE_SCALE = 6.0
+
 
 def make_toy_dataset(classes=3, views=3, samples=300, dims=None,
-                     noise=0.3, separation=4.0, nuisance_dim=2,
-                     nuisance_scale=6.0, seed=0):
+                     noise=0.3, separation=4.0, seed=0):
     """Sample a labeled multi-view dataset with separable class clusters.
 
     Latent points concatenate a class component (one scaled basis vector per
-    class center plus unit isotropic scatter) with a class-independent
-    nuisance component of scale ``nuisance_scale`` that is shared across
-    views.  Each view observes the latents through its own near-orthonormal
-    random linear map, a random mean offset, and additive Gaussian noise of
-    scale ``noise``.  The nuisance carries the strongest cross-view
-    correlations while being useless for classification, so label-blind and
-    label-aware methods genuinely part ways on this data.
+    class center plus unit isotropic scatter) with NUISANCE_DIM
+    class-independent nuisance components of scale NUISANCE_SCALE that are
+    shared across views.  Each view observes the latents through its own
+    near-orthonormal random linear map, a random mean offset, and additive
+    Gaussian noise of scale ``noise``.  The nuisance carries the strongest
+    cross-view correlations while being useless for classification, so
+    label-blind and label-aware methods genuinely part ways on this data.
     """
     if classes < 2:
         raise ValueError("need at least two classes")
@@ -34,17 +37,14 @@ def make_toy_dataset(classes=3, views=3, samples=300, dims=None,
         raise ValueError(f"dims has {len(dims)} entries for {views} views")
     if samples < 2 * classes:
         raise ValueError("need at least two samples per class")
-    if noise < 0 or nuisance_scale < 0:
-        raise ValueError("noise scales must be nonnegative")
-    if nuisance_dim < 0:
-        raise ValueError("nuisance_dim must be nonnegative")
+    if noise < 0:
+        raise ValueError("noise scale must be nonnegative")
     rng = np.random.default_rng(seed)
     labels = np.sort(1 + np.arange(samples) % classes).astype(np.int64)
     centers = separation * np.eye(classes)
     latents = centers[:, labels - 1] + rng.standard_normal((classes, samples))
-    if nuisance_dim > 0:
-        nuis = nuisance_scale * rng.standard_normal((nuisance_dim, samples))
-        latents = np.vstack([latents, nuis])
+    nuis = NUISANCE_SCALE * rng.standard_normal((NUISANCE_DIM, samples))
+    latents = np.vstack([latents, nuis])
     q = latents.shape[0]
     view_list = []
     for d in dims:

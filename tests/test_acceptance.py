@@ -19,7 +19,6 @@ from mvsubspace import (
     build,
     build_indicator,
     embed,
-    fit,
     make_target,
     solve,
     split_dataset,
@@ -72,7 +71,7 @@ def test_criterion_01_least_squares_equals_spectrum():
         ds = MultiViewDataset((X,), labels)
         k = int(rng.integers(1, d + 1))
         spec = ModelSpec(target_kind="sigma_invsqrt_onehot", k=k, gamma=1e-4)
-        model = fit(ds, spec)
+        model = fit_method(spec, ds)
         Xc = center_columns(X)
         Yt = make_target(ds, spec.target_kind)
         P, W = model.projections[0], model.W
@@ -182,14 +181,14 @@ def test_criterion_05_regularizer_quadratic_identities():
         return float(np.trace(W.T @ P.T @ M @ P @ W))
 
     one_class = label_kernels(build_indicator(np.ones(n, dtype=int)))
-    mean_term = materialize(mean_consistency(v, one_class), views)[1]
+    mean_term = materialize(mean_consistency(v, one_class, 0.0), views)[1]
     m = [(W.T @ Pv[s].T @ views[s]).mean(axis=1) for s in range(v)]
     mean_direct = n / (2 * v) * sum(
         np.sum((m[s] - m[t]) ** 2) for s in range(v) for t in range(v)
     )
     rel_mean = abs(form(mean_term) - mean_direct) / abs(mean_direct)
 
-    rep_term = materialize(representer_consistency(), views)[1]
+    rep_term = materialize(representer_consistency(v, one_class, 0.0), views)[1]
     betas = []
     for s in range(v):
         G = views[s].T @ views[s]
@@ -203,7 +202,7 @@ def test_criterion_05_regularizer_quadratic_identities():
     rel_rep = abs(form(rep_term) - rep_direct) / abs(rep_direct)
 
     tviews = [X - X.mean(axis=1, keepdims=True) for X in views]
-    cca_term = -materialize(cca_coupling(v, one_class["centering"]), views)[0]
+    cca_term = -materialize(cca_coupling(v, one_class, 0.0), views)[0]
     Z = [W.T @ Pv[s].T @ tviews[s] for s in range(v)]
     cca_direct = 0.5 * sum(
         np.sum((Z[s] - Z[t]) ** 2) for s in range(v) for t in range(v)

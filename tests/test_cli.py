@@ -198,6 +198,24 @@ def test_every_sweep_cell_is_checked_before_the_first_fit(
     assert not (out / "sweep.csv").exists()
 
 
+def test_every_classify_k_is_checked_before_the_first_fit(
+    toy_dir, tmp_path, capsys, monkeypatch
+):
+    fits = []
+    monkeypatch.setattr(cli.methods, "fit", lambda *a: fits.append(a))
+    cfg = write_cfg(
+        tmp_path / "c.cfg", dataset=str(toy_dir), method="MvOPLS", k="2,0",
+        train_fraction="0.5", repeats="3",
+    )
+    out = tmp_path / "c"
+    assert main(["classify", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "k must be at least 1" in captured.err
+    assert captured.out == ""
+    assert fits == []
+    assert not (out / "classify.csv").exists()
+
+
 @pytest.mark.parametrize(
     "keys, message",
     [

@@ -1,18 +1,19 @@
-"""Generic assembly, fitting, embedding, decision rule, and persistence."""
+"""Generic building, fitting, embedding, decision rule, and persistence."""
 
 import json
 
 import numpy as np
 import pytest
 
+import mvsubspace
 from mvsubspace import (
     MethodId,
     ModelSpec,
     MultiViewDataset,
-    assemble,
+    build,
     decision_values,
     embed,
-    fit,
+    fit_method,
     load_model,
     make_target,
     predict,
@@ -36,7 +37,7 @@ from helpers import (
 def test_assemble_single_view_no_regularizers():
     ds = random_dataset(seed=0, dims=(4,), n=15)
     spec = ModelSpec(target_kind="sigma_invsqrt_onehot", k=2, gamma=1e-3)
-    prob = assemble(ds, spec)
+    prob = build(spec, ds)
     Xc = center_columns(ds.views[0])
     Yt = make_target(ds, "sigma_invsqrt_onehot")
     np.testing.assert_allclose(prob.objective, Xc @ Yt.T @ Yt @ Xc.T, atol=1e-12)
@@ -57,7 +58,7 @@ def test_zero_weight_regularizer_is_noop(rid):
     with_reg = ModelSpec(
         target_kind="sigma_invsqrt_onehot", k=2, regularizers=((rid, 0.0),)
     )
-    pa, pb = assemble(ds, base), assemble(ds, with_reg)
+    pa, pb = build(base, ds), build(with_reg, ds)
     np.testing.assert_array_equal(pa.objective, pb.objective)
     np.testing.assert_array_equal(pa.constraint, pb.constraint)
     assert pa.objective_factor is not None and pb.objective_factor is not None
@@ -67,7 +68,7 @@ def test_zero_weight_regularizer_is_noop(rid):
 @pytest.mark.parametrize("kind", TARGET_KINDS, ids=lambda kind: f"{kind}-centered")
 def test_target_kernel_matches_the_dense_target(kind):
     ds = random_dataset(seed=8, dims=(6, 5, 4), classes=3, n=24)
-    prob = assemble(ds, ModelSpec(kind, k=2))
+    prob = build(ModelSpec(kind, k=2), ds)
     Xt = np.vstack([center_columns(X) for X in ds.views])
     T = make_target(ds, kind)
     assert pencil_gap(prob.objective, Xt @ T.T @ T @ Xt.T) <= PENCIL_RTOL
@@ -84,9 +85,9 @@ def test_unlabeled_data_is_refused_where_labels_are_needed(target, regularizers)
     ds = MultiViewDataset(labeled.views)
     spec = ModelSpec(target_kind=target, k=2, regularizers=regularizers)
     with pytest.raises(ValueError, match="needs labels"):
-        assemble(ds, spec)
+        build(spec, ds)
     with pytest.raises(ValueError, match="needs labels"):
-        fit(ds, spec)
+        fit_method(spec, ds)
 
 
 def test_label_free_specs_ignore_the_labels():
@@ -96,7 +97,7 @@ def test_label_free_specs_ignore_the_labels():
     unlabeled = MultiViewDataset(labeled.views)
     regs = (("mean", 1.0), ("representer", 0.3), ("cca", 0.2), ("joint", 1.0))
     spec = ModelSpec("identity_n", k=2, regularizers=regs)
-    pa, pb = assemble(labeled, spec), assemble(unlabeled, spec)
+    pa, pb = build(spec, labeled), build(spec, unlabeled)
     np.testing.assert_array_equal(pa.objective, pb.objective)
     np.testing.assert_array_equal(pa.constraint, pb.constraint)
 
@@ -105,7 +106,7 @@ def test_fit_recovers_least_squares_value():
     """The fitted subspace turns the regression residual into a spectrum sum."""
     ds = random_dataset(seed=2, dims=(6,), n=30, classes=3)
     spec = ModelSpec(target_kind="sigma_invsqrt_onehot", k=3, gamma=1e-4)
-    model = fit(ds, spec)
+    model = fit_method(spec, ds)
     Xc = center_columns(ds.views[0])
     Yt = make_target(ds, spec.target_kind)
     P, W = model.projections[0], model.W
@@ -118,7 +119,7 @@ def test_fit_recovers_least_squares_value():
 def test_embed_is_consistent_between_fit_and_transform():
     ds = random_dataset(seed=3, dims=(5, 4), n=20)
     spec = ModelSpec(target_kind="sigma_invsqrt_onehot", k=2)
-    model = fit(ds, spec)
+    model = fit_method(spec, ds)
     _, full = embed(model, ds)
     # re-embedding any two columns in isolation must reproduce those columns
     sub = ds.subset([4, 11])
@@ -127,7 +128,9 @@ def test_embed_is_consistent_between_fit_and_transform():
 
 
 def test_embed_rejects_wrong_dims():
-    model = fit(random_dataset(seed=3, dims=(5, 4)), ModelSpec("identity_n", k=1))
+    model = fit_method(
+        ModelSpec("identity_n", k=1), random_dataset(seed=3, dims=(5, 4))
+    )
     with pytest.raises(ValueError, match="dims"):
         embed(model, random_dataset(seed=3, dims=(5, 3)))
 
@@ -136,7 +139,7 @@ def test_decision_values_separate_two_classes():
     X = np.array([[-2.0, -1.0, 1.0, 2.0]])
     labels = np.array([1, 1, 2, 2])
     ds = MultiViewDataset((X,), labels)
-    model = fit(ds, ModelSpec(target_kind="sigma_invsqrt_onehot", k=1))
+    model = fit_method(ModelSpec(target_kind="sigma_invsqrt_onehot", k=1), ds)
     np.testing.assert_array_equal(predict(model, ds), labels)
     scores = decision_values(model, ds)
     assert scores.shape == (2, 4)
@@ -150,8 +153,10 @@ def test_decision_values_scale_invariant_with_matched_gamma():
     scaled = MultiViewDataset(
         tuple(alpha * V for V in ds.views), ds.labels
     )
-    a = fit(ds, ModelSpec("sigma_invsqrt_onehot", k=2, gamma=1e-4))
-    b = fit(scaled, ModelSpec("sigma_invsqrt_onehot", k=2, gamma=1e-4 * alpha**2))
+    a = fit_method(ModelSpec("sigma_invsqrt_onehot", k=2, gamma=1e-4), ds)
+    b = fit_method(
+        ModelSpec("sigma_invsqrt_onehot", k=2, gamma=1e-4 * alpha**2), scaled
+    )
     np.testing.assert_allclose(
         decision_values(a, ds), decision_values(b, scaled), atol=1e-10
     )
@@ -159,14 +164,14 @@ def test_decision_values_scale_invariant_with_matched_gamma():
 
 def test_decision_values_need_labels():
     ds = random_dataset(seed=5)
-    model = fit(ds, ModelSpec(target_kind="identity_n", k=2))
+    model = fit_method(ModelSpec(target_kind="identity_n", k=2), ds)
     with pytest.raises(ValueError, match="supervised"):
         decision_values(model, ds)
 
 
 def test_save_load_roundtrip(tmp_path):
     ds = random_dataset(seed=6, dims=(4, 3), n=16)
-    model = fit(ds, ModelSpec("sigma_invsqrt_onehot", k=2, gamma=1e-3))
+    model = fit_method(ModelSpec("sigma_invsqrt_onehot", k=2, gamma=1e-3), ds)
     save_model(model, tmp_path)
     back = load_model(tmp_path)
     assert back.spec == model.spec
@@ -186,7 +191,7 @@ def _with_input_transform(model_dir, transform):
 
 def test_load_reads_files_that_record_centered_views(tmp_path):
     ds = random_dataset(seed=6, dims=(4, 3), n=16)
-    model = fit(ds, ModelSpec("sigma_invsqrt_onehot", k=2))
+    model = fit_method(ModelSpec("sigma_invsqrt_onehot", k=2), ds)
     save_model(model, tmp_path)
     _with_input_transform(tmp_path, "centered")
     back = load_model(tmp_path)
@@ -195,7 +200,9 @@ def test_load_reads_files_that_record_centered_views(tmp_path):
 
 
 def test_load_refuses_a_model_fitted_on_raw_views(tmp_path):
-    model = fit(random_dataset(seed=6, dims=(4, 3), n=16), ModelSpec("identity_n", k=1))
+    model = fit_method(
+        ModelSpec("identity_n", k=1), random_dataset(seed=6, dims=(4, 3), n=16)
+    )
     save_model(model, tmp_path)
     _with_input_transform(tmp_path, "raw")
     with pytest.raises(ValueError, match="unsupported input transform 'raw'"):
@@ -204,7 +211,7 @@ def test_load_refuses_a_model_fitted_on_raw_views(tmp_path):
 
 def test_save_overwrites_atomically(tmp_path):
     ds = random_dataset(seed=7, dims=(4, 3), n=16)
-    model = fit(ds, ModelSpec("sigma_invsqrt_onehot", k=2))
+    model = fit_method(ModelSpec("sigma_invsqrt_onehot", k=2), ds)
     save_model(model, tmp_path)
     save_model(model, tmp_path)  # second write over the same directory
     back = load_model(tmp_path)
@@ -252,11 +259,11 @@ def test_fit_matches_the_full_spectrum_oracle(target, regularizers, route):
     the objective's factor and is solved in its rank."""
     ds = random_dataset(seed=7, dims=(6, 5, 4), classes=3, n=24)
     spec = ModelSpec(target_kind=target, k=2, gamma=1e-3, regularizers=regularizers)
-    prob = assemble(ds, spec)
+    prob = build(spec, ds)
     assert (prob.objective_factor is not None) == (route == "factored")
     assert solve(prob).route == route
     want = dense_gevd(prob)
-    got = fit(ds, spec).eigenvalues
+    got = fit_method(spec, ds).eigenvalues
     np.testing.assert_allclose(got, want.eigenvalues, rtol=1e-12, atol=1e-12)
 
 
@@ -281,7 +288,7 @@ def test_weights_match_the_stacked_oracle(kind, shape, order):
     ds = random_dataset(seed=n + len(dims), dims=dims, classes=3, n=n)
     ds = MultiViewDataset(tuple(np.asarray(X, order=order) for X in ds.views), ds.labels)
     assert ds.views[0].flags[f"{order}_CONTIGUOUS"]
-    model = fit(ds, ModelSpec(kind, k=2, gamma=1e-3))
+    model = fit_method(ModelSpec(kind, k=2, gamma=1e-3), ds)
     assert pencil_gap(model.W, _stacked_weights(model, ds)) <= W_RTOL
 
 
@@ -302,7 +309,7 @@ def test_weights_of_offset_views_are_as_accurate_as_the_stacked_oracle(kind):
     rounding of the products (W_RTOL of the reference's largest entry)."""
     base = random_dataset(seed=44, dims=(6, 5, 4), classes=3, n=40)
     ds = MultiViewDataset(tuple(X + 1e6 for X in base.views), base.labels)
-    model = fit(ds, ModelSpec(kind, k=2, gamma=1e-3))
+    model = fit_method(ModelSpec(kind, k=2, gamma=1e-3), ds)
     P = np.vstack(model.projections).astype(np.longdouble)
     views = [X.astype(np.longdouble) for X in ds.views]
     ref = P.T @ np.vstack([X - X.mean(axis=1, keepdims=True) for X in views])
@@ -311,3 +318,9 @@ def test_weights_of_offset_views_are_as_accurate_as_the_stacked_oracle(kind):
     got = np.abs(model.W - ref).max()
     oracle = np.abs(_stacked_weights(model, ds) - ref).max()
     assert got <= oracle + W_RTOL * np.abs(ref).max()
+
+
+def test_every_public_name_resolves_once():
+    names = mvsubspace.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(mvsubspace, name)] == []
