@@ -33,6 +33,8 @@ def _check_labels(labels):
         raise ValueError("labels must be a one-dimensional integer array")
     if not np.issubdtype(labels.dtype, np.integer):
         raise ValueError("labels must be integers")
+    if labels.size == 0:
+        raise ValueError("labels must not be empty")
     uniq = np.unique(labels)
     for pos, val in enumerate(uniq, start=1):
         if val != pos:
@@ -229,10 +231,9 @@ def load_dataset(root):
                 f"labels.csv has {raw.shape[0]} rows but views have "
                 f"{views[0].shape[1]} samples"
             )
-        originals = np.unique(raw)
-        remap = {orig: new for new, orig in enumerate(originals, start=1)}
-        labels = np.asarray([remap[x] for x in raw], dtype=np.int64)
-        label_map = {new: int(orig) for orig, new in remap.items()}
+        originals, inverse = np.unique(raw, return_inverse=True)
+        labels = inverse + 1
+        label_map = {new: int(orig) for new, orig in enumerate(originals, start=1)}
     return MultiViewDataset(tuple(views), labels, label_map)
 
 

@@ -73,10 +73,6 @@ class MlpConfig:
             )
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
 
-    @property
-    def depth(self):
-        return len(self.hidden) + 1
-
 
 @dataclass
 class MlpNetwork:

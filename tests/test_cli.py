@@ -288,6 +288,36 @@ def test_malformed_config_line(toy_dir, tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["fit", "classify", "retrieve", "sweep", "gen-toy"])
+def test_unknown_key_is_a_config_error(tmp_path, capsys, command):
+    # a misspelt key must not leave its setting at the default, and is
+    # reported before the (missing) dataset is read
+    cfg = write_cfg(
+        tmp_path / "typo.cfg", dataset=str(tmp_path / "none"), method="MvOPLS", k="1",
+        train_fraction="0.5", repeats="1", lamda="1e3",
+    )
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "typo.cfg, line 8: unknown config key 'lamda'" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_classify_and_one_cell_sweep_agree(toy_dir, tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path / "one.cfg", dataset=str(toy_dir), method="MvDA", k="2",
+        train_fraction="0.5", repeats="3", seed="2", **{"lambda": "0.1"},
+    )
+    assert main(["classify", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+    capsys.readouterr()
+    _, mean, std = (tmp_path / "c" / "classify.csv").read_text().splitlines()[1].split(",")
+    row = (tmp_path / "s" / "sweep.csv").read_text().splitlines()[1].split(",")
+    assert row[:4] == ["2", "0.5", "0.1", ""]
+    assert row[4:] == [mean, std]
+
+
 def test_bad_integer_value(toy_dir, tmp_path, capsys):
     cfg = write_cfg(tmp_path / "bad.cfg", dataset=str(toy_dir), k="two")
     assert main(["fit", "--config", cfg, "--out", str(tmp_path / "m")]) == 2

@@ -89,6 +89,8 @@ def test_indicator_rejects_bad_labels():
         build_indicator(np.array([1, 3]))
     with pytest.raises(ValueError, match="integers"):
         build_indicator(np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="labels must not be empty"):
+        build_indicator(np.array([], dtype=int))
 
 
 def test_make_target_kinds():
@@ -210,6 +212,12 @@ def test_load_remaps_noncontiguous_labels(tmp_path):
     ds = load_dataset(tmp_path)
     np.testing.assert_array_equal(ds.labels, [2, 1, 2])
     assert ds.label_map == {1: 3, 2: 7}
+    # negative and widely gapped values
+    (tmp_path / "labels.csv").write_text("1000\n-7\n40\n")
+    ds = load_dataset(tmp_path)
+    np.testing.assert_array_equal(ds.labels, [3, 1, 2])
+    assert ds.labels.dtype == np.int64
+    assert ds.label_map == {1: -7, 2: 40, 3: 1000}
 
 
 def test_load_rejects_gaps_and_mismatches(tmp_path):
