@@ -74,6 +74,8 @@ def read_config(path):
         key, value = (part.strip() for part in text.split("=", 1))
         if key not in _KEYS:
             raise ConfigError(f"{p.name}, line {i}: unknown config key {key!r}")
+        if key in cfg:
+            raise ConfigError(f"{p.name}, line {i}: config key {key!r} is set twice")
         cfg[key] = value
     return cfg
 

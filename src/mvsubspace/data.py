@@ -160,13 +160,17 @@ def make_target(dataset, kind):
     return Yn - Yn.mean(axis=0, keepdims=True)
 
 
-def _read_matrix(path):
+def _read_matrix(path, shape=(None, None)):
+    """The CSV matrix at ``path``; ``shape`` gives the row and column counts
+    it must have, None where any count will do."""
     try:
         M = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
     except ValueError as err:
         raise ValueError(f"{path.name}: could not parse numeric data ({err})") from None
     if M.size == 0:
         raise ValueError(f"{path.name}: empty file")
+    if any(want not in (None, got) for want, got in zip(shape, M.shape)):
+        raise ValueError(f"{path.name}: expected shape {shape}, found {M.shape}")
     return M
 
 
@@ -284,36 +288,31 @@ def pca_reduce(dataset, energy=0.95):
 def split_dataset(dataset, train_fraction, seed=0):
     """Deterministic stratified split into (train, test) datasets.
 
-    With labels, each class contributes round(train_fraction * n_c) samples
-    to the training side, clamped so both sides keep at least one sample of
-    the class.  Without labels the split is a plain shuffled cut.
+    Each class contributes round(train_fraction * n_c) samples to the
+    training side, clamped so both sides keep at least one sample of the
+    class.  Without labels every sample counts as one class, which makes
+    the split a plain shuffled cut.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must lie strictly between 0 and 1")
     rng = np.random.default_rng(seed)
-    n = dataset.n_samples
-    if dataset.labels is None:
-        perm = rng.permutation(n)
-        t = int(np.floor(train_fraction * n + 0.5))
-        t = min(max(t, 1), n - 1)
-        train_idx, test_idx = perm[:t], perm[t:]
-    else:
-        train_parts = []
-        test_parts = []
-        for r in range(1, dataset.n_classes + 1):
-            members = np.where(dataset.labels == r)[0]
-            if members.size < 2:
-                raise ValueError(
-                    f"class {r} has a single sample and cannot appear on both "
-                    "sides of the split"
-                )
-            perm = rng.permutation(members)
-            t = int(np.floor(train_fraction * members.size + 0.5))
-            t = min(max(t, 1), members.size - 1)
-            train_parts.append(perm[:t])
-            test_parts.append(perm[t:])
-        train_idx = np.concatenate(train_parts)
-        test_idx = np.concatenate(test_parts)
-    train_idx = np.sort(train_idx)
-    test_idx = np.sort(test_idx)
+    labels = dataset.labels
+    if labels is None:
+        labels = np.ones(dataset.n_samples, dtype=np.int64)
+    train_parts = []
+    test_parts = []
+    for r in range(1, labels.max() + 1):
+        members = np.where(labels == r)[0]
+        if members.size < 2:
+            raise ValueError(
+                f"class {r} has a single sample and cannot appear on both "
+                "sides of the split"
+            )
+        perm = rng.permutation(members)
+        t = int(np.floor(train_fraction * members.size + 0.5))
+        t = min(max(t, 1), members.size - 1)
+        train_parts.append(perm[:t])
+        test_parts.append(perm[t:])
+    train_idx = np.sort(np.concatenate(train_parts))
+    test_idx = np.sort(np.concatenate(test_parts))
     return dataset.subset(train_idx), dataset.subset(test_idx)

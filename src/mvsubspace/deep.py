@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
-from .data import MultiViewDataset
+from .data import MultiViewDataset, _read_matrix
 from .framework import fit_solved, pencil, spec_terms
 from .gevd import GevdProblem, NumericalError, solve
 from .scatter import materialize_grads
@@ -261,72 +261,43 @@ def loss_gradient(nets, dataset, config, method, activation="tanh"):
     return grads
 
 
-class _Adam:
-    def __init__(self, shapes, lr):
-        self.lr = lr
-        self.t = 0
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
-
-    def step(self, params, grads):
-        self.t += 1
-        b1, b2 = ADAM_BETA1, ADAM_BETA2
-        for i, (p, g) in enumerate(zip(params, grads)):
-            self.m[i] = b1 * self.m[i] + (1 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1 - b2) * (g * g)
-            m_hat = self.m[i] / (1 - b1**self.t)
-            v_hat = self.v[i] / (1 - b2**self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-
-
-def _flatten_params(nets):
-    params = []
-    for net in nets:
-        params.extend(net.weights)
-        params.extend(net.biases)
-    return params
-
-
-def _flatten_grads(param_grads):
-    flat = []
-    for dWs, dbs in param_grads:
-        flat.extend(dWs)
-        flat.extend(dbs)
-    return flat
-
-
 def train(dataset, spec, mlp_config, trainer_config):
     """Train per-view networks against the spectral loss of a ModelSpec.
 
-    Runs ``epochs`` full-batch evaluations; every epoch except the last is
-    followed by one Adam step, so the returned history and model correspond
-    to the final weights.  Returns ``(nets, model, history)`` where ``model``
-    is the linear subspace model fitted on the final network outputs.
+    Runs ``epochs`` full-batch evaluations.  Before every epoch after the
+    first, Adam (Kingma & Ba, 2015) takes one step on the previous epoch's
+    gradients, updating each weight and bias array and its two moments in
+    place, so the returned history and model correspond to the final
+    weights.  Returns ``(nets, model, history)`` where ``model`` is the
+    linear subspace model fitted on the final network outputs.
     """
     if mlp_config.out_dim < spec.k:
         raise ValueError(f"out_dim={mlp_config.out_dim} must be at least k={spec.k}")
     nets = init_networks(dataset, mlp_config)
-    activation = mlp_config.activation
-    params = _flatten_params(nets)
-    adam = _Adam([p.shape for p in params], trainer_config.learning_rate)
+    params = [p for net in nets for p in (*net.weights, *net.biases)]
+    moments = [(np.zeros(p.shape), np.zeros(p.shape)) for p in params]
+    lr, b1, b2 = trainer_config.learning_rate, ADAM_BETA1, ADAM_BETA2
     views = list(dataset.views)
     work = _Workspace(nets, dataset.n_samples)
     history = []
-    final = None
-    for epoch in range(trainer_config.epochs):
+    for t in range(trainer_config.epochs):
+        if t > 0:
+            grads = [g for dWs, dbs in param_grads for g in (*dWs, *dbs)]
+            for p, g, (m, v) in zip(params, grads, moments):
+                m *= b1
+                m += (1 - b1) * g
+                v *= b2
+                v += (1 - b2) * (g * g)
+                step = lr * (m / (1 - b1**t))
+                step /= np.sqrt(v / (1 - b2**t)) + ADAM_EPS
+                p -= step
         loss, solution, features, param_grads = _loss_and_grads(
-            nets, views, dataset.labels, spec, activation, trainer_config.jitter,
-            work,
+            nets, views, dataset.labels, spec, mlp_config.activation,
+            trainer_config.jitter, work,
         )
         history.append(loss)
-        if epoch == trainer_config.epochs - 1:
-            final = (solution, features)
-            break
-        adam.step(params, _flatten_grads(param_grads))
-    solution, features = final
     feature_ds = MultiViewDataset(tuple(features), dataset.labels)
-    model = fit_solved(feature_ds, solution, spec)
-    return nets, model, np.asarray(history)
+    return nets, fit_solved(feature_ds, solution, spec), np.asarray(history)
 
 
 def save_networks(nets, config, out_dir):
@@ -361,14 +332,11 @@ def load_networks(model_dir):
         seed=int(meta["seed"]),
     )
     nets = []
-    depth = len(meta["hidden"]) + 1
-    for s in range(1, meta["n_views"] + 1):
-        weights = []
-        biases = []
-        for i in range(1, depth + 1):
-            V = np.loadtxt(root / f"V_{s}_{i}.csv", delimiter=",", ndmin=2)
-            b = np.loadtxt(root / f"b_{s}_{i}.csv", delimiter=",")
-            weights.append(V)
-            biases.append(np.atleast_1d(b))
+    for s, in_dim in enumerate(meta["in_dims"], start=1):
+        widths = [in_dim, *config.hidden, config.out_dim]
+        weights, biases = [], []
+        for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:]), start=1):
+            weights.append(_read_matrix(root / f"V_{s}_{i}.csv", (fan_out, fan_in)))
+            biases.append(_read_matrix(root / f"b_{s}_{i}.csv", (fan_out, 1)).ravel())
         nets.append(MlpNetwork(weights=weights, biases=biases))
     return nets, config

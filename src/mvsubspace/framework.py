@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import TARGET_KINDS, build_indicator, make_target
+from .data import TARGET_KINDS, _read_matrix, build_indicator, make_target
 from .gevd import GevdProblem
 from .regularizers import LABELED_REGULARIZERS, REGULARIZERS
 from .scatter import KernelTerm, _view_blocks, label_kernels, materialize_with_factor
@@ -242,14 +242,14 @@ def load_model(model_dir):
         regularizers=tuple((rid, float(w)) for rid, w in meta["regularizers"]),
         method=meta.get("method"),
     )
-    projections = []
-    for s in range(1, len(meta["dims"]) + 1):
-        P = np.loadtxt(root / f"P_{s}.csv", delimiter=",", ndmin=2)
-        projections.append(P)
-    W = np.loadtxt(root / "W.csv", delimiter=",", ndmin=2)
+    projections = tuple(
+        _read_matrix(root / f"P_{s}.csv", (d, spec.k))
+        for s, d in enumerate(meta["dims"], start=1)
+    )
+    W = _read_matrix(root / "W.csv", (spec.k, None))
     means = tuple(np.asarray(mu, dtype=float) for mu in meta["means"])
     return SubspaceModel(
-        projections=tuple(projections),
+        projections=projections,
         W=W,
         means=means,
         eigenvalues=np.asarray(meta["eigenvalues"], dtype=float),

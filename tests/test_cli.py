@@ -304,6 +304,24 @@ def test_unknown_key_is_a_config_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["fit", "classify", "retrieve", "sweep", "gen-toy"])
+def test_repeated_key_is_a_config_error(tmp_path, capsys, command):
+    # the second value must neither silently win nor be dropped, and the
+    # repeat is reported before the (missing) dataset is read
+    cfg = tmp_path / "twice.cfg"
+    write_cfg(
+        cfg, dataset=str(tmp_path / "none"), method="MvOPLS", k="2",
+        train_fraction="0.5", repeats="1",
+    )
+    cfg.write_text(cfg.read_text() + "k = 1\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "twice.cfg, line 8: config key 'k' is set twice" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_classify_and_one_cell_sweep_agree(toy_dir, tmp_path, capsys):
     cfg = write_cfg(
         tmp_path / "one.cfg", dataset=str(toy_dir), method="MvDA", k="2",

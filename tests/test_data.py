@@ -188,6 +188,19 @@ def test_split_is_deterministic():
     np.testing.assert_array_equal(a_train.views[0], b_train.views[0])
 
 
+def test_unlabeled_split_is_the_one_class_split():
+    n = 11
+    unlabeled = MultiViewDataset((np.arange(float(n))[None, :],))
+    one_class = MultiViewDataset(unlabeled.views, np.ones(n, dtype=int))
+    for seed in range(5):
+        train, test = split_dataset(unlabeled, 0.3, seed=seed)
+        assert (train.n_samples, test.n_samples) == (3, 8)
+        assert train.labels is None and test.labels is None
+        want_train, want_test = split_dataset(one_class, 0.3, seed=seed)
+        np.testing.assert_array_equal(train.views[0], want_train.views[0])
+        np.testing.assert_array_equal(test.views[0], want_test.views[0])
+
+
 def test_split_rejects_single_sample_class():
     ds = MultiViewDataset((np.zeros((1, 3)),), np.array([1, 1, 2]))
     with pytest.raises(ValueError, match="class 2 has a single sample"):

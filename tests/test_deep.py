@@ -221,6 +221,21 @@ def test_save_load_networks_roundtrip(tmp_path):
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
+def test_load_networks_refuses_layers_of_the_wrong_shape(tmp_path):
+    ds = random_dataset(seed=47, dims=(4, 3), n=10)
+    mlp = MlpConfig(hidden=(5,), out_dim=3, seed=2)
+    save_networks(init_networks(ds, mlp), mlp, tmp_path)
+    V_csv = tmp_path / "V_1_1.csv"  # 5 x 4
+    V_csv.write_text("".join(V_csv.read_text().splitlines(keepends=True)[:2]))
+    with pytest.raises(ValueError, match=r"V_1_1.csv: expected shape \(5, 4\)"):
+        load_networks(tmp_path)
+    save_networks(init_networks(ds, mlp), mlp, tmp_path)
+    b_csv = tmp_path / "b_2_2.csv"  # 3 values
+    b_csv.write_text(b_csv.read_text() + "0.0\n")
+    with pytest.raises(ValueError, match="b_2_2.csv"):
+        load_networks(tmp_path)
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="hidden"):
         MlpConfig(hidden=(), out_dim=2)

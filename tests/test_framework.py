@@ -209,6 +209,21 @@ def test_load_refuses_a_model_fitted_on_raw_views(tmp_path):
         load_model(tmp_path)
 
 
+@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data:UserWarning")
+def test_load_refuses_files_of_the_wrong_shape(tmp_path):
+    ds = random_dataset(seed=6, dims=(4, 3), n=16)
+    model = fit_method(ModelSpec("sigma_invsqrt_onehot", k=2), ds)
+    save_model(model, tmp_path)
+    (tmp_path / "P_2.csv").write_text("")
+    with pytest.raises(ValueError, match="P_2.csv"):
+        load_model(tmp_path)
+    save_model(model, tmp_path)
+    W_csv = tmp_path / "W.csv"
+    W_csv.write_text(W_csv.read_text().splitlines(keepends=True)[0])
+    with pytest.raises(ValueError, match=r"W.csv: expected shape \(2, None\)"):
+        load_model(tmp_path)
+
+
 def test_save_overwrites_atomically(tmp_path):
     ds = random_dataset(seed=7, dims=(4, 3), n=16)
     model = fit_method(ModelSpec("sigma_invsqrt_onehot", k=2), ds)
