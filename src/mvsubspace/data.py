@@ -163,12 +163,14 @@ def make_target(dataset, kind):
 def _read_matrix(path, shape=(None, None)):
     """The CSV matrix at ``path``; ``shape`` gives the row and column counts
     it must have, None where any count will do."""
+    # np.loadtxt warns before it returns nothing from blank or comment lines.
+    with open(path, "rb") as lines:
+        if not any(line.partition(b"#")[0].strip() for line in lines):
+            raise ValueError(f"{path.name}: empty file")
     try:
         M = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
     except ValueError as err:
         raise ValueError(f"{path.name}: could not parse numeric data ({err})") from None
-    if M.size == 0:
-        raise ValueError(f"{path.name}: empty file")
     if any(want not in (None, got) for want, got in zip(shape, M.shape)):
         raise ValueError(f"{path.name}: expected shape {shape}, found {M.shape}")
     return M

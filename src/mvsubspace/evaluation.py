@@ -34,14 +34,20 @@ thread count; the answers below do not, because they rest on this bound
 alone.
 
 1-NN keeps every g with s^(g) <= min_h s^(h) + 2 tol, recomputes only those
-with the direct formula and takes their argmin; the others read +inf.  The
-reference winner g* is always kept: with h the screen's minimiser,
-s^(g*) <= d2^(g*) - ||q||^2 + e(g*) <= d2^(h) - ||q||^2 + e(g*)
+with the direct formula and takes the least (d2^, gallery index) among them.
+Each query block only collects the flat positions it keeps; the collected
+positions are resolved together, in one call of the direct formula, before
+the next block would take them past one block's entries, and at the end.  A
+block keeps at most its own entries, so each resolve, like each block, works
+on arrays of at most one block's entries; every query's positions fall in
+one resolve, so how queries are grouped into resolves cannot change an
+answer.  The reference winner g* is always kept: with h the screen's
+minimiser, s^(g*) <= d2^(g*) - ||q||^2 + e(g*) <= d2^(h) - ||q||^2 + e(g*)
 <= s^(h) + e(h) + e(g*) <= s^(h) + 2 max_g e(g), within the limit.  Screen
 values that are NaN, and every value of a row whose limit is not finite
 (overflow), are kept, so the screen never drops the winner; at worst it
 keeps every column.  A row whose kept minimum is +inf has every distance
-+inf, and both answers are then column 0.
++inf, and both answers are then column 0, which the screen may have dropped.
 
 Retrieval sorts each row by the screen and computes the direct formula only
 where the screen cannot decide the order.
@@ -175,10 +181,9 @@ def _labels_for(labels, name, Z, z_name):
     return labels
 
 
-def _query_blocks(n_query, n_gallery):
-    """Slices of query columns, each with a ``_BLOCK_BYTES`` distance matrix."""
-    step = max(1, _BLOCK_BYTES // (8 * max(1, n_gallery)))
-    return [slice(start, start + step) for start in range(0, n_query, step)]
+def _block_rows(n_gallery):
+    """Query columns per block, for a ``_BLOCK_BYTES`` distance matrix."""
+    return max(1, _BLOCK_BYTES // (8 * max(1, n_gallery)))
 
 
 def _squared_distances(Z_query, Z_gallery, qi, gi):
@@ -208,7 +213,9 @@ def _screened_blocks(Z_query, Z_gallery):
     with np.errstate(over="ignore", invalid="ignore"):
         g_norms = np.einsum("dg,dg->g", Z_gallery, Z_gallery)
         g_max = g_norms.max(initial=0.0)
-    for rows in _query_blocks(Z_query.shape[1], Z_gallery.shape[1]):
+    step = _block_rows(Z_gallery.shape[1])
+    for start in range(0, Z_query.shape[1], step):
+        rows = slice(start, start + step)
         Qb = Z_query[:, rows]
         with np.errstate(over="ignore", invalid="ignore"):
             screen = (-2.0 * Qb).T @ Z_gallery
@@ -230,17 +237,39 @@ def knn1_classify(Z_train, labels_train, Z_test):
     labels_train = _labels_for(labels_train, "labels_train", Zg, "Z_train")
     if Zg.shape[1] == 0 and Zq.shape[1] > 0:
         raise ValueError("Z_train has no samples to classify Z_test against")
+    n = Zg.shape[1]
     nearest = np.empty(Zq.shape[1], dtype=np.intp)
+    # Kept flat positions in the n_query x n_gallery matrix, resolved before
+    # they would exceed one query block's entries.
+    pending, count, cap = [], 0, _block_rows(n) * n
     for rows, screen, tol in _screened_blocks(Zq, Zg):
         # Overflow only widens the screen.
         with np.errstate(over="ignore", invalid="ignore"):
             limit = screen.min(axis=1) + 2.0 * tol
             keep = np.flatnonzero(~(screen > limit[:, None]))
-        r, c = np.divmod(keep, Zg.shape[1])
-        screen.fill(np.inf)
-        screen.flat[keep] = _squared_distances(Zq, Zg, r + rows.start, c)
-        nearest[rows] = np.argmin(screen, axis=1)
+        if count + keep.size > cap:
+            _resolve_nearest(Zq, Zg, np.concatenate(pending), nearest)
+            pending, count = [], 0
+        keep += rows.start * n
+        pending.append(keep)
+        count += keep.size
+    if pending:
+        _resolve_nearest(Zq, Zg, np.concatenate(pending), nearest)
     return labels_train[nearest]
+
+
+def _resolve_nearest(Z_query, Z_gallery, flat, nearest):
+    """Set ``nearest`` for each query with a kept position in ``flat``: its
+    kept gallery index of least (direct distance, index), or 0 when every
+    kept distance is +inf.  ``flat`` ascends, so each query's positions form
+    one run in ascending gallery index."""
+    qi, gi = np.divmod(flat, Z_gallery.shape[1])
+    d2 = _squared_distances(Z_query, Z_gallery, qi, gi)
+    start = np.flatnonzero(np.diff(qi, prepend=-1))
+    best = np.minimum.reduceat(d2, start)
+    at = np.flatnonzero(d2 == np.repeat(best, np.diff(start, append=qi.size)))
+    first = at[np.diff(qi[at], prepend=-1) != 0]
+    nearest[qi[start]] = np.where(best == np.inf, 0, gi[first])
 
 
 def accuracy(predicted, actual):

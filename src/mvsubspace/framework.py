@@ -247,7 +247,17 @@ def load_model(model_dir):
         for s, d in enumerate(meta["dims"], start=1)
     )
     W = _read_matrix(root / "W.csv", (spec.k, None))
-    means = tuple(np.asarray(mu, dtype=float) for mu in meta["means"])
+    try:
+        means = tuple(np.asarray(mu, dtype=float) for mu in meta["means"])
+    except (TypeError, ValueError):
+        means = ()
+    if [mu.shape for mu in means] != [(d,) for d in meta["dims"]] or not all(
+        np.isfinite(mu).all() for mu in means
+    ):
+        raise ValueError(
+            f"meta.json: means must hold one finite vector of length d_s per "
+            f"view, dims {meta['dims']}"
+        )
     return SubspaceModel(
         projections=projections,
         W=W,

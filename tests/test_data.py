@@ -248,6 +248,15 @@ def test_load_rejects_gaps_and_mismatches(tmp_path):
         load_dataset(tmp_path)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["", "\n\n", "  \r\n\t\n", "# header\n\n"])
+def test_load_names_an_empty_view_without_a_numpy_warning(tmp_path, text):
+    np.savetxt(tmp_path / "view_1.csv", np.ones((3, 2)), delimiter=",")
+    (tmp_path / "view_2.csv").write_text(text)
+    with pytest.raises(ValueError, match="view_2.csv: empty file"):
+        load_dataset(tmp_path)
+
+
 def test_load_missing_directory():
     with pytest.raises(ValueError, match="does not exist"):
         load_dataset("/nonexistent/place")

@@ -235,6 +235,12 @@ def _adversarial_case(name):
         # either way.
         Zq = 1e154 * rng.standard_normal((3, 200))
         Zg = 1e154 * rng.standard_normal((3, 400))
+    elif name == "overflowed_distances":
+        # every direct distance overflows to +inf while the norms and tol do
+        # not; column 0's screen value overflows too, so the screen drops it
+        # and keeps only points at +inf, yet column 0 is the answer
+        Zq = 1e154 * rng.uniform(0.9, 0.95, (1, 30))
+        Zg = -1e154 * np.hstack([[0.9], rng.uniform(0.5, 0.6, 50)])[None, :]
     elif name == "subnormal":
         # coordinates whose squares underflow (1e-160) or that are subnormal
         # themselves (1e-310): the screen's tol rests on its tiny term alone
@@ -302,9 +308,10 @@ def _adversarial_case(name):
 
 ADVERSARIAL = [
     "duplicated_gallery", "rounded_ties", "one_ulp_apart", "offset_1e6",
-    "overflow", "all_overflow", "subnormal", "signed_zeros",
-    "one_duplicated_pair", "straddling_zero", "sphere_near_ties",
-    "absorbed_screen", "gallery_of_one", "zero_dimensions", "no_queries",
+    "overflow", "all_overflow", "overflowed_distances", "subnormal",
+    "signed_zeros", "one_duplicated_pair", "straddling_zero",
+    "sphere_near_ties", "absorbed_screen", "gallery_of_one",
+    "zero_dimensions", "no_queries",
 ]
 
 
@@ -323,9 +330,27 @@ def test_rankings_match_the_direct_oracle(name):
     )
 
 
-def test_knn_matches_the_oracle_on_random_near_ties():
+@pytest.mark.parametrize("name", ADVERSARIAL)
+def test_knn_does_not_depend_on_the_block_size(name, monkeypatch):
+    # 64-byte blocks hold 8 distances, a query row or less in every case but
+    # the gallery of one, so the kept candidates reach one block's entries,
+    # and are resolved, partway through the call
+    monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 64)
+    Zq, _, Zg, lg = _adversarial_case(name)
+    entries = _count_direct_entries(monkeypatch)
+    np.testing.assert_array_equal(
+        knn1_classify(Zg, lg, Zq), dense_knn1(Zg, lg, Zq)
+    )
+    block = evaluation._block_rows(Zg.shape[1]) * Zg.shape[1]
+    assert max(entries, default=0) <= block
+
+
+def test_knn_matches_the_oracle_on_random_near_ties(monkeypatch):
     # clustered points with ulp-level perturbations and shared columns, at
-    # scales where the screen's cancellation varies from none to severe
+    # scales where the screen's cancellation varies from none to severe; at
+    # the default block size and at 64-byte blocks, which resolve the kept
+    # candidates partway through the call
+    sizes = (evaluation._BLOCK_BYTES, 64)
     rng = np.random.default_rng(12)
     for _ in range(200):
         d, q, g = rng.integers(1, 30), rng.integers(1, 20), rng.integers(2, 120)
@@ -337,9 +362,10 @@ def test_knn_matches_the_oracle_on_random_near_ties():
         Zq = base + spread * rng.standard_normal((d, q))
         Zq[:, : q // 2] = Zg[:, rng.integers(0, g, q // 2)]
         labels = np.arange(g)
-        np.testing.assert_array_equal(
-            knn1_classify(Zg, labels, Zq), dense_knn1(Zg, labels, Zq)
-        )
+        expected = dense_knn1(Zg, labels, Zq)
+        for block_bytes in sizes:
+            monkeypatch.setattr(evaluation, "_BLOCK_BYTES", block_bytes)
+            np.testing.assert_array_equal(knn1_classify(Zg, labels, Zq), expected)
 
 
 def test_straddling_case_puts_screen_values_either_side_of_zero():
@@ -362,6 +388,35 @@ def _count_direct_entries(monkeypatch):
 
     monkeypatch.setattr(evaluation, "_squared_distances", counted)
     return entries
+
+
+def test_knn_evaluates_one_direct_entry_per_query_in_one_pass(monkeypatch):
+    # 300 queries against 600 well-separated gallery points span six query
+    # blocks, and each query keeps only its nearest point
+    rng = np.random.default_rng(17)
+    Zq, Zg = rng.standard_normal((4, 300)), rng.standard_normal((4, 600))
+    lg = rng.integers(1, 4, 600)
+    assert evaluation._block_rows(600) < 300
+    entries = _count_direct_entries(monkeypatch)
+    np.testing.assert_array_equal(
+        knn1_classify(Zg, lg, Zq), dense_knn1(Zg, lg, Zq)
+    )
+    assert entries == [300]
+
+
+@pytest.mark.parametrize("name", ["overflow", "all_overflow"])
+def test_knn_evaluates_at_most_one_block_of_direct_entries_at_once(
+    name, monkeypatch
+):
+    Zq, _, Zg, lg = _adversarial_case(name)
+    rows = evaluation._block_rows(Zg.shape[1])
+    entries = _count_direct_entries(monkeypatch)
+    knn1_classify(Zg, lg, Zq)
+    assert max(entries) <= rows * Zg.shape[1]
+    if name == "all_overflow":
+        # every entry is kept, so each query block is resolved on its own
+        assert sum(entries) == Zq.shape[1] * Zg.shape[1]
+        assert len(entries) == -(-Zq.shape[1] // rows)
 
 
 def test_retrieval_evaluates_the_direct_formula_only_inside_runs(monkeypatch):

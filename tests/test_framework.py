@@ -209,18 +209,39 @@ def test_load_refuses_a_model_fitted_on_raw_views(tmp_path):
         load_model(tmp_path)
 
 
-@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data:UserWarning")
+@pytest.mark.filterwarnings("error")
 def test_load_refuses_files_of_the_wrong_shape(tmp_path):
     ds = random_dataset(seed=6, dims=(4, 3), n=16)
     model = fit_method(ModelSpec("sigma_invsqrt_onehot", k=2), ds)
     save_model(model, tmp_path)
     (tmp_path / "P_2.csv").write_text("")
-    with pytest.raises(ValueError, match="P_2.csv"):
+    with pytest.raises(ValueError, match="P_2.csv: empty file"):
         load_model(tmp_path)
     save_model(model, tmp_path)
     W_csv = tmp_path / "W.csv"
     W_csv.write_text(W_csv.read_text().splitlines(keepends=True)[0])
     with pytest.raises(ValueError, match=r"W.csv: expected shape \(2, None\)"):
+        load_model(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "means",
+    [
+        lambda mu: [mu[0][:2]] + mu[1:],  # means[0] cut to 2 of its 4 entries
+        lambda mu: mu[:1],  # one view's means missing
+        lambda mu: [mu[0][:3] + [None]] + mu[1:],  # a NaN entry
+        lambda mu: [[mu[0]]] + mu[1:],  # a matrix in place of a vector
+        lambda mu: [mu[0][:2] + [[1.0]]] + mu[1:],  # ragged
+    ],
+)
+def test_load_refuses_means_that_disagree_with_dims(tmp_path, means):
+    ds = random_dataset(seed=6, dims=(4, 3), n=16)
+    save_model(fit_method(ModelSpec("sigma_invsqrt_onehot", k=2), ds), tmp_path)
+    path = tmp_path / "meta.json"
+    meta = json.loads(path.read_text())
+    meta["means"] = means(meta["means"])
+    path.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="meta.json: means"):
         load_model(tmp_path)
 
 
