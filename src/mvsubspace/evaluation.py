@@ -52,30 +52,27 @@ keeps every column.  A row whose kept minimum is +inf has every distance
 Retrieval sorts each row by the screen and computes the direct formula only
 where the screen cannot decide the order.
 
-* Keys.  The int64 view of a double is monotone in its value on values
-  >= +0.0 but reversed on negative ones, and s^ can be negative.  The
-  sign-flip map b -> b ^ ((b >> 63) & (2^63 - 1)) is the identity where the
-  sign bit is clear; where it is set it flips the 63 low bits, taking
-  b = -2^63 + a (a the magnitude bits) to -1 - a, a negative key that falls
-  as the magnitude grows.  So key order is value order on every non-NaN
-  double, except that -0.0 (key -1) precedes +0.0 (key 0).  With
-  m = n_gallery and p = bit_length(m - 1) bits, gallery point j gets the key
-  (flip(view(s^_j)) with its low p bits cleared) | j.  Keys are distinct,
-  since their low bits hold j, so any correct sort of them, stable or not
-  and whatever kernel numpy dispatches to, yields one order, and the
-  ranking is key & (2^p - 1).  Clearing low bits keeps the order weakly
-  monotone: values whose flipped patterns share their high bits (within
-  2^p units in the last place of each other) sort by index, whatever their
-  own order.
-* Runs.  Read a row's screen values in key order, v_0, ..., v_(m-1), and
-  cut it after v_i wherever fl(v_(i+1) - v_i) > 2 tol.  Rounding is
-  monotone and 2 tol is a double (doubling is exact), so the exact gap then
-  exceeds 2 tol too.  In a row whose values are non-decreasing, v_i is the
-  largest value before the cut and v_(i+1) the smallest after it, so every
-  x before and y after have s^(y) - s^(x) > 2 tol, and
-  d2^(y) - d2^(x) >= s^(y) - s^(x) - e(x) - e(y) > 0: the reference order
-  keeps each run (the points between two cuts) together, in the row's order
-  of runs.  A run of one point is in place.
+* Packing.  With m = n_gallery and p = bit_length(m - 1), each screen value
+  has its p low mantissa bits replaced by its gallery index j, in place on
+  the int64 view, and each row is sorted as doubles.  A row's packed values
+  are distinct (their low bits differ, and only j = 0 can pack a zero), so
+  every correct sort, stable or not and whatever kernel numpy dispatches
+  to, yields one order; the ranking is the low bits of the sorted values.
+  Packing keeps sign and exponent, so a finite value stays finite and moves
+  by less than 2^p units in its last place, each at most eps |v'| + 2^-1074
+  for the packed value v'.  In a sorted row |v'| <= M, the larger magnitude
+  of its two end values, and margin = 2^(p+1) (eps M + 2^-1074) is twice
+  that shift; the factor covers the rounding of eps M (at most 2^-1075,
+  where it underflows) and of the sums below.
+* Runs.  Cut a sorted row after v'_i wherever
+  fl(v'_(i+1) - v'_i) > 2 tol + 2 margin; rounding is monotone and this
+  limit is a double, so the exact gap exceeds it too.  Any x sorted before
+  the cut and y after it have v'(x) <= v'_i < v'_(i+1) <= v'(y), each
+  within margin of its screen value, so s^(y) - s^(x) > 2 tol and
+  d2^(y) - d2^(x) >= s^(y) - s^(x) - e(x) - e(y) > 0, in any sorted row,
+  whether or not packing kept its screen values in order.  The reference
+  order thus keeps each run (the points between two cuts) together, in the
+  row's order of runs; a run of one point is in place.
 * Repair.  Only members of longer runs get the direct formula (once they
   are more than half of a query block, it is cheaper to broadcast it over
   the whole block and read theirs).  Each run's consecutive members are
@@ -88,15 +85,16 @@ where the screen cannot decide the order.
   points of one stretch of the reference order.  On distinct,
   well-separated distances no run is longer than one and the direct
   formula is not evaluated at all.
-* Rows that are one run.  Under weakly monotone keys a row is out of screen
-  order only inside a group that shares its high bits; there a value before
-  a cut may exceed one after it, and an adjacent gap no longer bounds every
-  pair across it.  Rows that are not non-decreasing, and rows whose tol or
-  end values are not finite (overflow, or a NaN screen value from
-  inf - inf), are therefore not cut: the whole row is one run, trivially
-  one stretch of the reference order, and enters the repair in index order.
-  Such rows need two distinct screen values within 2^p units in the last
-  place, in reverse index order, or a distance near the top of the range.
+* Rows that are one run.  Packing keeps a NaN a NaN (a quiet NaN's top
+  mantissa bit lies above the index bits) and turns +-inf into NaN, or
+  keeps it for j = 0; -inf sorts first, +inf and NaN last.  So a row
+  holding inf or NaN (overflow, or inf - inf) has a non-finite end value,
+  hence margin, and one whose tol overflows a non-finite tol.  No gap
+  exceeds such a row's limit, inf or NaN: the whole row is one run,
+  trivially one stretch of the reference order, and enters the repair in
+  index order.  Its packed bits are never read, so it cannot matter that
+  numpy's SIMD sorts write NaNs back as one canonical NaN, dropping the
+  index bits they held.
 
 Average precision sums hits / position over the relevant ranks of a row, in
 extended precision.  The reference forms P = cumsum(rel) / position and sums
@@ -308,52 +306,43 @@ class RetrievalResult:
     map_mean: float
 
 
-# Flips the 63 low bits of a negative double's int64 view (module docstring).
-_LOW_63 = np.int64(0x7FFF_FFFF_FFFF_FFFF)
-
-
-def _sorted_keys(values):
-    """Per row of ``values``, its packed int64 keys sorted in place, and the
-    mask of the low bits that hold the column index (module docstring)."""
-    low = (1 << max(values.shape[1] - 1, 0).bit_length()) - 1
-    bits = values.view(np.int64)
-    keys = bits >> 63
-    keys &= _LOW_63
-    keys ^= bits
-    keys &= ~low
-    keys |= np.arange(values.shape[1])
-    keys.sort(axis=1)
-    return keys, low
+def _packed_sort(screen):
+    """Pack each column's index into the low bits of its value in ``screen``
+    and sort each row in place as doubles.  Returns the int64 view, the mask
+    of the index bits and each row's margin (module docstring)."""
+    n = screen.shape[1]
+    p = max(n - 1, 0).bit_length()
+    low = (1 << p) - 1
+    packed = screen.view(np.int64)
+    packed &= ~low
+    packed |= np.arange(n)
+    screen.sort(axis=1)
+    finfo = np.finfo(float)
+    largest = np.abs(screen[:, :: max(n - 1, 1)]).max(axis=1, initial=0.0)
+    margin = 2.0 ** (p + 1) * (finfo.eps * largest + finfo.smallest_subnormal)
+    return packed, low, margin
 
 
 def _screen_order(Z_query, Z_gallery, rows, screen, tol):
     """Per query of ``rows``, the gallery indices in direct-distance order,
-    ties to the lowest index: the screen's key order, with the direct
-    formula only where the screen cannot decide (module docstring)."""
-    n = screen.shape[1]
-    order, low = _sorted_keys(screen)
-    order &= low
-    ranked = screen.take(order + n * np.arange(screen.shape[0])[:, None])
+    ties to the lowest index: the order of the packed screen, with the direct
+    formula only where the screen cannot decide (module docstring).  Packs
+    and sorts ``screen`` in place; the result is a view of its memory."""
+    order, low, margin = _packed_sort(screen)
     with np.errstate(over="ignore", invalid="ignore"):
-        gaps = ranked[:, 1:] - ranked[:, :-1]
-        cut = gaps > (2.0 * tol)[:, None]
-    finite = (
-        np.isfinite(ranked[:, :1]).all(axis=1)
-        & np.isfinite(ranked[:, -1:]).all(axis=1)
-        & np.isfinite(tol)
-    )
-    if cut.all() and finite.all():
+        limit = 2.0 * tol + 2.0 * margin
+        cut = np.diff(screen, axis=1) > limit[:, None]
+    order &= low
+    if cut.all():
         return order
     # linked[i, j]: positions j and j + 1 of row i lie in one run.
     linked = np.zeros(order.shape, dtype=bool)
     np.logical_not(cut, out=linked[:, :-1])
-    whole = ~finite | ~(gaps >= 0).all(axis=1)
-    linked[whole, :-1] = True
-    # The repair sorts a row whatever its order; in index order its ties are
-    # already in place and the lexsort meets its index key presorted.
-    order[whole] = np.arange(n)
-    if linked.any():
-        _order_runs(Z_query, Z_gallery, rows, order, linked)
+    # A row whose limit is not finite has no cut and its packed bits may be
+    # lost.  The repair sorts a row whatever its order; in index order its
+    # ties are already in place and the lexsort meets its index key presorted.
+    order[~np.isfinite(limit)] = np.arange(order.shape[1])
+    _order_runs(Z_query, Z_gallery, rows, order, linked)
     return order
 
 
@@ -389,14 +378,22 @@ def _order_runs(Z_query, Z_gallery, rows, order, linked):
 
 def _direction_aps(Z_query, labels_query, Z_gallery, labels_gallery):
     n_gallery = Z_gallery.shape[1]
+    # One code per distinct label, NaN labels each their own, so equal codes
+    # are exactly labels_gallery[j] == labels_query[i].
+    labels = np.concatenate((labels_gallery, labels_query))
+    classes, codes = np.unique(labels, return_inverse=True, equal_nan=False)
+    codes = codes.astype(np.min_scalar_type(classes.size))
+    codes_gallery, codes_query = codes[:n_gallery], codes[n_gallery:]
+    # Every row ranks each gallery point once, so it holds all of its class.
+    class_counts = np.bincount(codes_gallery, minlength=classes.size)
     aps = np.empty(Z_query.shape[1])
     for rows, screen, tol in _screened_blocks(Z_query, Z_gallery):
         order = _screen_order(Z_query, Z_gallery, rows, screen, tol)
-        rel = labels_gallery[order] == labels_query[rows, None]
+        rel = codes_gallery.take(order) == codes_query[rows, None]
         # The k-th relevant rank of a row holds k hits: its running index
         # among all relevant ranks less the count in the rows before it.
         relevant = np.flatnonzero(rel)
-        totals = np.count_nonzero(rel, axis=1)
+        totals = class_counts[codes_query[rows]]
         before = np.cumsum(totals) - totals
         hits = np.arange(1, relevant.size + 1) - np.repeat(before, totals)
         terms = np.zeros(rel.shape, dtype=np.longdouble)

@@ -6,8 +6,8 @@ import pytest
 from mvsubspace import evaluation
 from mvsubspace.evaluation import (
     _direction_aps,
+    _packed_sort,
     _screen_order,
-    _sorted_keys,
     accuracy,
     average_precision,
     classify,
@@ -275,8 +275,8 @@ def _adversarial_case(name):
     elif name == "sphere_near_ties":
         # Gallery points on the sphere of radius 1 + 1e-10 about a query,
         # whose norm is 1: their screen values ~2e-10 differ by rounding,
-        # ~1e-16, far beyond the 2^p ulps the keys clear, so the rows stay in
-        # screen order while the direct distances disagree with it.
+        # ~1e-16, far beyond the 2^p ulps packing moves them, so the rows
+        # stay in screen order while the direct distances disagree with it.
         q = rng.standard_normal((3, 1))
         q /= np.sqrt((q**2).sum())
         u = rng.standard_normal((3, 80))
@@ -368,8 +368,60 @@ def test_knn_matches_the_oracle_on_random_near_ties(monkeypatch):
             np.testing.assert_array_equal(knn1_classify(Zg, labels, Zq), expected)
 
 
+def test_retrieval_matches_the_oracle_on_random_near_ties(monkeypatch):
+    # clustered points with duplicated and one-ulp-shifted gallery columns,
+    # at bases up to 1e150, whose squared norms near the top of the range;
+    # both directions, at the default block size and at 64-byte blocks
+    sizes = (evaluation._BLOCK_BYTES, 64)
+    rng = np.random.default_rng(18)
+    for _ in range(200):
+        d, q, g = rng.integers(1, 12), rng.integers(1, 20), rng.integers(2, 120)
+        scale = 10.0 ** rng.integers(-4, 151)
+        base = scale * rng.standard_normal((d, 1))
+        spread = scale * 10.0 ** rng.integers(-15, 1)
+        Zg = base + spread * rng.standard_normal((d, g))
+        Zg[:, rng.integers(0, g, g // 4)] = Zg[:, rng.integers(0, g, g // 4)]
+        picks = rng.integers(0, g, g // 2)
+        Zg[:, rng.integers(0, g, g // 2)] = np.nextafter(Zg[:, picks], np.inf)
+        Zq = base + spread * rng.standard_normal((d, q))
+        Zq[:, : q // 2] = Zg[:, rng.integers(0, g, q // 2)]
+        lq, lg = rng.integers(1, 4, q), rng.integers(1, 4, g)
+        expected = (
+            dense_direction_aps(Zq, lq, Zg, lg), dense_direction_aps(Zg, lg, Zq, lq)
+        )
+        for block_bytes in sizes:
+            monkeypatch.setattr(evaluation, "_BLOCK_BYTES", block_bytes)
+            np.testing.assert_array_equal(_direction_aps(Zq, lq, Zg, lg), expected[0])
+            np.testing.assert_array_equal(_direction_aps(Zg, lg, Zq, lq), expected[1])
+
+
+@pytest.mark.parametrize("case", ["10_20_30", "absent_from_gallery", "nan"])
+def test_retrieval_matches_the_oracle_on_any_labels(case):
+    # relevance is labels_gallery[j] == labels_query[i]: any values, a query
+    # class the gallery lacks has AP 0, and a NaN label matches nothing
+    rng = np.random.default_rng(19)
+    Za, Zb = rng.standard_normal((3, 40)), rng.standard_normal((3, 50))
+    la, lb = rng.integers(1, 4, 40), rng.integers(1, 4, 50)
+    if case == "10_20_30":
+        la, lb = 10 * la, 10 * lb
+    elif case == "absent_from_gallery":
+        la[5] = 7
+    else:
+        la, lb = la.astype(float), lb.astype(float)
+        la[[5, 8]] = np.nan
+        lb[[0, 11]] = np.nan
+    res = cross_modal_retrieve(Za, la, Zb, lb)
+    np.testing.assert_array_equal(res.ap_ab, dense_direction_aps(Za, la, Zb, lb))
+    np.testing.assert_array_equal(res.ap_ba, dense_direction_aps(Zb, lb, Za, la))
+    if case == "absent_from_gallery":
+        assert res.ap_ab[5] == 0.0
+    elif case == "nan":
+        assert res.ap_ab[5] == res.ap_ab[8] == res.ap_ba[0] == res.ap_ba[11] == 0.0
+
+
 def test_straddling_case_puts_screen_values_either_side_of_zero():
-    # the case above only tests the sign-flip keys if its screen crosses zero
+    # the case above only tests negative packed values, and their order
+    # against +0.0 and positive ones, if its screen crosses zero
     Zq, _, Zg, _ = _adversarial_case("straddling_zero")
     (_, screen, tol), = evaluation._screened_blocks(Zq[:, :1], Zg)
     assert (screen < 0).any() and (screen > 0).any()
@@ -453,9 +505,10 @@ def test_a_row_that_overflows_is_ranked_as_one_run(monkeypatch):
 def test_runs_are_cut_only_in_rows_in_screen_order():
     # One query at 0 in one dimension, so screen and direct distances are
     # both g^2.  x = g_0^2 = 4 + 16 ulp, y = g_1^2 = 4 and z = g_2^2 = 4 + 8 ulp
-    # share their high bits among 1024 gallery points, so the keys order them
-    # x, y, z by index.  With tol = 3 ulp the gap from y to z exceeds 2 tol;
-    # cutting there alone would rank x before z.
+    # share their high bits among 1024 gallery points, so packing orders them
+    # x, y, z by index.  With tol = 3 ulp the screen gap from y to z exceeds
+    # 2 tol, and cutting there alone would rank x before z; the packing
+    # margin keeps the three in one run.
     g = 10.0 + np.arange(1024.0)
     g[:3] = 2.0 + np.array([8, 0, 4]) * 2.0**-51
     Zg, Zq = g[None, :], np.zeros((1, 1))
@@ -483,8 +536,8 @@ def test_rankings_do_not_depend_on_memory_layout():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 64, 65, 500])
-def test_stable_order_matches_a_stable_argsort(n):
-    # The packed keys that order the screen, on rows of screen values.
+def test_packing_ranks_like_a_stable_argsort(n, monkeypatch):
+    # Rows of screen values, packed with their column indices and sorted.
     # Gallery sizes 1, 2 and 2^b, 2^b + 1 for the b low bits the index takes.
     rng = np.random.default_rng(13)
     x = rng.exponential(size=n)
@@ -494,7 +547,7 @@ def test_stable_order_matches_a_stable_argsort(n):
         chain[i] = np.nextafter(chain[i - 1], np.inf)
     tiny = np.arange(n) * np.nextafter(0.0, 1.0)
     values = np.array([
-        x,  # distinct: the packed keys decide alone
+        x,  # distinct: the packed values decide alone
         np.round(4 * x) / 4,  # exact ties
         chain[rng.permutation(n)],  # one-ulp steps that share their high bits
         np.where(rng.random(n) < 0.3, chain[0], x),  # a tie among distinct values
@@ -503,35 +556,57 @@ def test_stable_order_matches_a_stable_argsort(n):
         np.where(rng.random(n) < 0.5, np.inf, x),  # overflowed distances
         np.where(x > 1.0, np.finfo(float).max, np.inf),  # the top of the range
         np.full(n, np.inf),
-        -x,  # negative: keys through the sign-flip map
+        -x,  # negative packed values
         -chain[rng.permutation(n)],  # negative one-ulp steps
         -(tiny + 5e-324)[rng.permutation(n)],  # negative subnormal steps
         x - np.median(x),  # straddling zero
         np.round(4 * x) / 4 - 1.0,  # exact ties either side of +0.0
         np.where(rng.random(n) < 0.5, -x, 0.0),  # negatives and +0.0
         np.where(rng.random(n) < 0.5, -np.inf, x),  # -inf among positives
+        # NaN from inf - inf, which x86 makes with its sign bit set
+        np.where(rng.random(n) < 0.3, np.copysign(np.nan, -1.0), x),
     ])
-    before = values.copy()
-    keys, low = _sorted_keys(values)
-    np.testing.assert_array_equal(values, before)
-    order = keys & low
+    finite = np.isfinite(values).all(axis=1)
+    packed = values.copy()
+    bits, low, margin = _packed_sort(packed)
+    # a row's margin is finite exactly when the row is, so a row holding
+    # +-inf or NaN is never cut
+    np.testing.assert_array_equal(np.isfinite(margin), finite)
+    order = bits[finite] & low
+    packed, margin = packed[finite], margin[finite, None]
     # the low bits hold each column once
     np.testing.assert_array_equal(
-        np.sort(order, axis=1), np.broadcast_to(np.arange(n), values.shape)
+        np.sort(order, axis=1), np.broadcast_to(np.arange(n), order.shape)
     )
-    # read in key order, values never fall where the keys differ above the
-    # low bits (as unsigned: the XOR of a negative and a nonnegative key is
-    # negative)
-    ranked = np.take_along_axis(values, order, axis=1)
-    apart = (keys[:, 1:] ^ keys[:, :-1]).view(np.uint64) > low
-    assert (ranked[:, 1:] >= ranked[:, :-1])[apart].all()
-    # where no neighbours share their high bits, the key order is the stable
+    # every packed value lies within the margin of its screen value
+    screen = np.take_along_axis(values[finite], order, axis=1)
+    assert (np.abs(packed - screen) <= margin).all()
+    # where sorted neighbours are more than 2 margin apart, every screen value
+    # before them lies below every one after them
+    apart = np.diff(packed, axis=1) > 2 * margin
+    below = np.maximum.accumulate(screen, axis=1)[:, :-1]
+    above = np.minimum.accumulate(screen[:, ::-1], axis=1)[:, -2::-1]
+    assert (below < above)[apart].all()
+    # where all neighbours are that far apart, the order is the stable
     # ascending order; the distinct rows, x and -x, are always such rows
     decided = apart.all(axis=1)
-    assert decided[[0, 9]].all()
+    assert {0, 9} <= set(np.flatnonzero(finite)[decided])
     np.testing.assert_array_equal(
-        order[decided], np.argsort(values[decided], axis=1, kind="stable")
+        order[decided], np.argsort(values[finite][decided], axis=1, kind="stable")
     )
+    # rows holding +-inf or NaN are ranked whole: one run, in index order
+    runs = []
+    monkeypatch.setattr(
+        evaluation, "_order_runs", lambda *args: runs.append(args[-1].copy())
+    )
+    ranked = _screen_order(
+        None, None, slice(0, len(values)), values.copy(), np.zeros(len(values))
+    )
+    np.testing.assert_array_equal(
+        ranked[~finite], np.broadcast_to(np.arange(n), ranked[~finite].shape)
+    )
+    assert all(linked[~finite, :-1].all() for linked in runs)
+    assert len(runs) == (n > 1)
 
 
 def _labelled_calls(labels):
