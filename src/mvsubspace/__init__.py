@@ -37,7 +37,7 @@ from .framework import (
     predict,
     save_model,
 )
-from .gevd import GevdProblem, GevdSolution, NumericalError, objective_value, solve
+from .gevd import GevdProblem, GevdSolution, NumericalError, solve
 from .methods import (
     LAMBDA_METHODS,
     METHOD_NAMES,
@@ -84,7 +84,6 @@ __all__ = [
     "GevdProblem",
     "GevdSolution",
     "NumericalError",
-    "objective_value",
     "solve",
     "LAMBDA_METHODS",
     "METHOD_NAMES",

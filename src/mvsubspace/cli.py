@@ -19,7 +19,7 @@ import numpy as np
 
 from . import deep as deep_mod
 from . import evaluation, framework, methods, toy
-from .data import load_dataset, pca_reduce, split_dataset, MultiViewDataset
+from .data import MultiViewDataset, _write_text, load_dataset, pca_reduce, split_dataset
 from .gevd import NumericalError
 
 # Every config key and its default; None marks a key with no default, which
@@ -159,9 +159,7 @@ def _write(out_dir, files):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
-        tmp = out / (name + ".tmp")
-        tmp.write_text(text)
-        tmp.replace(out / name)
+        _write_text(out / name, text)
 
 
 def _prepare_split(ds, cfg, frac, seed):

@@ -69,6 +69,8 @@ class MultiViewDataset:
         for s, V in enumerate(views, start=1):
             if V.ndim != 2:
                 raise ValueError(f"view {s} must be a 2-d matrix")
+            if V.shape[0] == 0:
+                raise ValueError(f"view {s} has no features")
             if V.shape[1] != n:
                 raise ValueError(
                     f"all views must share the sample count: view 1 has {n} "
@@ -174,6 +176,14 @@ def _read_matrix(path, shape=(None, None)):
     if any(want not in (None, got) for want, got in zip(shape, M.shape)):
         raise ValueError(f"{path.name}: expected shape {shape}, found {M.shape}")
     return M
+
+
+def _write_text(path, text):
+    """Write text to ``path`` through a ``.tmp`` sibling renamed over it, so a
+    reader never sees a half-written file."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    tmp.replace(path)
 
 
 def _read_labels(path):

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
-from .data import MultiViewDataset, _read_matrix
+from .data import MultiViewDataset, _read_matrix, _write_text
 from .framework import fit_solved, pencil, spec_terms
 from .gevd import GevdProblem, NumericalError, solve
 from .scatter import materialize_grads
@@ -152,27 +152,19 @@ class TrainerConfig:
 
 
 def _solve_with_retry(problem, jitter):
+    """``solve``, with one retry on a jitter-scaled ridge when the constraint
+    is not positive definite."""
     try:
-        return solve(problem), problem
+        return solve(problem)
     except NumericalError:
         d = problem.dim
         scale = max(np.trace(problem.constraint) / d, 1.0)
-        bumped = GevdProblem(
+        return solve(GevdProblem(
             problem.objective,
             problem.constraint + jitter * scale * np.eye(d),
             problem.k,
             problem.objective_factor,
-        )
-        return solve(bumped), bumped
-
-
-def _solve_spec(spec, features, labels, jitter):
-    """The spec's KernelTerms on the feature matrices and the solution of
-    their pencil, with ``_solve_with_retry``'s one jittered retry."""
-    terms = spec_terms(spec, labels, features[0].shape[1], len(features))
-    problem = pencil(terms, features, spec.k, spec.gamma)
-    solution, _ = _solve_with_retry(problem, jitter)
-    return terms, solution
+        ))
 
 
 def spectral_loss(features, labels, spec, jitter=1e-8):
@@ -181,7 +173,8 @@ def spectral_loss(features, labels, spec, jitter=1e-8):
     Returns ``(loss, solution)``.  A failed Cholesky gets one retry with a
     jitter-scaled ridge added to the constraint.
     """
-    _, solution = _solve_spec(spec, features, labels, jitter)
+    terms = spec_terms(spec, labels, features[0].shape[1], len(features))
+    solution = _solve_with_retry(pencil(terms, features, spec.k, spec.gamma), jitter)
     return float(-solution.eigenvalues.sum()), solution
 
 
@@ -224,7 +217,10 @@ def _backprop(net, cache, grad_out, activation, work):
     return dWs, dbs
 
 
-def _loss_and_grads(nets, views, labels, spec, activation, jitter, work=None):
+def _loss_and_grads(nets, views, terms, spec, activation, jitter, work=None):
+    """The spectral loss of ``spec`` on the networks' outputs, its solution,
+    the outputs and each network's ``(dWs, dbs)``; ``terms`` is the spec's
+    ``spec_terms`` list, which depends only on the spec and the labels."""
     if work is None:
         work = _Workspace(nets, views[0].shape[1])
     caches = [
@@ -232,7 +228,7 @@ def _loss_and_grads(nets, views, labels, spec, activation, jitter, work=None):
         for net, X, out in zip(nets, views, work.acts)
     ]
     features = [c[-1] for c in caches]
-    terms, solution = _solve_spec(spec, features, labels, jitter)
+    solution = _solve_with_retry(pencil(terms, features, spec.k, spec.gamma), jitter)
     if spec.k < len(solution.P) and solution.spectrum_gap < jitter:
         raise NumericalError(
             f"eigenvalue crossing at the k-cut (gap {solution.spectrum_gap:.3e}); "
@@ -255,8 +251,9 @@ def loss_gradient(nets, dataset, config, method, activation="tanh"):
     ``method`` is the ModelSpec trained against.  Returns one ``(dWs, dbs)``
     pair per view, shapes matching the networks.
     """
+    terms = spec_terms(method, dataset.labels, dataset.n_samples, dataset.n_views)
     _, _, _, grads = _loss_and_grads(
-        nets, list(dataset.views), dataset.labels, method, activation, config.jitter
+        nets, list(dataset.views), terms, method, activation, config.jitter
     )
     return grads
 
@@ -278,6 +275,7 @@ def train(dataset, spec, mlp_config, trainer_config):
     moments = [(np.zeros(p.shape), np.zeros(p.shape)) for p in params]
     lr, b1, b2 = trainer_config.learning_rate, ADAM_BETA1, ADAM_BETA2
     views = list(dataset.views)
+    terms = spec_terms(spec, dataset.labels, dataset.n_samples, dataset.n_views)
     work = _Workspace(nets, dataset.n_samples)
     history = []
     for t in range(trainer_config.epochs):
@@ -292,7 +290,7 @@ def train(dataset, spec, mlp_config, trainer_config):
                 step /= np.sqrt(v / (1 - b2**t)) + ADAM_EPS
                 p -= step
         loss, solution, features, param_grads = _loss_and_grads(
-            nets, views, dataset.labels, spec, mlp_config.activation,
+            nets, views, terms, spec, mlp_config.activation,
             trainer_config.jitter, work,
         )
         history.append(loss)
@@ -316,9 +314,7 @@ def save_networks(nets, config, out_dir):
         "activation": config.activation,
         "seed": config.seed,
     }
-    tmp = out / "networks.json.tmp"
-    tmp.write_text(json.dumps(meta, indent=2))
-    tmp.replace(out / "networks.json")
+    _write_text(out / "networks.json", json.dumps(meta, indent=2))
 
 
 def load_networks(model_dir):

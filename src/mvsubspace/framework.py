@@ -28,10 +28,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import TARGET_KINDS, _read_matrix, build_indicator, make_target
+from .data import TARGET_KINDS, _read_matrix, _write_text, build_indicator, make_target
 from .gevd import GevdProblem
 from .regularizers import LABELED_REGULARIZERS, REGULARIZERS
-from .scatter import KernelTerm, _view_blocks, label_kernels, materialize_with_factor
+from .scatter import KernelTerm, _view_blocks, label_kernels, materialize
 
 SUPERVISED_KINDS = tuple(k for k in TARGET_KINDS if k != "identity_n")
 
@@ -99,8 +99,8 @@ class SubspaceModel:
 
 def pencil(terms, views, k, gamma):
     """The GevdProblem of KernelTerms on views: one
-    ``scatter.materialize_with_factor`` call plus gamma I on the constraint."""
-    objective, constraint, factor = materialize_with_factor(terms, views)
+    ``scatter.materialize`` call plus gamma I on the constraint."""
+    objective, constraint, factor = materialize(terms, views)
     constraint[np.diag_indices_from(constraint)] += gamma
     return GevdProblem(objective, constraint, k, factor)
 
@@ -219,9 +219,7 @@ def save_model(model, out_dir):
         "means": [mu.tolist() for mu in model.means],
         "eigenvalues": model.eigenvalues.tolist(),
     }
-    tmp = out / "meta.json.tmp"
-    tmp.write_text(json.dumps(meta, indent=2))
-    tmp.replace(out / "meta.json")
+    _write_text(out / "meta.json", json.dumps(meta, indent=2))
 
 
 def load_model(model_dir):

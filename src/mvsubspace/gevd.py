@@ -152,7 +152,7 @@ def _checked_factor(factor, A, scale_A):
         raise ValueError("objective factor has non-finite entries")
     scale_M, asymmetry = _sweep(M)
     if not _check_symmetric(asymmetry, "objective factor M", scale_M):
-        M = symmetrize(M)
+        M = symmetrize(M.copy())
     # Finite factors can overflow; an overflowed product does not match.
     with np.errstate(over="ignore", invalid="ignore"):
         terms = np.abs(S).sum(axis=1).max(initial=0.0) ** 2 * scale_M
@@ -199,10 +199,10 @@ class GevdProblem:
             raise ValueError(
                 f"k={self.k} is out of range for problem dimension d={A.shape[0]}"
             )
-        # Symmetrizing an exactly symmetric side returns the same values.
-        A = A if A_exact else symmetrize(A)
+        # ``symmetrize`` works in place: a caller's side is never written.
+        A = A if A_exact else symmetrize(A.copy())
         object.__setattr__(self, "objective", A)
-        object.__setattr__(self, "constraint", B if B_exact else symmetrize(B))
+        object.__setattr__(self, "constraint", B if B_exact else symmetrize(B.copy()))
         if self.objective_factor is not None:
             factor = _checked_factor(self.objective_factor, A, scale_A)
             object.__setattr__(self, "objective_factor", factor)
@@ -359,8 +359,3 @@ def solve(problem):
         if solution is not None:
             return solution
     return _solve_full(problem, factors)
-
-
-def objective_value(solution):
-    """Sum of the retained eigenvalues, the optimum of the trace objective."""
-    return float(solution.eigenvalues.sum())

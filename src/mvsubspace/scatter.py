@@ -32,8 +32,8 @@ blockdiag), whatever the number of terms.  With one class (the one-class
 indicator of a label-free spec) S = X_c 1 is exactly zero: it is set to 0,
 not computed, and the centred copy is already class-centred.  Computed, S
 would be a rounding residue that depends on where the copy lies in memory.
-The objective's factor for the rank-c solve (``materialize_with_factor``)
-is this F and Mt.
+The objective's factor for the rank-c solve, the third value
+``materialize`` returns, is this F and Mt.
 
 Gram blocks only where read.  C_w is formed whole, one n d^2 product, only
 when a dense term has eye != 0 or the representer coupling needs the raw
@@ -43,8 +43,10 @@ BLAS thread, 1.4 ms against 5.3 ms for the whole Gram.
 
 Each side written once.  A side with dense terms starts as one fresh array,
 eye C_w + F Mt F^T (gemm adds the product into the scaled copy of C_w in
-place); the blockdiag blocks are added into it, and it is symmetrized once,
-in place, one pair of mirrored tiles at a time.  C_w and its blocks are
+place); the blockdiag blocks are added into it, and it is symmetrized once.
+``symmetrize``, the package's only one, works in place: it writes
+(M + M^T) / 2 into M one pair of mirrored tiles at a time and returns M, so
+a caller that must keep its array passes a copy.  C_w and its blocks are
 products X X^T, exactly symmetric, so a side without dense terms only
 symmetrizes the F Mt F^T of each block.
 
@@ -72,20 +74,14 @@ import numpy as np
 from scipy.linalg.blas import dgemm
 
 
-# Tile edge of ``_symmetrize_in_place``: a tile and its mirror stay in cache.
+# Tile edge of ``symmetrize``: a tile and its mirror stay in cache.
 _TILE = 128
 
 
 def symmetrize(M):
-    S = M + M.T
-    S *= 0.5
-    return S
-
-
-def _symmetrize_in_place(M):
-    """``symmetrize`` into M itself, one pair of mirrored tiles at a time:
-    the same values without a second d x d array or a strided whole-matrix
-    transpose."""
+    """(M + M^T) / 2 written into M itself and returned, one pair of mirrored
+    tiles at a time: the bits of ``(M + M.T) * 0.5`` without a second d x d
+    array or a strided whole-matrix transpose."""
     d = M.shape[0]
     for i in range(0, d, _TILE):
         for j in range(i, d, _TILE):
@@ -380,9 +376,12 @@ def _summed_terms(terms, pieces):
 
 # Finite views can overflow a side; GevdProblem rejects it, so do not warn.
 @np.errstate(over="ignore", invalid="ignore")
-def materialize_with_factor(terms, views):
-    """``materialize``, plus the objective's low-rank factor: returns
-    ``(objective, constraint, factor)``.
+def materialize(terms, views):
+    """Sum KernelTerms on the given views into ``(objective, constraint,
+    factor)``.
+
+    All kernels of the terms must share one class indicator (ValueError
+    otherwise); the module docstring says how the sum is formed.
 
     ``factor`` is (S, M) with objective = S M S^T when the objective is one
     dense term whose kernel has eye = 0, and None otherwise.  S is then the
@@ -416,22 +415,13 @@ def materialize_with_factor(terms, views):
                 total[b, b] += block if dense else symmetrize(block)
         if side in couplings:
             total += couplings[side] * pseudo_inverse_coupling(views, gram)
-        sides.append(_symmetrize_in_place(total) if dense else total)
+        sides.append(symmetrize(total) if dense else total)
     objective = [term for term in terms if term.side == "objective"]
     factor = None
     if (len(objective) == 1 and objective[0].layout == "dense"
             and objective[0].kernel is not None and objective[0].kernel.eye == 0):
         factor = _without_unused_mean(F, pieces["objective", "dense"][1])
     return (*sides, factor)
-
-
-def materialize(terms, views):
-    """Sum KernelTerms on the given views into ``(objective, constraint)``.
-
-    All kernels of the terms must share one class indicator (ValueError
-    otherwise); the module docstring says how the sum is formed.
-    """
-    return materialize_with_factor(terms, views)[:2]
 
 
 def _apply_sum(kernel, Z):

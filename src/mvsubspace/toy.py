@@ -35,6 +35,8 @@ def make_toy_dataset(classes=3, views=3, samples=300, dims=None,
     dims = tuple(int(d) for d in dims)
     if len(dims) != views:
         raise ValueError(f"dims has {len(dims)} entries for {views} views")
+    if min(dims) < 1:
+        raise ValueError(f"every view needs at least one feature, got dims {dims}")
     if samples < 2 * classes:
         raise ValueError("need at least two samples per class")
     if noise < 0:

@@ -127,6 +127,16 @@ def test_non_integer_labels_exit_with_a_data_error(
     assert "labels must be integers >= 1" in capsys.readouterr().err
 
 
+def test_gen_toy_refuses_a_view_without_features(tmp_path, capsys):
+    gen = write_cfg(tmp_path / "gen.cfg", views="2", dims="0,5")
+    data = tmp_path / "data"
+    assert main(["gen-toy", "--config", gen, "--out", str(data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at least one feature" in captured.err
+    assert not data.exists()
+
+
 def test_retrieve_rejects_other_view_counts(tmp_path, capsys):
     gen = write_cfg(tmp_path / "gen.cfg", classes="2", views="3", samples="30")
     data = tmp_path / "data3"

@@ -130,6 +130,10 @@ def test_dataset_validation():
         MultiViewDataset((np.array([[np.nan, 0.0]]),))
     with pytest.raises(ValueError, match="label count"):
         MultiViewDataset((np.zeros((2, 4)),), np.array([1, 2]))
+    with pytest.raises(ValueError, match="view 1 has no features"):
+        MultiViewDataset((np.zeros((0, 4)), np.zeros((5, 4))))
+    with pytest.raises(ValueError, match="view 2 has no features"):
+        MultiViewDataset((np.zeros((3, 4)), np.zeros((0, 4))))
 
 
 def test_dataset_subset():
@@ -217,6 +221,12 @@ def test_save_load_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.labels, ds.labels)
     for V, W in zip(back.views, ds.views):
         np.testing.assert_allclose(V, W, atol=1e-12)
+
+
+@pytest.mark.parametrize("dims", [(0, 5), (5, -1)])
+def test_toy_views_need_a_feature(dims):
+    with pytest.raises(ValueError, match="at least one feature"):
+        make_toy_dataset(classes=2, views=2, samples=20, dims=dims)
 
 
 def test_load_remaps_noncontiguous_labels(tmp_path):

@@ -8,7 +8,7 @@ from scipy.linalg import subspace_angles
 
 from helpers import dense_gevd
 from mvsubspace import gevd
-from mvsubspace.gevd import GevdProblem, NumericalError, objective_value, solve
+from mvsubspace.gevd import GevdProblem, NumericalError, solve
 from mvsubspace.scatter import symmetrize
 
 
@@ -97,7 +97,7 @@ def test_solution_invariants(seed):
         prob.objective @ P, prob.constraint @ P @ np.diag(lam), atol=1e-9
     )
     assert np.all(np.diff(lam) <= 1e-12)  # descending
-    assert objective_value(sol) == pytest.approx(np.trace(P.T @ prob.objective @ P))
+    assert lam.sum() == pytest.approx(np.trace(P.T @ prob.objective @ P))
 
 
 def test_sign_convention_is_deterministic():
@@ -160,10 +160,28 @@ def test_sides_are_symmetrized_only_when_asymmetric():
     S = R + R.T
     nearly = S.copy()
     nearly[0, 1] += 1e-13
+    given = nearly.copy()
     problem = GevdProblem(S, nearly, 2)
     assert problem.objective is S
     np.testing.assert_array_equal(problem.constraint, (nearly + nearly.T) * 0.5)
     np.testing.assert_array_equal(problem.constraint, problem.constraint.T)
+    # the caller's array is symmetrized in a copy, not in place, on either side
+    np.testing.assert_array_equal(nearly, given)
+    GevdProblem(nearly, S + 10 * np.eye(4), 2)
+    np.testing.assert_array_equal(nearly, given)
+
+
+def test_an_asymmetric_factor_is_symmetrized_in_a_copy():
+    rng = np.random.default_rng(7)
+    S = rng.standard_normal((9, 2))
+    M = np.array([[2.0, 0.5], [0.5, -1.0]])
+    A = (S @ M) @ S.T
+    A = 0.5 * (A + A.T)
+    M[0, 1] += 1e-13
+    given = M.copy()
+    problem = GevdProblem(A, np.eye(9), 1, (S, M))
+    np.testing.assert_array_equal(problem.objective_factor[1], (given + given.T) * 0.5)
+    np.testing.assert_array_equal(M, given)
 
 
 def _factored_pencil(seed, spectrum, d, k):
