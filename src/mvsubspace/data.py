@@ -137,6 +137,20 @@ def build_indicator(labels):
     return IndicatorMatrix(Y=Y, counts=Y.sum(axis=1))
 
 
+# Supervised target kind -> G(counts), the c x c matrix with target T = G Y
+# for the class counts of the c x n indicator Y: H_n = I - 1 1^T / n and
+# 1^T = 1_c^T Y give Y H_n = (I - counts 1_c^T / n) Y.
+TARGET_MIXES = {
+    "centered_onehot": lambda counts: (
+        np.eye(len(counts)) - counts[:, None] / counts.sum()
+    ),
+    "sigma_invsqrt_onehot": lambda counts: np.diag(1.0 / np.sqrt(counts)),
+    "centered_normalized_label": lambda counts: (
+        np.diag(1.0 / counts) - (1.0 / counts)[None, :] / len(counts)
+    ),
+}
+
+
 def make_target(dataset, kind):
     """The o x n regression target for one of the supported kinds.
 
@@ -144,22 +158,18 @@ def make_target(dataset, kind):
     sigma_invsqrt_onehot       Sigma^{-1/2} Y   (rows scaled by 1/sqrt(n_r))
     identity_n                 I_n              (label free)
     centered_normalized_label  H_c Sigma^{-1} Y (class-centered soft labels)
+
+    A supervised target is G Y with G from ``TARGET_MIXES``; Y is one-hot, so
+    every entry of G Y is an entry of G.
     """
     if kind not in TARGET_KINDS:
         raise ValueError(f"unknown target kind {kind!r}; expected one of {TARGET_KINDS}")
-    n = dataset.n_samples
     if kind == "identity_n":
-        return np.eye(n)
+        return np.eye(dataset.n_samples)
     if dataset.labels is None:
         raise ValueError(f"target kind {kind!r} needs labels")
     ind = build_indicator(dataset.labels)
-    if kind == "centered_onehot":
-        return center_columns(ind.Y)
-    if kind == "sigma_invsqrt_onehot":
-        return ind.Y / np.sqrt(ind.counts)[:, None]
-    # centered_normalized_label
-    Yn = ind.Y / ind.counts[:, None]
-    return Yn - Yn.mean(axis=0, keepdims=True)
+    return TARGET_MIXES[kind](ind.counts) @ ind.Y
 
 
 def _read_matrix(path, shape=(None, None)):

@@ -24,10 +24,10 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
-from .data import MultiViewDataset, _read_matrix, _write_text
+from .data import _read_matrix, _write_text
 from .framework import fit_solved, pencil, spec_terms
 from .gevd import GevdProblem, NumericalError, solve
-from .scatter import materialize_grads
+from .scatter import ClassStatistics, materialize_grads
 
 ACTIVATIONS = ("tanh", "sigmoid")
 # Adam's moment decay rates and denominator guard.
@@ -174,7 +174,8 @@ def spectral_loss(features, labels, spec, jitter=1e-8):
     jitter-scaled ridge added to the constraint.
     """
     terms = spec_terms(spec, labels, features[0].shape[1], len(features))
-    solution = _solve_with_retry(pencil(terms, features, spec.k, spec.gamma), jitter)
+    statistics = ClassStatistics.of(terms, features)
+    solution = _solve_with_retry(pencil(terms, statistics, spec.k, spec.gamma), jitter)
     return float(-solution.eigenvalues.sum()), solution
 
 
@@ -219,8 +220,9 @@ def _backprop(net, cache, grad_out, activation, work):
 
 def _loss_and_grads(nets, views, terms, spec, activation, jitter, work=None):
     """The spectral loss of ``spec`` on the networks' outputs, its solution,
-    the outputs and each network's ``(dWs, dbs)``; ``terms`` is the spec's
-    ``spec_terms`` list, which depends only on the spec and the labels."""
+    the outputs' ``ClassStatistics`` and each network's ``(dWs, dbs)``;
+    ``terms`` is the spec's ``spec_terms`` list, which depends only on the
+    spec and the labels."""
     if work is None:
         work = _Workspace(nets, views[0].shape[1])
     caches = [
@@ -228,7 +230,8 @@ def _loss_and_grads(nets, views, terms, spec, activation, jitter, work=None):
         for net, X, out in zip(nets, views, work.acts)
     ]
     features = [c[-1] for c in caches]
-    solution = _solve_with_retry(pencil(terms, features, spec.k, spec.gamma), jitter)
+    statistics = ClassStatistics.of(terms, features)
+    solution = _solve_with_retry(pencil(terms, statistics, spec.k, spec.gamma), jitter)
     if spec.k < len(solution.P) and solution.spectrum_gap < jitter:
         raise NumericalError(
             f"eigenvalue crossing at the k-cut (gap {solution.spectrum_gap:.3e}); "
@@ -242,7 +245,7 @@ def _loss_and_grads(nets, views, terms, spec, activation, jitter, work=None):
         _backprop(net, cache, g, activation, work)
         for net, cache, g in zip(nets, caches, fgrads)
     ]
-    return loss, solution, features, param_grads
+    return loss, solution, statistics, param_grads
 
 
 def loss_gradient(nets, dataset, config, method, activation="tanh"):
@@ -266,7 +269,8 @@ def train(dataset, spec, mlp_config, trainer_config):
     gradients, updating each weight and bias array and its two moments in
     place, so the returned history and model correspond to the final
     weights.  Returns ``(nets, model, history)`` where ``model`` is the
-    linear subspace model fitted on the final network outputs.
+    linear subspace model fitted on the final network outputs, packaged from
+    the last epoch's statistics.
     """
     if mlp_config.out_dim < spec.k:
         raise ValueError(f"out_dim={mlp_config.out_dim} must be at least k={spec.k}")
@@ -289,13 +293,12 @@ def train(dataset, spec, mlp_config, trainer_config):
                 step = lr * (m / (1 - b1**t))
                 step /= np.sqrt(v / (1 - b2**t)) + ADAM_EPS
                 p -= step
-        loss, solution, features, param_grads = _loss_and_grads(
+        loss, solution, statistics, param_grads = _loss_and_grads(
             nets, views, terms, spec, mlp_config.activation,
             trainer_config.jitter, work,
         )
         history.append(loss)
-    feature_ds = MultiViewDataset(tuple(features), dataset.labels)
-    return nets, fit_solved(feature_ds, solution, spec), np.asarray(history)
+    return nets, fit_solved(statistics, solution, spec), np.asarray(history)
 
 
 def save_networks(nets, config, out_dir):

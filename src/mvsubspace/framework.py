@@ -12,12 +12,22 @@ reads labels (a supervised target kind or a labelled regularizer) and the
 one-class indicator otherwise.  ``pencil`` materializes the terms in one call
 and adds the Tikhonov ridge gamma I to the constraint; ``methods.build`` is
 the two together, and the deep extension takes its gradient terms from the
-same list.  ``fit_solved`` packages a solution and recovers the regression
-weights in closed form, W = P^T X H T^T, which is exact because the
-constraint makes the whitened Gram the identity.  W is formed view by view,
-sum_s P_s^T (X_s - mu_s 1^T) T^T, with no stacked copy of the views; each
-view is centred before it is projected, so a large view mean does not cancel
-in W.
+same list.  ``methods.fit`` computes one ``scatter.ClassStatistics`` of
+the terms, and both ``pencil`` and ``fit_solved`` read it; ``deep.train``
+packages its model from its last epoch's statistics.
+
+``fit_solved`` packages a solution and recovers the regression weights in
+closed form, W = P^T X H T^T, which is exact because the constraint makes
+the whitened Gram the identity.  Every supervised target is T = G Y with the
+c x c G of ``data.TARGET_MIXES``, so X H T^T = (X H Y^T) G^T = S G^T with
+the centred class sums S = (X - mu 1^T) Y^T of the statistics, and
+W = (P^T S) G^T is the same W in exact arithmetic: a k x d x c product in
+place of a pass over the n samples.  S is summed from the mean-centred copy
+of the views, so a large view mean does not cancel in W.  For identity_n
+(T = I) W = P^T X H is formed view by view, sum_s P_s^T (X_s - mu_s 1^T),
+each view centred before it is projected.  The means mu_s are the
+statistics' mean, one owned contiguous copy per view, so no fit reduces the
+views twice.
 """
 
 from __future__ import annotations
@@ -28,15 +38,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import TARGET_KINDS, _read_matrix, _write_text, build_indicator, make_target
+from .data import TARGET_KINDS, TARGET_MIXES, _read_matrix, _write_text, build_indicator
 from .gevd import GevdProblem
 from .regularizers import LABELED_REGULARIZERS, REGULARIZERS
-from .scatter import KernelTerm, _view_blocks, label_kernels, materialize
+from .scatter import KernelTerm, label_kernels, materialize
 
 SUPERVISED_KINDS = tuple(k for k in TARGET_KINDS if k != "identity_n")
 
 # Target kind -> the ``label_kernels`` name of H T^T T H for the target T of
-# ``make_target`` (T H = T for the centred kinds).
+# ``data.make_target`` (T H = T for the centred kinds).
 TARGET_KERNELS = {
     "identity_n": "centering",
     "sigma_invsqrt_onehot": "between",
@@ -97,10 +107,11 @@ class SubspaceModel:
         return self.projections[0].shape[1]
 
 
-def pencil(terms, views, k, gamma):
-    """The GevdProblem of KernelTerms on views: one
-    ``scatter.materialize`` call plus gamma I on the constraint."""
-    objective, constraint, factor = materialize(terms, views)
+def pencil(terms, statistics, k, gamma):
+    """The GevdProblem of KernelTerms on the views of a
+    ``scatter.ClassStatistics``: one ``scatter.materialize`` call plus
+    gamma I on the constraint."""
+    objective, constraint, factor = materialize(terms, statistics)
     constraint[np.diag_indices_from(constraint)] += gamma
     return GevdProblem(objective, constraint, k, factor)
 
@@ -136,15 +147,19 @@ def spec_terms(spec, labels, n, v):
     return terms
 
 
-def fit_solved(dataset, solution, spec):
-    """Package a GEVD solution into a SubspaceModel (shared fitting tail);
-    W is formed view by view with the training means (module docstring)."""
-    projections = tuple(solution.P[b, :] for b in _view_blocks(dataset.views))
-    means = tuple(X.mean(axis=1) for X in dataset.views)
-    W = sum(P.T @ (X - mu[:, None])
-            for P, mu, X in zip(projections, means, dataset.views))
-    if spec.target_kind != "identity_n":
-        W = W @ make_target(dataset, spec.target_kind).T
+def fit_solved(statistics, solution, spec):
+    """Package a GEVD solution into a SubspaceModel (shared fitting tail):
+    the means and W come from the fit's ``scatter.ClassStatistics`` (module
+    docstring)."""
+    P = solution.P
+    projections = tuple(P[b, :] for b in statistics.blocks)
+    means = tuple(statistics.mu[b].copy() for b in statistics.blocks)
+    if spec.target_kind == "identity_n":
+        W = sum(Ps.T @ (X - mu[:, None])
+                for Ps, mu, X in zip(projections, means, statistics.views))
+    else:
+        G = TARGET_MIXES[spec.target_kind](statistics.counts)
+        W = (P.T @ statistics.S) @ G.T
     return SubspaceModel(
         projections=projections,
         W=W,

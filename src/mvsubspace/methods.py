@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from .framework import ModelSpec, fit_solved, label_readers, pencil, spec_terms
 from .gevd import solve
+from .scatter import ClassStatistics
 
 # name -> (target kind, ((regularizer id, weight), ...)).
 _CATALOG = {
@@ -79,14 +80,25 @@ SUPERVISED_METHODS = tuple(
 )
 
 
-def build(spec, dataset):
-    """Build a ModelSpec's GevdProblem from a dataset."""
-    terms = spec_terms(spec, dataset.labels, dataset.n_samples, dataset.n_views)
-    return pencil(terms, dataset.views, spec.k, spec.gamma)
+def build(spec, dataset, terms=None, statistics=None):
+    """Build a ModelSpec's GevdProblem from a dataset.
+
+    ``terms`` and ``statistics`` are the spec's ``spec_terms`` and their
+    ``scatter.ClassStatistics`` on the dataset's views, when the caller
+    already has them.
+    """
+    if terms is None:
+        terms = spec_terms(spec, dataset.labels, dataset.n_samples, dataset.n_views)
+    if statistics is None:
+        statistics = ClassStatistics.of(terms, dataset.views)
+    return pencil(terms, statistics, spec.k, spec.gamma)
 
 
 def fit(spec, dataset):
-    """Fit a ModelSpec: build, GEVD solve, closed-form W."""
-    problem = build(spec, dataset)
+    """Fit a ModelSpec: one ClassStatistics of its terms, read by both the
+    build and the closed-form W, and a GEVD solve in between."""
+    terms = spec_terms(spec, dataset.labels, dataset.n_samples, dataset.n_views)
+    statistics = ClassStatistics.of(terms, dataset.views)
+    problem = build(spec, dataset, terms, statistics)
     solution = solve(problem)
-    return fit_solved(dataset, solution, spec)
+    return fit_solved(statistics, solution, spec)

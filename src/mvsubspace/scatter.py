@@ -7,39 +7,44 @@ side produced here is exactly symmetric, so downstream eigensolvers never
 see asymmetry beyond exact floating-point roundoff.
 
 Sufficient statistics.  The terms of one ``materialize`` call share one
-class indicator Y (c x n, class counts cnt, Sigma = diag(cnt)); a call whose
-terms carry no kernel uses the one-class indicator.  Over the stacked views
-X (d x n) the call computes once
+class indicator Y (c x n, class counts cnt, Sigma = diag(cnt)); terms that
+carry no kernel use the one-class indicator.  A ``ClassStatistics`` object
+reads the stacked views X (d x n) once and holds
 
 * the mean mu = X 1 / n,
 * the centred class sums S = (X - mu 1^T) Y^T (d x c),
 * the Gram C_w = X_w X_w^T of the class-centred views X_w (every sample
-  minus the mean of its class),
+  minus the mean of its class), whole or as its diagonal blocks,
 
-and builds every term from them in d x d algebra.  With F = [S, mu]
-(d x (c + 1)), X = X_w + F [Sigma^-1; 1^T] Y and X_w Y^T = 0, so a kernel
-K = eye I + Y^T M Y gives
+and ``materialize(terms, statistics)`` builds every term from them in d x d
+algebra, without touching the samples.  The object is made once per fit
+(``ClassStatistics.of(terms, views)`` computes what a term list reads) and
+passed explicitly: the fit's packaging takes the means and the class sums
+of W from the same object, and a deep epoch makes one per epoch.
+
+With F = [S, mu] (d x (c + 1)), X = X_w + F [Sigma^-1; 1^T] Y and
+X_w Y^T = 0, so a kernel K = eye I + Y^T M Y gives
 
     X K X^T = eye C_w + F Mt F^T,
     Mt = [[eye Sigma^-1 + M, a], [a^T, cnt^T a]],  a = eye 1 + M cnt,
 
 where K 1 = Y^T a.  A blockdiag term takes the diagonal blocks of the same
 expression.  The terms of one side and layout add their (eye, Mt) first, so
-a call makes one centred d x n copy of the views, the Gram C_w, a few n d c
-products (S, and the class means, which one gemm subtracts from the copy in
-place), and then one F Mt F^T per side and layout (per diagonal block for
-blockdiag), whatever the number of terms.  With one class (the one-class
-indicator of a label-free spec) S = X_c 1 is exactly zero: it is set to 0,
-not computed, and the centred copy is already class-centred.  Computed, S
-would be a rounding residue that depends on where the copy lies in memory.
-The objective's factor for the rank-c solve, the third value
-``materialize`` returns, is this F and Mt.
+the statistics make one centred d x n copy of the views, the Gram C_w and a
+few n d c products (S, and the class means, which one gemm subtracts from
+the copy in place), and ``materialize`` then one F Mt F^T per side and
+layout (per diagonal block for blockdiag), whatever the number of terms.
+With one class (the one-class indicator of a label-free spec) S = X_c 1 is
+exactly zero: it is set to 0, not computed, and the centred copy is already
+class-centred.  Computed, S would be a rounding residue that depends on
+where the copy lies in memory.  The objective's factor for the rank-c
+solve, the third value ``materialize`` returns, is this F and Mt.
 
 Gram blocks only where read.  C_w is formed whole, one n d^2 product, only
 when a dense term has eye != 0 or the representer coupling needs the raw
-Gram.  When only blockdiag terms read it, the call forms its diagonal blocks
-alone, one n d_s^2 product per view: at 3 x 250 dims and n = 250 on one
-BLAS thread, 1.4 ms against 5.3 ms for the whole Gram.
+Gram.  When only blockdiag terms read it, the statistics form its
+diagonal blocks alone, one n d_s^2 product per view: at 3 x 250 dims and
+n = 250 on one BLAS thread, 1.4 ms against 5.3 ms for the whole Gram.
 
 Each side written once.  A side with dense terms starts as one fresh array,
 eye C_w + F Mt F^T (gemm adds the product into the scaled copy of C_w in
@@ -290,34 +295,84 @@ def _subtract_product(X, A, B):
         dgemm(-1.0, B.T, A.T, beta=1.0, c=X.T, overwrite_c=True)
 
 
-def _class_statistics(views, Y, counts, gram):
-    """F = [S, mu] of the stacked views and as much of C_w as ``gram`` asks:
-    ``(F, C_w, blocks)``.
+class ClassStatistics:
+    """The sufficient statistics of stacked views under one class indicator.
 
-    ``gram`` "full" gives C_w and its diagonal blocks (views of it),
-    "blocks" only the diagonal blocks, one X_w,s X_w,s^T per view, and None
-    neither (None and Nones).  The stacked copy of the views is centred in
-    place by mu and then by the class means, so every Gram is one product of
-    the class-centred views.  With one class S is exactly zero and the
-    centred copy is already class-centred.
+    ``ClassStatistics(views, Y, gram)`` reads the views once: it stacks a
+    copy, centres it in place by mu and then by the class means, and keeps
+
+    * ``views``, the views as float arrays, and ``blocks``, the row slice of
+      each view in the stack;
+    * ``Y`` (c x n) and its class counts ``counts``;
+    * ``F`` = [S, mu] (d x (c + 1));
+    * as much of C_w as ``gram`` asks: "full" gives ``C_w`` and its diagonal
+      blocks ``C_blocks`` (views of it), "blocks" only the diagonal blocks,
+      one X_w,s X_w,s^T per view, and None neither (None and Nones).
+
+    Every Gram is one product of the class-centred copy, which is not kept.
+    With one class S is exactly zero and the centred copy is already
+    class-centred.  ``ClassStatistics.of(terms, views)`` computes what a
+    term list reads, so ``materialize`` and the packaging of a fit share one
+    pass over the samples.  The object is passed explicitly, never cached
+    by dataset: a cache would go stale if a caller changed the views.
     """
-    X = np.vstack(views)
-    mu = X.sum(axis=1) / X.shape[1]
-    X -= mu[:, None]
-    one_class = len(counts) == 1
-    S = np.zeros((len(X), 1)) if one_class else X @ Y.T
-    F = np.column_stack((S, mu))
-    rows = _view_blocks(views)
-    if gram is None:
-        return F, None, [None] * len(rows)
-    if not one_class:
-        # Y is one-hot, so every entry of the product is exact and this is
-        # X - (S / counts) Y bit for bit.
-        _subtract_product(X, S / counts, Y)
-    if gram == "full":
-        C_w = X @ X.T
-        return F, C_w, [C_w[b, b] for b in rows]
-    return F, None, [X[b] @ X[b].T for b in rows]
+
+    # Finite views can overflow a Gram; GevdProblem rejects it, so do not warn.
+    @np.errstate(over="ignore", invalid="ignore")
+    def __init__(self, views, Y, gram=None):
+        self.views = [np.asarray(X, dtype=float) for X in views]
+        self.blocks = _view_blocks(self.views)
+        self.Y = Y
+        self.counts = Y.sum(axis=1)
+        X = np.vstack(self.views)
+        mu = X.sum(axis=1) / X.shape[1]
+        X -= mu[:, None]
+        one_class = len(self.counts) == 1
+        S = np.zeros((len(X), 1)) if one_class else X @ Y.T
+        self.F = np.column_stack((S, mu))
+        self.C_w, self.C_blocks = None, [None] * len(self.blocks)
+        if gram is None:
+            return
+        if not one_class:
+            # Y is one-hot, so every entry of the product is exact and this is
+            # X - (S / counts) Y bit for bit.
+            _subtract_product(X, S / self.counts, Y)
+        if gram == "full":
+            self.C_w = X @ X.T
+            self.C_blocks = [self.C_w[b, b] for b in self.blocks]
+        else:
+            self.C_blocks = [X[b] @ X[b].T for b in self.blocks]
+
+    @classmethod
+    def of(cls, terms, views):
+        """The statistics ``materialize(terms, ...)`` reads on these views:
+        the terms' class indicator and ``_gram_read(terms, views)`` of C_w."""
+        indicator = _shared_indicator(terms, np.shape(views[0])[1])
+        return cls(views, indicator, _gram_read(terms, views))
+
+    @property
+    def mu(self):
+        """The mean of the stacked views (a strided view of F)."""
+        return self.F[:, -1]
+
+    @property
+    def S(self):
+        """The centred class sums X_c Y^T (a strided view of F)."""
+        return self.F[:, :-1]
+
+
+def _gram_read(terms, views):
+    """The part of C_w the terms read: "full" when a dense term has eye != 0
+    or the representer coupling needs the raw Gram (every d_s <= n), else
+    "blocks" when a blockdiag term has eye != 0, else None."""
+    eyes, couplings = _summed_terms(
+        terms, lambda kernel: (1.0 if kernel is None else kernel.eye, 0.0)
+    )
+    reads = {layout for (_, layout), (eye, _) in eyes.items() if eye}
+    n = np.shape(views[0])[1]
+    if couplings and max(len(X) for X in views) <= n or "dense" in reads:
+        return "full"
+    return "blocks" if "blockdiag" in reads else None
 
 
 def _kernel_pieces(kernel, counts):
@@ -376,11 +431,12 @@ def _summed_terms(terms, pieces):
 
 # Finite views can overflow a side; GevdProblem rejects it, so do not warn.
 @np.errstate(over="ignore", invalid="ignore")
-def materialize(terms, views):
-    """Sum KernelTerms on the given views into ``(objective, constraint,
-    factor)``.
+def materialize(terms, statistics):
+    """Sum KernelTerms on the views of a ClassStatistics into ``(objective,
+    constraint, factor)``.
 
-    All kernels of the terms must share one class indicator (ValueError
+    ``statistics`` must be on the terms' class indicator and hold the part of
+    C_w they read, as ``ClassStatistics.of(terms, views)`` does (ValueError
     otherwise); the module docstring says how the sum is formed.
 
     ``factor`` is (S, M) with objective = S M S^T when the objective is one
@@ -389,20 +445,20 @@ def materialize(terms, views):
     a is zero (between, center_distance), so its rank is at most c, and M
     is coeff * Mt: the same product the objective is built from.
     """
-    views = [np.asarray(X, dtype=float) for X in views]
+    views, F, C_w = statistics.views, statistics.F, statistics.C_w
     n = views[0].shape[1]
     Y = _shared_indicator(terms, n)
-    counts = Y.sum(axis=1)
+    if Y is not statistics.Y and not np.array_equal(Y, statistics.Y):
+        raise ValueError("the statistics are not on the terms' class indicator")
+    counts = statistics.counts
     pieces, couplings = _summed_terms(
         terms, lambda kernel: _kernel_pieces(kernel, counts)
     )
+    read = _gram_read(terms, views)
+    if (read == "full" and C_w is None
+            or read == "blocks" and statistics.C_blocks[0] is None):
+        raise ValueError("the statistics lack the part of C_w the terms read")
     raw_gram = bool(couplings) and max(X.shape[0] for X in views) <= n
-    reads = {layout for (_, layout), (eye, _) in pieces.items() if eye}
-    F, C_w, C_blocks = _class_statistics(
-        views, Y, counts,
-        "full" if raw_gram or "dense" in reads else
-        "blocks" if "blockdiag" in reads else None,
-    )
     d = F.shape[0]
     gram = _kernel_sum(*_kernel_pieces(None, counts), F, C_w) if raw_gram else None
     sides = []
@@ -410,7 +466,7 @@ def materialize(terms, views):
         dense = pieces.get((side, "dense"))
         total = _kernel_sum(*dense, F, C_w) if dense else np.zeros((d, d))
         if (side, "blockdiag") in pieces:
-            for b, C_b in zip(_view_blocks(views), C_blocks):
+            for b, C_b in zip(statistics.blocks, statistics.C_blocks):
                 block = _kernel_sum(*pieces[side, "blockdiag"], F[b], C_b)
                 total[b, b] += block if dense else symmetrize(block)
         if side in couplings:

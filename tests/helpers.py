@@ -8,9 +8,11 @@ from mvsubspace.data import center_columns, make_target
 from mvsubspace.framework import pencil
 from mvsubspace.gevd import GevdSolution, NumericalError, _fix_signs
 from mvsubspace.scatter import (
+    ClassStatistics,
     KernelTerm,
     _view_blocks,
     label_kernels,
+    materialize,
     pseudo_inverse_coupling,
     symmetrize,
 )
@@ -209,12 +211,18 @@ def catalog_terms(method, n, labels, v):
     raise ValueError(f"unknown method {name!r}")
 
 
+def materialize_on(terms, views):
+    """``materialize`` of the terms on the ClassStatistics they read."""
+    return materialize(terms, ClassStatistics.of(terms, views))
+
+
 def catalog_pencil(method, dataset):
     """The GevdProblem of ``catalog_terms``, materialized as ``build`` does."""
     terms = catalog_terms(
         method, dataset.n_samples, dataset.labels, dataset.n_views
     )
-    return pencil(terms, list(dataset.views), method.k, method.gamma)
+    return pencil(terms, ClassStatistics.of(terms, dataset.views), method.k,
+                  method.gamma)
 
 
 # ``materialize`` builds pencils from sufficient statistics and sums in
@@ -240,8 +248,9 @@ def views_times_target(dataset, spec):
 
 
 def stacked_class_statistics(views, Y, counts, gram):
-    """``scatter._class_statistics`` through ``np.vstack``: the stacked copy
-    is centred in place by mu, then by the one-hot product (S / counts) Y."""
+    """``(F, C_w, C_blocks)`` of ``scatter.ClassStatistics`` through
+    ``np.vstack``: the stacked copy is centred in place by mu, then by the
+    one-hot product (S / counts) Y."""
     X = np.vstack(views)
     mu = X.sum(axis=1) / X.shape[1]
     X -= mu[:, None]

@@ -38,7 +38,7 @@ from mvsubspace.regularizers import (
     mean_consistency,
     representer_consistency,
 )
-from mvsubspace.scatter import label_kernels, materialize
+from mvsubspace.scatter import label_kernels
 from mvsubspace.toy import make_toy_dataset
 
 from helpers import (
@@ -48,6 +48,7 @@ from helpers import (
     dense_label_kernels,
     densify,
     fd_worst_violation,
+    materialize_on,
     orthonormalish_views,
 )
 
@@ -181,14 +182,14 @@ def test_criterion_05_regularizer_quadratic_identities():
         return float(np.trace(W.T @ P.T @ M @ P @ W))
 
     one_class = label_kernels(build_indicator(np.ones(n, dtype=int)))
-    mean_term = materialize(mean_consistency(v, one_class, 0.0), views)[1]
+    mean_term = materialize_on(mean_consistency(v, one_class, 0.0), views)[1]
     m = [(W.T @ Pv[s].T @ views[s]).mean(axis=1) for s in range(v)]
     mean_direct = n / (2 * v) * sum(
         np.sum((m[s] - m[t]) ** 2) for s in range(v) for t in range(v)
     )
     rel_mean = abs(form(mean_term) - mean_direct) / abs(mean_direct)
 
-    rep_term = materialize(representer_consistency(v, one_class, 0.0), views)[1]
+    rep_term = materialize_on(representer_consistency(v, one_class, 0.0), views)[1]
     betas = []
     for s in range(v):
         G = views[s].T @ views[s]
@@ -202,7 +203,7 @@ def test_criterion_05_regularizer_quadratic_identities():
     rel_rep = abs(form(rep_term) - rep_direct) / abs(rep_direct)
 
     tviews = [X - X.mean(axis=1, keepdims=True) for X in views]
-    cca_term = -materialize(cca_coupling(v, one_class, 0.0), views)[0]
+    cca_term = -materialize_on(cca_coupling(v, one_class, 0.0), views)[0]
     Z = [W.T @ Pv[s].T @ tviews[s] for s in range(v)]
     cca_direct = 0.5 * sum(
         np.sum((Z[s] - Z[t]) ** 2) for s in range(v) for t in range(v)

@@ -303,7 +303,7 @@ def test_reused_workspace_matches_fresh_arrays(activation):
     reused = _loss_and_grads(second, views, terms, method, activation, 1e-8, work)
     fresh = _loss_and_grads(second, views, terms, method, activation, 1e-8)
     assert reused[0] == fresh[0]
-    for a, b in zip(reused[2], fresh[2]):
+    for a, b in zip(reused[2].views, fresh[2].views):
         np.testing.assert_array_equal(a, b)
     for (dWs, dbs), (eWs, ebs) in zip(reused[3], fresh[3]):
         for a, b in zip(dWs + dbs, eWs + ebs):

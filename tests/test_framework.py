@@ -7,6 +7,7 @@ import pytest
 
 import mvsubspace
 from mvsubspace import (
+    METHOD_NAMES,
     MethodId,
     ModelSpec,
     MultiViewDataset,
@@ -22,7 +23,7 @@ from mvsubspace import (
 )
 from mvsubspace.data import TARGET_KINDS, center_columns
 from mvsubspace.deep import MlpConfig, TrainerConfig, forward_views, train
-from mvsubspace.scatter import KernelTerm, symmetrize
+from mvsubspace.scatter import ClassStatistics, KernelTerm, symmetrize
 
 from helpers import (
     PENCIL_RTOL,
@@ -303,12 +304,20 @@ def test_fit_matches_the_full_spectrum_oracle(target, regularizers, route):
     np.testing.assert_allclose(got, want.eigenvalues, rtol=1e-12, atol=1e-12)
 
 
-# W is a sum of per-view products, not one product of the stacked views; it
-# agrees with the stacked oracle to this share of its largest entry.
+# W comes from the class sums (or, for identity_n, per-view products), not
+# one product of the stacked views; it agrees with the stacked oracle to this
+# share of its largest entry.
 W_RTOL = 1e-13
 
-# (dims, n): n above every d, d above n, one view.
-W_SHAPES = {"n>d": ((6, 5, 4), 40), "d>n": ((9, 8, 7), 12), "v=1": ((6,), 20)}
+# (dims, n, classes): n above every d, d above n, one view, and the
+# benchmark's tall and wide shapes.
+W_SHAPES = {
+    "n>d": ((6, 5, 4), 40, 3),
+    "d>n": ((9, 8, 7), 12, 3),
+    "v=1": ((6,), 20, 3),
+    "tall": ((50, 50, 50), 1500, 10),
+    "wide": ((250, 250, 250), 250, 10),
+}
 
 
 def _stacked_weights(model, dataset):
@@ -320,12 +329,58 @@ def _stacked_weights(model, dataset):
 @pytest.mark.parametrize("shape", W_SHAPES)
 @pytest.mark.parametrize("kind", TARGET_KINDS)
 def test_weights_match_the_stacked_oracle(kind, shape, order):
-    dims, n = W_SHAPES[shape]
-    ds = random_dataset(seed=n + len(dims), dims=dims, classes=3, n=n)
+    dims, n, classes = W_SHAPES[shape]
+    ds = random_dataset(seed=n + len(dims), dims=dims, classes=classes, n=n)
     ds = MultiViewDataset(tuple(np.asarray(X, order=order) for X in ds.views), ds.labels)
     assert ds.views[0].flags[f"{order}_CONTIGUOUS"]
     model = fit_method(ModelSpec(kind, k=2, gamma=1e-3), ds)
     assert pencil_gap(model.W, _stacked_weights(model, ds)) <= W_RTOL
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("kind", TARGET_KINDS)
+def test_means_are_owned_contiguous_view_means(kind, order):
+    """``embed`` broadcasts each mean over a view, so the means are arrays of
+    their own, not strided views of the statistics."""
+    base = random_dataset(seed=48, dims=(6, 1, 4), classes=3, n=40)
+    ds = MultiViewDataset(
+        tuple(np.asarray(X + 1e3, order=order) for X in base.views), base.labels
+    )
+    model = fit_method(ModelSpec(kind, k=1, gamma=1e-3), ds)
+    for mu, X in zip(model.means, ds.views, strict=True):
+        assert mu.flags.c_contiguous and mu.flags.owndata
+        assert np.abs(mu - X.mean(axis=1)).max() <= 1e-14 * np.abs(X).max()
+
+
+@pytest.mark.parametrize("name", METHOD_NAMES)
+def test_a_fit_reads_its_samples_once(name, monkeypatch):
+    """One ClassStatistics per fit gives the pencil, the means and W."""
+    made = []
+    construct = ClassStatistics.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(name)
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(ClassStatistics, "__init__", counting)
+    fit_method(MethodId(name, k=2), random_dataset(seed=49, dims=(5, 4, 3), n=30))
+    assert len(made) == 1
+
+
+def test_deep_training_reads_its_features_once_per_epoch(monkeypatch):
+    """The final model is packaged from the last epoch's statistics."""
+    made = []
+    construct = ClassStatistics.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(1)
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(ClassStatistics, "__init__", counting)
+    ds = random_dataset(seed=50, dims=(4, 3), n=30, shift=1.0)
+    train(ds, MethodId("MvDA", k=2, gamma=1e-3), MlpConfig(hidden=(4,), out_dim=3),
+          TrainerConfig(epochs=5))
+    assert len(made) == 5
 
 
 def test_deep_model_weights_match_the_stacked_oracle():

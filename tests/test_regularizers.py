@@ -16,7 +16,7 @@ from mvsubspace.regularizers import (
     mean_consistency,
     representer_consistency,
 )
-from mvsubspace.scatter import label_kernels, materialize
+from mvsubspace.scatter import label_kernels
 
 from helpers import (
     balanced_labels,
@@ -24,6 +24,7 @@ from helpers import (
     between_class_scatter,
     blockdiag_dense,
     centering_matrix,
+    materialize_on,
     orthonormalish_views,
 )
 
@@ -50,7 +51,7 @@ def test_mean_consistency_identity():
     n, v = 18, 3
     views = [rng.standard_normal((d, n)) for d in dims]
     P, W, Pv = _random_pw(rng, dims, 2, 3)
-    _, constraint, _ = materialize(
+    _, constraint, _ = materialize_on(
         mean_consistency(v, one_class_kernels(n), 0.0), views
     )
     m = [(W.T @ Pv[s].T @ views[s]).mean(axis=1) for s in range(v)]
@@ -66,7 +67,7 @@ def test_representer_consistency_identity():
     n, v = 6, 3
     views = orthonormalish_views(rng, dims, n)
     P, W, Pv = _random_pw(rng, dims, 2, 3)
-    _, constraint, _ = materialize(
+    _, constraint, _ = materialize_on(
         representer_consistency(v, one_class_kernels(n), 0.0), views
     )
     betas = []
@@ -87,7 +88,7 @@ def test_cca_coupling_identity():
     views = [rng.standard_normal((d, n)) for d in dims]
     tviews = [X - X.mean(axis=1, keepdims=True) for X in views]
     P, W, Pv = _random_pw(rng, dims, 3, 2)
-    objective, constraint, _ = materialize(
+    objective, constraint, _ = materialize_on(
         cca_coupling(v, one_class_kernels(n), 0.0), views
     )
     Z = [W.T @ Pv[s].T @ tviews[s] for s in range(v)]
@@ -104,7 +105,7 @@ def test_hsic_alignment_is_per_view_between_scatter():
     labels = balanced_labels(3, n, rng)
     ind = build_indicator(labels)
     views = [rng.standard_normal((d, n)) for d in (4, 3)]
-    objective, constraint, _ = materialize(
+    objective, constraint, _ = materialize_on(
         hsic_alignment(2, label_kernels(ind), 0.0), views
     )
     want = -blockdiag_dense([between_class_scatter(X, ind) for X in views])
@@ -120,7 +121,7 @@ def test_lda_per_view_kernel():
     views = [rng.standard_normal((3, n))]
     R = centering_matrix(n) - lam * between_kernel(ind)
     want = blockdiag_dense([views[0] @ R @ views[0].T])
-    objective, _, _ = materialize(lda_per_view(1, label_kernels(ind), lam), views)
+    objective, _, _ = materialize_on(lda_per_view(1, label_kernels(ind), lam), views)
     np.testing.assert_allclose(-objective, want, atol=1e-12)
 
 
@@ -130,7 +131,7 @@ def test_joint_constraint_is_the_cross_view_covariance():
     views = [rng.standard_normal((d, n)) for d in (4, 3, 2)]
     tviews = [X - X.mean(axis=1, keepdims=True) for X in views]
     K = one_class_kernels(n)
-    objective, constraint, _ = materialize(joint_constraint(3, K, 0.0), views)
+    objective, constraint, _ = materialize_on(joint_constraint(3, K, 0.0), views)
     stacked = np.vstack(tviews)
     want = stacked @ stacked.T - blockdiag_dense([X @ X.T for X in tviews])
     np.testing.assert_allclose(constraint, want, atol=1e-12)

@@ -14,6 +14,7 @@ from mvsubspace import (
 from mvsubspace.data import center_columns
 from mvsubspace.framework import REGULARIZERS, spec_terms
 from mvsubspace.scatter import (
+    ClassStatistics,
     KernelTerm,
     LabelKernel,
     label_kernels,
@@ -31,6 +32,7 @@ from helpers import (
     centering_matrix,
     dense_materialize,
     densify,
+    materialize_on,
     pencil_gap,
     random_dataset,
     regularized_gram_inverse,
@@ -97,7 +99,7 @@ def test_method_pencils_match_dense_materialize(name, shape):
     dims, n = SHAPES[shape]
     ds = random_dataset(seed=len(dims) + n, dims=dims, classes=3, n=n)
     terms = spec_terms(MethodId(name, k=1, lam=0.3), ds.labels, n, len(dims))
-    got = materialize(terms, ds.views)[:2]
+    got = materialize_on(terms, ds.views)[:2]
     want = dense_materialize(terms, ds.views)
     for g, w in zip(got, want):
         assert pencil_gap(g, w) <= PENCIL_RTOL
@@ -116,15 +118,15 @@ GRAM_READS = {
 @pytest.mark.parametrize("name", METHOD_NAMES)
 def test_the_gram_is_formed_only_where_a_layout_reads_it(name, monkeypatch):
     asked = []
-    statistics = scatter._class_statistics
+    construct = ClassStatistics.__init__
 
-    def recording(views, Y, counts, gram):
+    def recording(self, views, Y, gram=None):
         asked.append(gram)
-        return statistics(views, Y, counts, gram)
+        construct(self, views, Y, gram)
 
-    monkeypatch.setattr(scatter, "_class_statistics", recording)
+    monkeypatch.setattr(ClassStatistics, "__init__", recording)
     ds = random_dataset(seed=1, dims=(5, 4, 3), classes=3, n=40)
-    materialize(spec_terms(MethodId(name, k=1), ds.labels, 40, 3), ds.views)
+    build(MethodId(name, k=1), ds)
     assert asked == [GRAM_READS[name]]
 
 
@@ -135,13 +137,14 @@ def test_class_statistics_match_the_stacked_oracle(dims, n, gram, order):
     ds = random_dataset(seed=len(dims) + n, dims=dims, classes=3, n=n)
     views = [np.asarray(X, order=order) for X in ds.views]
     indicator = build_indicator(ds.labels)
-    got = scatter._class_statistics(views, indicator.Y, indicator.counts, gram)
+    got = ClassStatistics(views, indicator.Y, gram)
     want = stacked_class_statistics(views, indicator.Y, indicator.counts, gram)
-    np.testing.assert_array_equal(got[0], want[0])
-    assert (got[1] is None) == (want[1] is None)
-    if got[1] is not None:
-        np.testing.assert_array_equal(got[1], want[1])
-    for g, w in zip(got[2], want[2], strict=True):
+    np.testing.assert_array_equal(got.counts, indicator.counts)
+    np.testing.assert_array_equal(got.F, want[0])
+    assert (got.C_w is None) == (want[1] is None)
+    if got.C_w is not None:
+        np.testing.assert_array_equal(got.C_w, want[1])
+    for g, w in zip(got.C_blocks, want[2], strict=True):
         assert (g is None) == (w is None)
         if g is not None:
             np.testing.assert_array_equal(g, w)
@@ -152,12 +155,27 @@ def test_one_class_statistics_are_exact(order):
     """With one class S = X_c 1 is exactly zero and C_w = X_c X_c^T."""
     ds = random_dataset(seed=45, dims=(5, 4, 3), n=40)
     views = [np.asarray(X + 3.0, order=order) for X in ds.views]
-    Y = np.ones((1, 40))
-    F, C_w, _ = scatter._class_statistics(views, Y, Y.sum(axis=1), "full")
+    statistics = ClassStatistics(views, np.ones((1, 40)), "full")
     Xc = np.vstack([center_columns(X) for X in views])
-    assert not F[:, 0].any()
-    np.testing.assert_array_equal(F[:, 1], np.concatenate([X.mean(axis=1) for X in views]))
-    np.testing.assert_array_equal(C_w, Xc @ Xc.T)
+    assert not statistics.S.any()
+    np.testing.assert_array_equal(
+        statistics.mu, np.concatenate([X.mean(axis=1) for X in views])
+    )
+    np.testing.assert_array_equal(statistics.C_w, Xc @ Xc.T)
+
+
+def test_materialize_refuses_statistics_the_terms_do_not_read():
+    ds = random_dataset(seed=47, dims=(3, 2), classes=3, n=12)
+    terms = spec_terms(MethodId("MvOPLS", k=1), ds.labels, 12, 2)
+    Y = terms[0].kernel.Y
+    with pytest.raises(ValueError, match="class indicator"):
+        materialize(terms, ClassStatistics(ds.views, np.ones((1, 12)), "blocks"))
+    with pytest.raises(ValueError, match="part of C_w"):
+        materialize(terms, ClassStatistics(ds.views, Y))
+    # the Gram whole serves terms that read only its blocks
+    whole = materialize(terms, ClassStatistics(ds.views, Y, "full"))
+    for got, want in zip(whole[:2], materialize_on(terms, ds.views)[:2]):
+        assert pencil_gap(got, want) <= PENCIL_RTOL
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -186,7 +204,7 @@ def test_regularizers_match_dense_materialize(rid, dims, n):
     ds = random_dataset(seed=len(dims) + n, dims=dims, classes=3, n=n)
     K = label_kernels(build_indicator(ds.labels))
     terms = REGULARIZERS[rid](len(dims), K, 0.3)
-    got = materialize(terms, ds.views)[:2]
+    got = materialize_on(terms, ds.views)[:2]
     want = dense_materialize(terms, ds.views)
     for g, w in zip(got, want):
         assert pencil_gap(g, w) <= PENCIL_RTOL
@@ -205,7 +223,8 @@ def test_grads_match_finite_differences_of_materialize(dims, n):
     adjoints = tuple(symmetrize(rng.standard_normal((d, d))) for _ in range(2))
 
     def value():
-        return sum(np.sum(bar * M) for bar, M in zip(adjoints, materialize(terms, views)))
+        sides = materialize_on(terms, views)
+        return sum(np.sum(bar * M) for bar, M in zip(adjoints, sides))
 
     grads = materialize_grads(terms, views, adjoints)
     h = 1e-6
@@ -237,13 +256,13 @@ def test_terms_of_one_pencil_share_one_indicator():
     first = label_kernels(build_indicator(np.array([1, 1, 2, 2, 3, 3])))
     other = label_kernels(build_indicator(np.array([1, 2, 3, 1, 2, 3])))
     with pytest.raises(ValueError, match="one class indicator"):
-        materialize([
+        materialize_on([
             KernelTerm("objective", "dense", 1.0, first["between"]),
             KernelTerm("constraint", "blockdiag", 1.0, other["within"]),
         ], views)
     # an equal indicator held in another array is the same indicator
     copy = LabelKernel(1.0, first["within"].Y.copy(), first["within"].M)
-    materialize([
+    materialize_on([
         KernelTerm("objective", "dense", 1.0, first["between"]),
         KernelTerm("constraint", "blockdiag", 1.0, copy),
     ], views)
@@ -255,7 +274,7 @@ def test_block_diagonal_zeroes_couplings():
     want = np.zeros((5, 5))
     want[:2, :2] = views[0] @ views[0].T
     want[2:, 2:] = views[1] @ views[1].T
-    objective, constraint, _ = materialize(
+    objective, constraint, _ = materialize_on(
         [KernelTerm("objective", "blockdiag", 1.0)], views
     )
     np.testing.assert_allclose(objective, want, atol=1e-13)
