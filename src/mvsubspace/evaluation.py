@@ -10,44 +10,73 @@ gallery index.  The fast paths below return exactly the answers of that
 definition, not approximations of them.
 
 Both start from a GEMM screen.  Per query q it forms s(g) = ||g||^2 - 2 q^T g,
-which is d2(q, g) - ||q||^2 in exact arithmetic.  With u = eps/2 the unit
-roundoff, gamma_n = n u / (1 - n u), d the dimension, N = ||q||^2 + ||g||^2
-and hats marking computed values:
+which is d2(q, g) - ||q||^2 in exact arithmetic, as one augmented product
+[-2 q^T | 1] [g ; ||g||^2] of length d + 1: the operands are built once per
+call and each query block is one GEMM of a row slice.  With u = eps/2 the
+unit roundoff, gamma_n = n u / (1 - n u), d the dimension,
+N = ||q||^2 + ||g||^2 and hats marking computed values:
 
 * direct formula: each term fl(fl(q_k - g_k)^2) carries at most gamma_3
   relative error and summing d nonnegative terms, in any order, adds
   gamma_(d-1), so |d2^ - d2| <= gamma_(d+2) d2 <= 2 gamma_(d+2) N, as
   d2 <= 2N;
-* screen: ||g||^2 is computed to gamma_d ||g||^2; the GEMM dot product, in
-  whatever order and with or without FMA, to gamma_d sum_k |q_k g_k|
-  <= gamma_d N / 2; the final addition rounds a value of size at most
-  2N (1 + gamma_d) once; so |s^ - s| <= 2 gamma_(d+1) N.
+* screen: ||g||^2^ is computed to gamma_d ||g||^2 <= gamma_d N.  The GEMM
+  sums the d + 1 products exactly formed (-2 q_k is exact) in whatever order
+  and with or without FMA, to gamma_(d+1) times the sum of their magnitudes,
+  2 sum_k |q_k g_k| + ||g||^2^ <= N + ||g||^2 (1 + gamma_d), at most about
+  2N; so |s^ - s| <= 3 gamma_(d+1) N to first order.
 
-Both errors together are at most e(g) = 4 gamma_(d+2) N, so
+Both errors together are at most e(g) = 5 gamma_(d+2) N, so
 |s^(g) - (d2^(g) - ||q||^2)| <= e(g).  The code uses
-tol = (4d + 8) (eps (||q||^2 + max_g ||g||^2) + tiny), twice the first-order
-bound on max_g e(g): the factor covers the 1 / (1 - n u) denominators and
-the rounding of the norms, of tol and of the 1-NN limit below, and ``tiny``
-(the smallest normal float) covers gradual underflow, whose absolute errors
-the relative bounds miss.  The GEMM rounds differently per BLAS kernel and
-thread count; the answers below do not, because they rest on this bound
-alone.
+tol = (5d + 10) (eps (||q||^2 + max_g ||g||^2) + tiny), twice the first-order
+bound on max_g e(g): the factor covers the 1 / (1 - n u) denominators, the
+second-order terms and the rounding of the norms, of tol and of the 1-NN
+limit below, and ``tiny`` (the smallest normal float) covers gradual
+underflow, whose absolute errors the relative bounds miss.  The GEMM rounds
+differently per BLAS kernel and thread count; the answers below do not,
+because they rest on this bound alone.
 
-1-NN keeps every g with s^(g) <= min_h s^(h) + 2 tol, recomputes only those
-with the direct formula and takes the least (d2^, gallery index) among them.
-Each query block only collects the flat positions it keeps; the collected
-positions are resolved together, in one call of the direct formula, before
-the next block would take them past one block's entries, and at the end.  A
-block keeps at most its own entries, so each resolve, like each block, works
-on arrays of at most one block's entries; every query's positions fall in
-one resolve, so how queries are grouped into resolves cannot change an
-answer.  The reference winner g* is always kept: with h the screen's
-minimiser, s^(g*) <= d2^(g*) - ||q||^2 + e(g*) <= d2^(h) - ||q||^2 + e(g*)
-<= s^(h) + e(h) + e(g*) <= s^(h) + 2 max_g e(g), within the limit.  Screen
-values that are NaN, and every value of a row whose limit is not finite
-(overflow), are kept, so the screen never drops the winner; at worst it
-keeps every column.  A row whose kept minimum is +inf has every distance
-+inf, and both answers are then column 0, which the screen may have dropped.
+The bound needs a screen value computed without overflow.  A finite s^ was;
+a tol that does not overflow bounds ||q||^2 + ||g||^2 by M, the largest
+double, so every product is finite too.  A partial sum of the GEMM can
+still overflow where s does not, if it adds the positive terms first, but
+only for a point at least (2 - sqrt 2) M > M / 2 away: with P the sum of
+the positive terms -2 q_k g_k and c = sum |q_k g_k| over the others,
+overflow needs P + ||g||^2 > M >= ||q||^2 + ||g||^2, so P > ||q||^2, and
+then d2 = ||q||^2 + ||g||^2 + P - 2c > M + ||q||^2 - 2c, where
+P / 2 + c <= ||q|| ||g|| <= sqrt(||q||^2 (M - ||q||^2)) (Cauchy-Schwarz)
+gives 2c < 2 sqrt(||q||^2 (M - ||q||^2)) - ||q||^2, and
+M + 2x - 2 sqrt(x (M - x)) >= (2 - sqrt 2) M for every x in [0, M].  The
+rounding of the partial sums and of ||g||^2 moves this by terms of order
+gamma_(d+1) M.
+
+1-NN takes each query's screen minimiser h (numpy's argmin, the first NaN if
+there is one) and its limit = s^(h) + 2 tol.  A row is guarded when
+|limit| < M / 2 - ||q||^2, which also makes the limit finite; then
+d2^(h) <= limit + ||q||^2 + e(h) < M / 2 (1 + 10 gamma_(d+2)), so the
+reference winner g*, whose (d2^, index) is at most h's, lies nearer than
+(2 - sqrt 2) M: its screen value has not overflowed and obeys the bound, so
+s^(g*) <= d2^(g*) - ||q||^2 + e(g*) <= d2^(h) - ||q||^2 + e(g*)
+<= s^(h) + e(h) + e(g*) <= s^(h) + 2 max_g e(g), within the limit.  The
+reference winner is always kept, and has a finite direct distance.  A row
+that is not guarded (NaN, overflow, or norms near the top of the range)
+gets an infinite limit and keeps every column.  Each row keeps every g with
+s^(g) not above its limit, so NaN screen values are kept too, and always
+its minimiser (rounding is monotone, so the limit is at least s^(h)).
+
+* A row that keeps one column keeps only h, which is then g*: its answer is
+  the argmin, with no direct distance.  One comparison of the block against
+  the limits, counted once, finds the usual case where every row keeps one.
+* Every other row's kept positions are collected, flat in the
+  n_query x n_gallery matrix, and resolved together, in one call of the
+  direct formula, before the next block would take them past one block's
+  entries, and at the end; the answer is the least (d2^, gallery index)
+  among them.  A block keeps at most its own entries, so each resolve, like
+  each block, works on arrays of at most one block's entries; every query's
+  positions fall in one resolve, so how queries are grouped into resolves
+  cannot change an answer.  A guarded row keeps g*; any other row keeps
+  every column, and if all of its distances are +inf, the least pair is
+  column 0, the reference answer.
 
 Retrieval sorts each row by the screen and computes the direct formula only
 where the screen cannot decide the order.
@@ -150,7 +179,13 @@ def train_linear_classifier(Z, labels, ridge=1e-4):
 
 def classify(clf, Z):
     """Argmax class labels for columns of Z."""
-    scores = clf.W.T @ np.asarray(Z, dtype=float) + clf.b[:, None]
+    Z = np.asarray(Z, dtype=float)
+    if Z.shape[0] != clf.W.shape[0]:
+        raise ValueError(
+            f"Z and clf.W must embed in the same dimension, got {Z.shape[0]} "
+            f"and {clf.W.shape[0]}"
+        )
+    scores = clf.W.T @ Z + clf.b[:, None]
     return np.argmax(scores, axis=0) + 1
 
 
@@ -204,47 +239,73 @@ def _squared_distances(Z_query, Z_gallery, qi, gi):
 def _screened_blocks(Z_query, Z_gallery):
     """Per query block: its slice of query columns, the GEMM screen
     ||g||^2 - 2 q^T g of each of its queries against every gallery column,
-    and each query's tol (module docstring)."""
+    and each query's tol (module docstring).
+
+    The screen is one augmented product [-2 Z_query^T | 1] [Z_gallery ;
+    ||g||^2], whose operands are built once per call."""
+    d, n_gallery = Z_gallery.shape
     finfo = np.finfo(float)
-    factor = 4 * Z_gallery.shape[0] + 8
+    queries = np.empty((Z_query.shape[1], d + 1))
+    gallery = np.empty((d + 1, n_gallery))
+    gallery[:d] = Z_gallery
     # Finite samples can overflow the screen; the callers handle inf and NaN.
     with np.errstate(over="ignore", invalid="ignore"):
-        g_norms = np.einsum("dg,dg->g", Z_gallery, Z_gallery)
-        g_max = g_norms.max(initial=0.0)
-    step = _block_rows(Z_gallery.shape[1])
+        np.multiply(Z_query.T, -2.0, out=queries[:, :d])
+        queries[:, d] = 1.0
+        np.einsum("dg,dg->g", Z_gallery, Z_gallery, out=gallery[d])
+        g_max = gallery[d].max(initial=0.0)
+        q_norms = np.einsum("dq,dq->q", Z_query, Z_query)
+        tol = (5 * d + 10) * (finfo.eps * (q_norms + g_max) + finfo.tiny)
+    step = _block_rows(n_gallery)
     for start in range(0, Z_query.shape[1], step):
         rows = slice(start, start + step)
-        Qb = Z_query[:, rows]
         with np.errstate(over="ignore", invalid="ignore"):
-            screen = (-2.0 * Qb).T @ Z_gallery
-            screen += g_norms
-            q_norms = np.einsum("dq,dq->q", Qb, Qb)
-            tol = factor * (finfo.eps * (q_norms + g_max) + finfo.tiny)
-        yield rows, screen, tol
+            screen = queries[rows] @ gallery
+        yield rows, screen, tol[rows]
 
 
 def knn1_classify(Z_train, labels_train, Z_test):
     """Nearest-neighbor labels under Euclidean distance.
 
     Distance ties are broken toward the lowest training index.  A GEMM screen
-    picks the candidates and the direct formula ranks them; the module
-    docstring proves that the answer equals a full direct ranking.
+    picks the candidates and the direct formula ranks them where the screen
+    leaves more than one; the module docstring proves that the answer equals
+    a full direct ranking.
     """
     Zg = _checked(Z_train, "Z_train")
     Zq = _checked(Z_test, "Z_test")
     labels_train = _labels_for(labels_train, "labels_train", Zg, "Z_train")
+    if Zg.shape[0] != Zq.shape[0]:
+        raise ValueError(
+            f"Z_train and Z_test must embed in the same dimension, got "
+            f"{Zg.shape[0]} and {Zq.shape[0]}"
+        )
     if Zg.shape[1] == 0 and Zq.shape[1] > 0:
         raise ValueError("Z_train has no samples to classify Z_test against")
     n = Zg.shape[1]
     nearest = np.empty(Zq.shape[1], dtype=np.intp)
-    # Kept flat positions in the n_query x n_gallery matrix, resolved before
-    # they would exceed one query block's entries.
+    # A limit at or past this, less ||q||^2, might not bound the winner's
+    # direct distance below overflow; such rows keep every column.
+    room = 0.5 * np.finfo(float).max - np.einsum("dq,dq->q", Zq, Zq)
+    # Kept flat positions of queries with more than one candidate in the
+    # n_query x n_gallery matrix, resolved before they would exceed one query
+    # block's entries.
     pending, count, cap = [], 0, _block_rows(n) * n
     for rows, screen, tol in _screened_blocks(Zq, Zg):
+        first = screen.argmin(axis=1)
         # Overflow only widens the screen.
         with np.errstate(over="ignore", invalid="ignore"):
-            limit = screen.min(axis=1) + 2.0 * tol
-            keep = np.flatnonzero(~(screen > limit[:, None]))
+            limit = screen[np.arange(first.size), first] + 2.0 * tol
+            limit[~(np.abs(limit) < room[rows])] = np.inf
+            outside = screen > limit[:, None]
+        nearest[rows] = first
+        # Each row keeps its minimum, so the block keeps one entry per row
+        # exactly when no row has a second candidate.
+        if outside.size - np.count_nonzero(outside) == first.size:
+            continue
+        keep = np.flatnonzero(~outside)
+        row = keep // n
+        keep = keep[np.bincount(row, minlength=first.size)[row] > 1]
         if count + keep.size > cap:
             _resolve_nearest(Zq, Zg, np.concatenate(pending), nearest)
             pending, count = [], 0
@@ -258,16 +319,15 @@ def knn1_classify(Z_train, labels_train, Z_test):
 
 def _resolve_nearest(Z_query, Z_gallery, flat, nearest):
     """Set ``nearest`` for each query with a kept position in ``flat``: its
-    kept gallery index of least (direct distance, index), or 0 when every
-    kept distance is +inf.  ``flat`` ascends, so each query's positions form
-    one run in ascending gallery index."""
+    kept gallery index of least (direct distance, index).  ``flat`` ascends,
+    so each query's positions form one run in ascending gallery index."""
     qi, gi = np.divmod(flat, Z_gallery.shape[1])
     d2 = _squared_distances(Z_query, Z_gallery, qi, gi)
     start = np.flatnonzero(np.diff(qi, prepend=-1))
     best = np.minimum.reduceat(d2, start)
     at = np.flatnonzero(d2 == np.repeat(best, np.diff(start, append=qi.size)))
     first = at[np.diff(qi[at], prepend=-1) != 0]
-    nearest[qi[start]] = np.where(best == np.inf, 0, gi[first])
+    nearest[qi[start]] = gi[first]
 
 
 def accuracy(predicted, actual):
@@ -275,6 +335,8 @@ def accuracy(predicted, actual):
     actual = np.asarray(actual)
     if predicted.shape != actual.shape:
         raise ValueError("prediction and label arrays must have the same shape")
+    if predicted.size == 0:
+        raise ValueError("no predictions to score")
     return float(np.mean(predicted == actual))
 
 

@@ -136,6 +136,19 @@ def test_accuracy():
     assert accuracy(np.array([1, 2, 2]), np.array([1, 2, 3])) == pytest.approx(2 / 3)
 
 
+def test_accuracy_rejects_empty_arrays():
+    # the mean of nothing used to return nan with two RuntimeWarnings
+    with pytest.raises(ValueError, match="no predictions to score"):
+        accuracy(np.array([]), np.array([]))
+
+
+def test_classify_rejects_mismatched_dimensions():
+    rng = np.random.default_rng(20)
+    clf = train_linear_classifier(rng.standard_normal((3, 8)), np.arange(8) % 2 + 1)
+    with pytest.raises(ValueError, match="Z and clf.W .* same dimension, got 2 and 3"):
+        classify(clf, rng.standard_normal((2, 5)))
+
+
 def test_query_blocks_match_the_dense_distances():
     # 300 queries against 600 gallery points span several query blocks;
     # rounded coordinates put ties inside every ranking
@@ -191,6 +204,15 @@ def test_retrieval_rejects_a_view_without_samples(empty):
     args = (none, no_labels, Z, labels) if empty == "Z_a" else (Z, labels, none, no_labels)
     with pytest.raises(ValueError, match=f"{empty} has no samples"):
         cross_modal_retrieve(*args)
+
+
+def test_knn_rejects_mismatched_dimensions():
+    rng = np.random.default_rng(9)
+    Z_train, Z_test = rng.standard_normal((3, 4)), rng.standard_normal((2, 3))
+    with pytest.raises(
+        ValueError, match="Z_train and Z_test .* same dimension, got 3 and 2"
+    ):
+        knn1_classify(Z_train, [1, 2, 1, 2], Z_test)
 
 
 def test_retrieval_rejects_mismatched_dimensions():
@@ -428,6 +450,31 @@ def test_straddling_case_puts_screen_values_either_side_of_zero():
     assert (np.abs(screen) <= 2 * tol).all()
 
 
+# The cases whose norms, screen values, tol and direct distances are all finite
+FINITE = [
+    name for name in ADVERSARIAL
+    if name not in ("overflow", "all_overflow", "overflowed_distances")
+]
+
+
+@pytest.mark.parametrize("name", FINITE)
+def test_screen_values_lie_within_tol_of_the_direct_distances(name):
+    # |s^ - (d2^ - ||q||^2)| <= e(g), and tol is twice the first-order bound
+    # on e(g); the reference is formed in extended precision, in both
+    # directions, as 1-NN and cross_modal_retrieve screen them
+    Zq, _, Zg, _ = _adversarial_case(name)
+    for Z_query, Z_gallery in ((Zq, Zg), (Zg, Zq)):
+        gallery = np.arange(Z_gallery.shape[1])
+        q_norms = (Z_query.astype(np.longdouble) ** 2).sum(axis=0)
+        for rows, screen, tol in evaluation._screened_blocks(Z_query, Z_gallery):
+            queries = np.arange(Z_query.shape[1])[rows, None]
+            d2 = evaluation._squared_distances(Z_query, Z_gallery, queries, gallery)
+            assert np.isfinite(screen).all() and np.isfinite(tol).all()
+            assert np.isfinite(d2).all()
+            error = np.abs(screen - (d2 - q_norms[rows, None]))
+            assert (error <= tol[:, None]).all()
+
+
 def _count_direct_entries(monkeypatch):
     """Route ``_squared_distances`` through a wrapper; return its tally of
     (query, gallery) entries."""
@@ -442,9 +489,10 @@ def _count_direct_entries(monkeypatch):
     return entries
 
 
-def test_knn_evaluates_one_direct_entry_per_query_in_one_pass(monkeypatch):
+def test_knn_evaluates_no_direct_entry_for_single_candidate_queries(monkeypatch):
     # 300 queries against 600 well-separated gallery points span six query
-    # blocks, and each query keeps only its nearest point
+    # blocks, and each query keeps only its nearest point, which the screen's
+    # argmin already names
     rng = np.random.default_rng(17)
     Zq, Zg = rng.standard_normal((4, 300)), rng.standard_normal((4, 600))
     lg = rng.integers(1, 4, 600)
@@ -453,7 +501,7 @@ def test_knn_evaluates_one_direct_entry_per_query_in_one_pass(monkeypatch):
     np.testing.assert_array_equal(
         knn1_classify(Zg, lg, Zq), dense_knn1(Zg, lg, Zq)
     )
-    assert entries == [300]
+    assert entries == []
 
 
 @pytest.mark.parametrize("name", ["overflow", "all_overflow"])
