@@ -11,8 +11,10 @@ definition, not approximations of them.
 
 Both start from a GEMM screen.  Per query q it forms s(g) = ||g||^2 - 2 q^T g,
 which is d2(q, g) - ||q||^2 in exact arithmetic, as one augmented product
-[-2 q^T | 1] [g ; ||g||^2] of length d + 1: the operands are built once per
-call and each query block is one GEMM of a row slice.  With u = eps/2 the
+[-2 q^T | 1] [g ; ||g||^2] of length d + 1.  Each view's squared norms, and
+each operand it needs, are built once per call: retrieval's two directions
+share them, and tol, the gallery operand and 1-NN's overflow guard read the
+same norms.  Each query block is one GEMM of a row slice.  With u = eps/2 the
 unit roundoff, gamma_n = n u / (1 - n u), d the dimension,
 N = ||q||^2 + ||g||^2 and hats marking computed values:
 
@@ -64,9 +66,16 @@ gets an infinite limit and keeps every column.  Each row keeps every g with
 s^(g) not above its limit, so NaN screen values are kept too, and always
 its minimiser (rounding is monotone, so the limit is at least s^(h)).
 
-* A row that keeps one column keeps only h, which is then g*: its answer is
-  the argmin, with no direct distance.  One comparison of the block against
-  the limits, counted once, finds the usual case where every row keeps one.
+* A row keeps only h exactly when its second-least screen value exceeds
+  its limit: every other column is then strictly above it, and a NaN, which
+  is kept, makes the least of them NaN, which exceeds nothing.  Its answer
+  is h, which is then g*, with no direct distance.  The block's screen gets
+  +inf written at each row's argmin and one min along the rows; with a NaN
+  minimum or an unguarded row the limit is infinite and nothing exceeds it,
+  so such rows are never single (a gallery of one column leaves +inf as the
+  second-least value, above any finite limit).  When every row of the block
+  is single the block is done; otherwise the argmins' values are written
+  back, and only the other rows are compared with their limits.
 * Every other row's kept positions are collected, flat in the
   n_query x n_gallery matrix, and resolved together, in one call of the
   direct formula, before the next block would take them past one block's
@@ -125,19 +134,55 @@ where the screen cannot decide the order.
   numpy's SIMD sorts write NaNs back as one canonical NaN, dropping the
   index bits they held.
 
-Average precision sums hits / position over the relevant ranks of a row, in
-extended precision.  The reference forms P = cumsum(rel) / position and sums
-P * rel along each row.  Here the hits at the relevant ranks are exact
-integers, hits / position is divided once in longdouble and written into a
-zeroed array of the same shape, dtype and C order, so it holds exactly the
-values of P * rel (x * 1 = x, x * 0 = +0.0).  The same array reduced along
-the same axis by numpy's pairwise sum gives the same longdouble, so the AP
-is the same bit for bit.
+Average precision sums t_k = hits / position over the m relevant ranks of a
+row, in extended precision, and divides by m.  The reference forms
+P = cumsum(rel) / position and sums P * rel along each row of n_gallery
+longdoubles, then divides.  The hits at the relevant ranks are exact
+integers, taken with the positions from a longdouble table of 1 .. n_gallery,
+and hits / position is divided once in longdouble, so the t_k are exactly
+the nonzero values of P * rel (x * 1 = x, x * 0 = +0.0).
+
+* Fast sum.  Each row's m terms are summed alone, in one ``add.reduceat``,
+  and divided by m: q = fl(S / m).  With u the longdouble unit roundoff
+  (``finfo(longdouble).epsneg``; longdouble arithmetic is assumed to round
+  to nearest, as IEEE extended, quad and double do) and T the exact sum of
+  the t_k, S lies within gamma_(m-1) T of T: every t_k is positive, and any
+  order of summing m positive numbers passes each through at most m - 1
+  rounded additions (Higham, Accuracy and Stability of Numerical
+  Algorithms, 2nd ed., sec. 4.2).  The reference's row sum S_ref adds the
+  same terms and +0.0s; adding +0.0 is exact, so it too is a sum of the m
+  terms in some order, within gamma_(m-1) T of T.
+* Certificate.  With g = gamma_(m-1) and k = m - 1,
+  (1 + g) / (1 - g) = 1 / (1 - 2ku), so the reference quotient
+  q_ref = fl(S_ref / m) lies in
+  [q (1 - 2ku)(1 - u) / (1 + u), q (1 + u) / ((1 - 2ku)(1 - u))].  With
+  delta = (2m + 4) u, an even multiple of u below 1 / 2, 1 - delta and
+  1 + delta are exact longdoubles, and lo = fl(q (1 - delta)) and
+  hi = fl(q (1 + delta)) bracket that interval:
+  lo <= q (1 - delta)(1 + u) <= q (1 - 2ku)(1 - u) / (1 + u) needs
+  delta (1 + u)^2 >= (2k + 3) u + u^2 - 2k u^2, which (2k + 6) u meets;
+  hi >= q (1 + delta)(1 - u) >= q (1 + u) / ((1 - 2ku)(1 - u)) needs
+  (1 + delta)(1 - u)^2 (1 - 2ku) >= 1 + u, which, expanded,
+  (1 - u)^2 >= 1 - 2u and dropping positive terms, holds when
+  3 >= 4 k^2 u + 12 (k + 1) u; to first order delta = (2m + 1) u would do.
+  That holds whenever n_gallery^2 u <= 1 / 2 (then 4 k^2 u <= 2 and, with
+  u <= 2^-53, 12 m u <= 1); a larger gallery takes the reference sum for
+  every row.  Rounding to float64 is monotone, so where
+  float(lo) == float(hi), float(q_ref) is that value too, as is float(q),
+  which lies between lo and hi: the fast AP is the reference's bit for bit.
+* Fallback.  Every other row writes its terms into a zeroed row of
+  n_gallery longdoubles, in place of P * rel, and reduces it along the row
+  with numpy's pairwise sum, as the reference does, so it gets the same
+  longdouble, whatever the number of rows reduced at once.  About 6-8% of
+  rows fall back on the benchmark's embeddings.  Where longdouble is
+  double, the bracket spans more than one double's ulp and every row falls
+  back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -236,31 +281,53 @@ def _squared_distances(Z_query, Z_gallery, qi, gi):
     return d2
 
 
-def _screened_blocks(Z_query, Z_gallery):
+class _Operands:
+    """One view's operands for the GEMM screen: its squared norms ||z||^2,
+    and, each built at most once, [-2 Z^T | 1] for Z as the queries and
+    [Z ; ||z||^2] for Z as the gallery (module docstring)."""
+
+    def __init__(self, Z):
+        self.Z = Z
+        # Finite samples can overflow the screen; the callers handle inf and NaN.
+        with np.errstate(over="ignore"):
+            self.norms = np.einsum("dq,dq->q", Z, Z)
+
+    @cached_property
+    def queries(self):
+        d, n = self.Z.shape
+        queries = np.empty((n, d + 1))
+        with np.errstate(over="ignore"):
+            np.multiply(self.Z.T, -2.0, out=queries[:, :d])
+        queries[:, d] = 1.0
+        return queries
+
+    @cached_property
+    def gallery(self):
+        d, n = self.Z.shape
+        gallery = np.empty((d + 1, n))
+        gallery[:d] = self.Z
+        gallery[d] = self.norms
+        return gallery
+
+
+def _screened_blocks(query, gallery):
     """Per query block: its slice of query columns, the GEMM screen
     ||g||^2 - 2 q^T g of each of its queries against every gallery column,
     and each query's tol (module docstring).
 
-    The screen is one augmented product [-2 Z_query^T | 1] [Z_gallery ;
-    ||g||^2], whose operands are built once per call."""
-    d, n_gallery = Z_gallery.shape
+    ``query`` and ``gallery`` are ``_Operands``; each block's screen is one
+    product of a row slice of the query operand."""
+    d, n_gallery = gallery.Z.shape
     finfo = np.finfo(float)
-    queries = np.empty((Z_query.shape[1], d + 1))
-    gallery = np.empty((d + 1, n_gallery))
-    gallery[:d] = Z_gallery
-    # Finite samples can overflow the screen; the callers handle inf and NaN.
     with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(Z_query.T, -2.0, out=queries[:, :d])
-        queries[:, d] = 1.0
-        np.einsum("dg,dg->g", Z_gallery, Z_gallery, out=gallery[d])
-        g_max = gallery[d].max(initial=0.0)
-        q_norms = np.einsum("dq,dq->q", Z_query, Z_query)
-        tol = (5 * d + 10) * (finfo.eps * (q_norms + g_max) + finfo.tiny)
+        g_max = gallery.norms.max(initial=0.0)
+        tol = (5 * d + 10) * (finfo.eps * (query.norms + g_max) + finfo.tiny)
+    queries, augmented = query.queries, gallery.gallery
     step = _block_rows(n_gallery)
-    for start in range(0, Z_query.shape[1], step):
+    for start in range(0, query.Z.shape[1], step):
         rows = slice(start, start + step)
         with np.errstate(over="ignore", invalid="ignore"):
-            screen = queries[rows] @ gallery
+            screen = queries[rows] @ augmented
         yield rows, screen, tol[rows]
 
 
@@ -284,32 +351,38 @@ def knn1_classify(Z_train, labels_train, Z_test):
         raise ValueError("Z_train has no samples to classify Z_test against")
     n = Zg.shape[1]
     nearest = np.empty(Zq.shape[1], dtype=np.intp)
+    test, train = _Operands(Zq), _Operands(Zg)
     # A limit at or past this, less ||q||^2, might not bound the winner's
     # direct distance below overflow; such rows keep every column.
-    room = 0.5 * np.finfo(float).max - np.einsum("dq,dq->q", Zq, Zq)
-    # Kept flat positions of queries with more than one candidate in the
-    # n_query x n_gallery matrix, resolved before they would exceed one query
-    # block's entries.
+    room = 0.5 * np.finfo(float).max - test.norms
+    # Kept flat positions, in the n_query x n_gallery matrix, of the queries
+    # whose argmin is not the only candidate, resolved before they would
+    # exceed one query block's entries.
     pending, count, cap = [], 0, _block_rows(n) * n
-    for rows, screen, tol in _screened_blocks(Zq, Zg):
+    for rows, screen, tol in _screened_blocks(test, train):
         first = screen.argmin(axis=1)
+        at = np.arange(first.size)
+        least = screen[at, first]
+        nearest[rows] = first
         # Overflow only widens the screen.
         with np.errstate(over="ignore", invalid="ignore"):
-            limit = screen[np.arange(first.size), first] + 2.0 * tol
+            limit = least + 2.0 * tol
             limit[~(np.abs(limit) < room[rows])] = np.inf
-            outside = screen > limit[:, None]
-        nearest[rows] = first
-        # Each row keeps its minimum, so the block keeps one entry per row
-        # exactly when no row has a second candidate.
-        if outside.size - np.count_nonzero(outside) == first.size:
+            # A row keeps only its minimum exactly when its second-least
+            # screen value exceeds its limit.
+            screen[at, first] = np.inf
+            single = screen.min(axis=1) > limit
+        if single.all():
             continue
-        keep = np.flatnonzero(~outside)
-        row = keep // n
-        keep = keep[np.bincount(row, minlength=first.size)[row] > 1]
+        screen[at, first] = least
+        others = np.flatnonzero(~single)
+        with np.errstate(invalid="ignore"):
+            keep = np.flatnonzero(~(screen[others] > limit[others, None]))
+        row, column = np.divmod(keep, n)
+        keep = (others + rows.start)[row] * n + column
         if count + keep.size > cap:
             _resolve_nearest(Zq, Zg, np.concatenate(pending), nearest)
             pending, count = [], 0
-        keep += rows.start * n
         pending.append(keep)
         count += keep.size
     if pending:
@@ -438,8 +511,10 @@ def _order_runs(Z_query, Z_gallery, rows, order, linked):
         order.put(at[redo], gallery[redo[resorted]])
 
 
-def _direction_aps(Z_query, labels_query, Z_gallery, labels_gallery):
-    n_gallery = Z_gallery.shape[1]
+def _direction_aps(query, labels_query, gallery, labels_gallery):
+    """Per query of ``query``, the AP of its ranking of ``gallery`` (both
+    ``_Operands``)."""
+    n_gallery = gallery.Z.shape[1]
     # One code per distinct label, NaN labels each their own, so equal codes
     # are exactly labels_gallery[j] == labels_query[i].
     labels = np.concatenate((labels_gallery, labels_query))
@@ -448,24 +523,66 @@ def _direction_aps(Z_query, labels_query, Z_gallery, labels_gallery):
     codes_gallery, codes_query = codes[:n_gallery], codes[n_gallery:]
     # Every row ranks each gallery point once, so it holds all of its class.
     class_counts = np.bincount(codes_gallery, minlength=classes.size)
-    aps = np.empty(Z_query.shape[1])
-    for rows, screen, tol in _screened_blocks(Z_query, Z_gallery):
-        order = _screen_order(Z_query, Z_gallery, rows, screen, tol)
+    # The integers 1 .. n_gallery, exact in longdouble: every hit count and
+    # position is one, and taking them is cheaper than converting integers.
+    integers = np.arange(1, n_gallery + 1, dtype=np.longdouble)
+    aps = np.empty(query.Z.shape[1])
+    for rows, screen, tol in _screened_blocks(query, gallery):
+        order = _screen_order(query.Z, gallery.Z, rows, screen, tol)
         rel = codes_gallery.take(order) == codes_query[rows, None]
-        # The k-th relevant rank of a row holds k hits: its running index
-        # among all relevant ranks less the count in the rows before it.
+        # The k-th relevant rank of a row holds k hits, integers[k - 1]: k - 1
+        # is its running index among all relevant ranks less the count in
+        # the rows before it.
         relevant = np.flatnonzero(rel)
         totals = class_counts[codes_query[rows]]
         before = np.cumsum(totals) - totals
-        hits = np.arange(1, relevant.size + 1) - np.repeat(before, totals)
-        terms = np.zeros(rel.shape, dtype=np.longdouble)
-        terms.put(
-            relevant,
-            np.divide(hits, relevant % n_gallery + 1, dtype=np.longdouble),
-        )
-        sums = terms.sum(axis=1)
-        aps[rows] = np.where(totals > 0, sums / np.maximum(totals, 1), 0.0)
+        hits = np.arange(relevant.size) - np.repeat(before, totals)
+        columns = relevant - np.repeat(np.arange(totals.size) * n_gallery, totals)
+        terms = integers.take(hits) / integers.take(columns)
+        aps[rows] = _row_aps(terms, columns, totals, before, n_gallery)
     return aps
+
+
+# u, the unit roundoff of longdouble arithmetic.  The AP certificate rests on
+# |fl(x) - x| <= u |x| for every longdouble operation (module docstring).
+_UNIT = np.finfo(np.longdouble).epsneg
+
+
+def _row_aps(terms, columns, totals, before, n_gallery):
+    """Each row's AP from its relevant ``terms``, k / position in longdouble:
+    the m terms of a row summed alone where a rounding certificate shows that
+    the float64 AP equals that of the dense row sum, and the dense row sum
+    elsewhere (module docstring).  A row holds ``totals`` terms, starting at
+    ``before``, at ``columns`` of the ranking."""
+    aps = np.zeros(totals.size)
+    some = np.flatnonzero(totals)
+    if some.size == 0:
+        return aps
+    m = totals[some]
+    quotient = np.add.reduceat(terms, before[some]) / m
+    delta = (2 * m + 4) * _UNIT
+    aps[some] = low = (quotient * (1 - delta)).astype(float)
+    # The certificate's second-order terms need n_gallery^2 u <= 1 / 2.
+    too_large = n_gallery * n_gallery * _UNIT > 0.5
+    uncertain = some[too_large | (low != (quotient * (1 + delta)).astype(float))]
+    if uncertain.size:
+        aps[uncertain] = _dense_aps(
+            terms, columns, totals, before, uncertain, n_gallery
+        )
+    return aps
+
+
+def _dense_aps(terms, columns, totals, before, rows, n_gallery):
+    """The APs of ``rows`` as the reference sums them: each row's terms
+    written into a zeroed row of n_gallery longdoubles, summed along it and
+    divided by the row's relevant count."""
+    counts = totals[rows]
+    start = np.cumsum(counts) - counts
+    picked = np.arange(counts.sum()) + np.repeat(before[rows] - start, counts)
+    dense = np.zeros((rows.size, n_gallery), dtype=np.longdouble)
+    at = columns[picked] + np.repeat(np.arange(rows.size) * n_gallery, counts)
+    dense.put(at, terms[picked])
+    return dense.sum(axis=1) / counts
 
 
 def cross_modal_retrieve(Z_a, labels_a, Z_b, labels_b):
@@ -487,8 +604,10 @@ def cross_modal_retrieve(Z_a, labels_a, Z_b, labels_b):
             f"Z_a and Z_b must embed in the same dimension, got {A.shape[0]} "
             f"and {B.shape[0]}"
         )
-    ap_ab = _direction_aps(A, labels_a, B, labels_b)
-    ap_ba = _direction_aps(B, labels_b, A, labels_a)
+    # Each view is the query side of one direction and the gallery of the other.
+    a, b = _Operands(A), _Operands(B)
+    ap_ab = _direction_aps(a, labels_a, b, labels_b)
+    ap_ba = _direction_aps(b, labels_b, a, labels_a)
     map_ab = float(ap_ab.mean())
     map_ba = float(ap_ba.mean())
     return RetrievalResult(

@@ -5,7 +5,7 @@ import pytest
 
 from mvsubspace import evaluation
 from mvsubspace.evaluation import (
-    _direction_aps,
+    _Operands,
     _packed_sort,
     _screen_order,
     accuracy,
@@ -17,6 +17,18 @@ from mvsubspace.evaluation import (
 )
 
 from helpers import dense_direction_aps, dense_knn1
+
+
+def _direction_aps(Z_query, labels_query, Z_gallery, labels_gallery):
+    """One direction of ``cross_modal_retrieve``, on any number of queries."""
+    return evaluation._direction_aps(
+        _Operands(Z_query), labels_query, _Operands(Z_gallery), labels_gallery
+    )
+
+
+def _screened_blocks(Z_query, Z_gallery):
+    """The screened query blocks of Z_query against Z_gallery."""
+    return evaluation._screened_blocks(_Operands(Z_query), _Operands(Z_gallery))
 
 
 def test_average_precision_hand_values():
@@ -390,11 +402,10 @@ def test_knn_matches_the_oracle_on_random_near_ties(monkeypatch):
             np.testing.assert_array_equal(knn1_classify(Zg, labels, Zq), expected)
 
 
-def test_retrieval_matches_the_oracle_on_random_near_ties(monkeypatch):
-    # clustered points with duplicated and one-ulp-shifted gallery columns,
-    # at bases up to 1e150, whose squared norms near the top of the range;
-    # both directions, at the default block size and at 64-byte blocks
-    sizes = (evaluation._BLOCK_BYTES, 64)
+def _near_tie_draws():
+    """(Zq, lq, Zg, lg) draws of clustered points with duplicated and
+    one-ulp-shifted gallery columns, at bases up to 1e150, whose squared
+    norms near the top of the range."""
     rng = np.random.default_rng(18)
     for _ in range(200):
         d, q, g = rng.integers(1, 12), rng.integers(1, 20), rng.integers(2, 120)
@@ -407,7 +418,13 @@ def test_retrieval_matches_the_oracle_on_random_near_ties(monkeypatch):
         Zg[:, rng.integers(0, g, g // 2)] = np.nextafter(Zg[:, picks], np.inf)
         Zq = base + spread * rng.standard_normal((d, q))
         Zq[:, : q // 2] = Zg[:, rng.integers(0, g, q // 2)]
-        lq, lg = rng.integers(1, 4, q), rng.integers(1, 4, g)
+        yield Zq, rng.integers(1, 4, q), Zg, rng.integers(1, 4, g)
+
+
+def test_retrieval_matches_the_oracle_on_random_near_ties(monkeypatch):
+    # both directions, at the default block size and at 64-byte blocks
+    sizes = (evaluation._BLOCK_BYTES, 64)
+    for Zq, lq, Zg, lg in _near_tie_draws():
         expected = (
             dense_direction_aps(Zq, lq, Zg, lg), dense_direction_aps(Zg, lg, Zq, lq)
         )
@@ -417,10 +434,12 @@ def test_retrieval_matches_the_oracle_on_random_near_ties(monkeypatch):
             np.testing.assert_array_equal(_direction_aps(Zg, lg, Zq, lq), expected[1])
 
 
-@pytest.mark.parametrize("case", ["10_20_30", "absent_from_gallery", "nan"])
-def test_retrieval_matches_the_oracle_on_any_labels(case):
-    # relevance is labels_gallery[j] == labels_query[i]: any values, a query
-    # class the gallery lacks has AP 0, and a NaN label matches nothing
+ANY_LABELS = ["10_20_30", "absent_from_gallery", "nan"]
+
+
+def _any_labels_case(case):
+    """(Za, la, Zb, lb) with labels of any values: multiples of 10, a query
+    class the gallery lacks, or NaN labels in both views."""
     rng = np.random.default_rng(19)
     Za, Zb = rng.standard_normal((3, 40)), rng.standard_normal((3, 50))
     la, lb = rng.integers(1, 4, 40), rng.integers(1, 4, 50)
@@ -432,6 +451,14 @@ def test_retrieval_matches_the_oracle_on_any_labels(case):
         la, lb = la.astype(float), lb.astype(float)
         la[[5, 8]] = np.nan
         lb[[0, 11]] = np.nan
+    return Za, la, Zb, lb
+
+
+@pytest.mark.parametrize("case", ANY_LABELS)
+def test_retrieval_matches_the_oracle_on_any_labels(case):
+    # relevance is labels_gallery[j] == labels_query[i]: any values, a query
+    # class the gallery lacks has AP 0, and a NaN label matches nothing
+    Za, la, Zb, lb = _any_labels_case(case)
     res = cross_modal_retrieve(Za, la, Zb, lb)
     np.testing.assert_array_equal(res.ap_ab, dense_direction_aps(Za, la, Zb, lb))
     np.testing.assert_array_equal(res.ap_ba, dense_direction_aps(Zb, lb, Za, la))
@@ -441,11 +468,58 @@ def test_retrieval_matches_the_oracle_on_any_labels(case):
         assert res.ap_ab[5] == res.ap_ab[8] == res.ap_ba[0] == res.ap_ba[11] == 0.0
 
 
+def _count_dense_rows(monkeypatch):
+    """Route ``_dense_aps`` through a wrapper; return its tally of rows."""
+    rows = []
+    dense = evaluation._dense_aps
+
+    def counted(terms, columns, totals, before, uncertain, n_gallery):
+        rows.append(uncertain.size)
+        return dense(terms, columns, totals, before, uncertain, n_gallery)
+
+    monkeypatch.setattr(evaluation, "_dense_aps", counted)
+    return rows
+
+
+@pytest.mark.parametrize("block_bytes", [evaluation._BLOCK_BYTES, 64])
+def test_every_row_falls_back_where_longdouble_is_double(block_bytes, monkeypatch):
+    # With double's unit roundoff no certificate holds, as on a platform
+    # whose longdouble is double: every row with a relevant rank takes the
+    # dense row sum, and the APs still equal the oracle's
+    monkeypatch.setattr(evaluation, "_UNIT", np.longdouble(2.0**-52))
+    monkeypatch.setattr(evaluation, "_BLOCK_BYTES", block_bytes)
+    rows = _count_dense_rows(monkeypatch)
+    cases = [_adversarial_case(name) for name in ADVERSARIAL]
+    cases += [_any_labels_case(case) for case in ANY_LABELS]
+    cases += list(_near_tie_draws())
+    for Zq, lq, Zg, lg in cases:
+        for args in ((Zq, lq, Zg, lg), (Zg, lg, Zq, lq)):
+            rows.clear()
+            np.testing.assert_array_equal(
+                _direction_aps(*args), dense_direction_aps(*args)
+            )
+            assert sum(rows) == np.count_nonzero(np.isin(args[1], args[3]))
+
+
+def test_the_dense_sum_takes_a_minority_of_rows(monkeypatch):
+    # On well-separated data with about 60 relevant ranks a row, the
+    # certificate decides most rows alone, so the oracle tests above reach
+    # both the fast sum and the fallback
+    rng = np.random.default_rng(21)
+    Zq, Zg = rng.standard_normal((4, 300)), rng.standard_normal((4, 600))
+    lq, lg = rng.integers(1, 11, 300), rng.integers(1, 11, 600)
+    rows = _count_dense_rows(monkeypatch)
+    np.testing.assert_array_equal(
+        _direction_aps(Zq, lq, Zg, lg), dense_direction_aps(Zq, lq, Zg, lg)
+    )
+    assert 0 < sum(rows) < 300 // 4
+
+
 def test_straddling_case_puts_screen_values_either_side_of_zero():
     # the case above only tests negative packed values, and their order
     # against +0.0 and positive ones, if its screen crosses zero
     Zq, _, Zg, _ = _adversarial_case("straddling_zero")
-    (_, screen, tol), = evaluation._screened_blocks(Zq[:, :1], Zg)
+    (_, screen, tol), = _screened_blocks(Zq[:, :1], Zg)
     assert (screen < 0).any() and (screen > 0).any()
     assert (np.abs(screen) <= 2 * tol).all()
 
@@ -466,7 +540,7 @@ def test_screen_values_lie_within_tol_of_the_direct_distances(name):
     for Z_query, Z_gallery in ((Zq, Zg), (Zg, Zq)):
         gallery = np.arange(Z_gallery.shape[1])
         q_norms = (Z_query.astype(np.longdouble) ** 2).sum(axis=0)
-        for rows, screen, tol in evaluation._screened_blocks(Z_query, Z_gallery):
+        for rows, screen, tol in _screened_blocks(Z_query, Z_gallery):
             queries = np.arange(Z_query.shape[1])[rows, None]
             d2 = evaluation._squared_distances(Z_query, Z_gallery, queries, gallery)
             assert np.isfinite(screen).all() and np.isfinite(tol).all()
@@ -517,6 +591,69 @@ def test_knn_evaluates_at_most_one_block_of_direct_entries_at_once(
         # every entry is kept, so each query block is resolved on its own
         assert sum(entries) == Zq.shape[1] * Zg.shape[1]
         assert len(entries) == -(-Zq.shape[1] // rows)
+
+
+def _second_least_case(name):
+    """(Z_train, Z_test, direct entries 1-NN evaluates) for one named case."""
+    rng = np.random.default_rng(22)
+    if name == "at_the_limit":
+        # In three dimensions tol is 25 (eps (||q||^2 + max ||g||^2) + tiny).
+        # Query 0 at the origin: the training column at 1024 e_1 makes its
+        # tol 25 * 2^-32 exactly, and column 1, at 2^-16 (5, 5, 0), has the
+        # screen value 50 * 2^-32, exactly its limit, so it is kept with
+        # column 0.  Query 1 sits on columns 3 and 4, one point twice, so its
+        # second-least value is its least.  Query 2 keeps one column.
+        Zg = np.array([
+            [0.0, 5 * 2.0**-16, 1024.0, 3.0, 3.0],
+            [0.0, 5 * 2.0**-16, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0],
+        ])
+        Zq = np.array([[0.0, 3.0, 1000.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        return Zg, Zq, [4]
+    if name == "overflowing_row":
+        # query 7's squared norm, hence its tol and limit, overflow: it keeps
+        # every column and every other query keeps one
+        Zg, Zq = rng.standard_normal((4, 60)), rng.standard_normal((4, 50))
+        Zq[:, 7] *= 1e160
+        return Zg, Zq, [60]
+    if name == "nan_screen":
+        # -2 q^T g and ||g||^2 overflow to -inf and +inf for query 0 against
+        # column 3, whose screen value is then NaN
+        Zg, Zq = rng.standard_normal((2, 20)), rng.standard_normal((2, 10))
+        Zg[:, 3] = Zq[:, 0] = [1e200, 0.0]
+        return Zg, Zq, None
+    if name == "one_training_column":
+        # +inf, written at the only column, is the second-least value: above
+        # every finite limit, so only the overflowing query 2 resolves
+        Zg, Zq = rng.standard_normal((3, 1)), rng.standard_normal((3, 6))
+        Zq[:, 2] *= 1e160
+        return Zg, Zq, [1]
+    raise ValueError(name)
+
+
+@pytest.mark.parametrize(
+    "name", ["at_the_limit", "overflowing_row", "nan_screen", "one_training_column"]
+)
+def test_knn_keeps_only_the_argmin_where_the_second_least_exceeds_the_limit(
+    name, monkeypatch
+):
+    Zg, Zq, expected_entries = _second_least_case(name)
+    if name == "nan_screen":
+        (_, screen, _), = _screened_blocks(Zq, Zg)
+        assert np.isnan(screen[0, 3])
+    labels = np.arange(Zg.shape[1])
+    entries = _count_direct_entries(monkeypatch)
+    # the screen is written in place, never the embeddings
+    train, test = Zg.copy(), Zq.copy()
+    train.setflags(write=False)
+    test.setflags(write=False)
+    np.testing.assert_array_equal(
+        knn1_classify(train, labels, test), dense_knn1(Zg, labels, Zq)
+    )
+    np.testing.assert_array_equal(train, Zg)
+    np.testing.assert_array_equal(test, Zq)
+    if expected_entries is not None:
+        assert entries == expected_entries
 
 
 def test_retrieval_evaluates_the_direct_formula_only_inside_runs(monkeypatch):
