@@ -11,7 +11,6 @@ from .data import (
     MultiViewDataset,
     PcaReducer,
     build_indicator,
-    center_columns,
     load_dataset,
     make_target,
     pca_reduce,
@@ -31,20 +30,13 @@ from .evaluation import (
 from .framework import (
     ModelSpec,
     SubspaceModel,
-    decision_values,
     embed,
     load_model,
     predict,
     save_model,
 )
 from .gevd import GevdProblem, GevdSolution, NumericalError, solve
-from .methods import (
-    LAMBDA_METHODS,
-    METHOD_NAMES,
-    SUPERVISED_METHODS,
-    MethodId,
-    build,
-)
+from .methods import METHOD_NAMES, MethodId, build
 from .methods import fit as fit_method
 from .toy import make_toy_dataset, save_dataset
 
@@ -55,7 +47,6 @@ __all__ = [
     "MultiViewDataset",
     "PcaReducer",
     "build_indicator",
-    "center_columns",
     "load_dataset",
     "make_target",
     "pca_reduce",
@@ -76,7 +67,6 @@ __all__ = [
     "train_linear_classifier",
     "ModelSpec",
     "SubspaceModel",
-    "decision_values",
     "embed",
     "load_model",
     "predict",
@@ -85,9 +75,7 @@ __all__ = [
     "GevdSolution",
     "NumericalError",
     "solve",
-    "LAMBDA_METHODS",
     "METHOD_NAMES",
-    "SUPERVISED_METHODS",
     "MethodId",
     "build",
     "fit_method",

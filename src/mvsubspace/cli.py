@@ -200,7 +200,7 @@ def _embeddings(cfg, train, test, spec):
         )
     _, Z_train = framework.embed(model, train)
     per_test, Z_test = framework.embed(model, test)
-    return Z_train, Z_test, per_test, model
+    return Z_train, Z_test, per_test
 
 
 def _accuracy_cells(cfg, ds, seed, fracs, lams, depths=(None,)):
@@ -227,7 +227,7 @@ def _accuracy_cells(cfg, ds, seed, fracs, lams, depths=(None,)):
         accs = []
         for r in range(repeats):
             train, test = _prepare_split(ds, cfg, frac, seed + r)
-            Z_train, Z_test, _, _ = _embeddings(cell, train, test, specs[k, lam])
+            Z_train, Z_test, _ = _embeddings(cell, train, test, specs[k, lam])
             clf = evaluation.train_linear_classifier(Z_train, train.labels, ridge=ridge)
             accs.append(evaluation.accuracy(evaluation.classify(clf, Z_test), test.labels))
         yield k, frac, lam, depth, np.asarray(accs)
@@ -278,7 +278,7 @@ def cmd_retrieve(cfg, out_dir, seed):
     k = _split_list(cfg, "k", int)[0]
     train, test = _prepare_split(ds, cfg, _get_float(cfg, "train_fraction"), seed)
     spec = _spec(cfg, k, _get_float(cfg, "lambda"))
-    _, _, per_test, _ = _embeddings(cfg, train, test, spec)
+    _, _, per_test = _embeddings(cfg, train, test, spec)
     result = evaluation.cross_modal_retrieve(
         per_test[0], test.labels, per_test[1], test.labels
     )

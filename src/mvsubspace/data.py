@@ -1,4 +1,4 @@
-"""Multi-view datasets: loading, centering, label indicators, targets, PCA, splits.
+"""Multi-view datasets: loading, label indicators, targets, PCA, splits.
 
 Conventions used throughout the package: a view is a ``d_s x n`` float array
 whose columns are samples, all views share the same column count ``n``, and
@@ -19,12 +19,6 @@ TARGET_KINDS = (
     "identity_n",
     "centered_normalized_label",
 )
-
-
-def center_columns(X):
-    """Subtract the mean column of X, i.e. compute X @ H_n."""
-    X = np.asarray(X, dtype=float)
-    return X - X.mean(axis=1, keepdims=True)
 
 
 def _check_labels(labels):

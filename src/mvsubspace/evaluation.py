@@ -76,16 +76,13 @@ its minimiser (rounding is monotone, so the limit is at least s^(h)).
   second-least value, above any finite limit).  When every row of the block
   is single the block is done; otherwise the argmins' values are written
   back, and only the other rows are compared with their limits.
-* Every other row's kept positions are collected, flat in the
-  n_query x n_gallery matrix, and resolved together, in one call of the
-  direct formula, before the next block would take them past one block's
-  entries, and at the end; the answer is the least (d2^, gallery index)
-  among them.  A block keeps at most its own entries, so each resolve, like
-  each block, works on arrays of at most one block's entries; every query's
-  positions fall in one resolve, so how queries are grouped into resolves
-  cannot change an answer.  A guarded row keeps g*; any other row keeps
-  every column, and if all of its distances are +inf, the least pair is
-  column 0, the reference answer.
+* Every other row of a block has its kept positions resolved in that
+  block, in one call of the direct formula; the answer is the least
+  (d2^, gallery index) among them.  A block keeps at most its own entries,
+  so each resolve, like each block, works on arrays of at most one block's
+  entries.  A guarded row keeps g*; any other row keeps every column, and
+  if all of its distances are +inf, the least pair is column 0, the
+  reference answer.
 
 Retrieval sorts each row by the screen and computes the direct formula only
 where the screen cannot decide the order.
@@ -111,11 +108,10 @@ where the screen cannot decide the order.
   whether or not packing kept its screen values in order.  The reference
   order thus keeps each run (the points between two cuts) together, in the
   row's order of runs; a run of one point is in place.
-* Repair.  Only members of longer runs get the direct formula (once they
-  are more than half of a query block, it is cheaper to broadcast it over
-  the whole block and read theirs).  Each run's consecutive members are
-  compared by (d2^, gallery index), and every run found out of that order
-  is sorted again by that pair, all in one ``lexsort``.  Every d2^ is a sum
+* Repair.  Only members of longer runs get the direct formula, one entry
+  per member.  Each run's consecutive members are compared by
+  (d2^, gallery index), and every run found out of that order is sorted
+  again by that pair, all in one ``lexsort``.  Every d2^ is a sum
   of squares that starts from +0.0, so it is never NaN, and with distinct
   indices the pair is a total order: a run comes back in reference order
   whatever order it arrives in.  Correctness never rests on the
@@ -133,6 +129,10 @@ where the screen cannot decide the order.
   index order.  Its packed bits are never read, so it cannot matter that
   numpy's SIMD sorts write NaNs back as one canonical NaN, dropping the
   index bits they held.
+
+A gallery point is relevant when its label code equals the query's; both
+directions share one code per distinct label and each view's count per
+code, built once per call.
 
 Average precision sums t_k = hits / position over the m relevant ranks of a
 row, in extended precision, and divides by m.  The reference forms
@@ -349,16 +349,11 @@ def knn1_classify(Z_train, labels_train, Z_test):
         )
     if Zg.shape[1] == 0 and Zq.shape[1] > 0:
         raise ValueError("Z_train has no samples to classify Z_test against")
-    n = Zg.shape[1]
     nearest = np.empty(Zq.shape[1], dtype=np.intp)
     test, train = _Operands(Zq), _Operands(Zg)
     # A limit at or past this, less ||q||^2, might not bound the winner's
     # direct distance below overflow; such rows keep every column.
     room = 0.5 * np.finfo(float).max - test.norms
-    # Kept flat positions, in the n_query x n_gallery matrix, of the queries
-    # whose argmin is not the only candidate, resolved before they would
-    # exceed one query block's entries.
-    pending, count, cap = [], 0, _block_rows(n) * n
     for rows, screen, tol in _screened_blocks(test, train):
         first = screen.argmin(axis=1)
         at = np.arange(first.size)
@@ -378,23 +373,15 @@ def knn1_classify(Z_train, labels_train, Z_test):
         others = np.flatnonzero(~single)
         with np.errstate(invalid="ignore"):
             keep = np.flatnonzero(~(screen[others] > limit[others, None]))
-        row, column = np.divmod(keep, n)
-        keep = (others + rows.start)[row] * n + column
-        if count + keep.size > cap:
-            _resolve_nearest(Zq, Zg, np.concatenate(pending), nearest)
-            pending, count = [], 0
-        pending.append(keep)
-        count += keep.size
-    if pending:
-        _resolve_nearest(Zq, Zg, np.concatenate(pending), nearest)
+        row, column = np.divmod(keep, Zg.shape[1])
+        _resolve_nearest(Zq, Zg, others[row] + rows.start, column, nearest)
     return labels_train[nearest]
 
 
-def _resolve_nearest(Z_query, Z_gallery, flat, nearest):
-    """Set ``nearest`` for each query with a kept position in ``flat``: its
-    kept gallery index of least (direct distance, index).  ``flat`` ascends,
-    so each query's positions form one run in ascending gallery index."""
-    qi, gi = np.divmod(flat, Z_gallery.shape[1])
+def _resolve_nearest(Z_query, Z_gallery, qi, gi, nearest):
+    """Set ``nearest`` for each query in ``qi`` to its kept gallery index in
+    ``gi`` of least (direct distance, index).  The pairs ascend by query,
+    then gallery index, so each query's pairs form one run."""
     d2 = _squared_distances(Z_query, Z_gallery, qi, gi)
     start = np.flatnonzero(np.diff(qi, prepend=-1))
     best = np.minimum.reduceat(d2, start)
@@ -488,16 +475,7 @@ def _order_runs(Z_query, Z_gallery, rows, order, linked):
     member[:, 1:] |= linked[:, :-1]
     at = np.flatnonzero(member)
     gallery = order.take(at)
-    row = at // n
-    if 2 * at.size > order.size:
-        # Gathered per member, the direct formula costs about twice as much
-        # per entry as broadcast over the block (37 against 15 ns at d = 9),
-        # so past half the block it is cheaper to compute the whole block.
-        block = rows.start + np.arange(len(order))[:, None]
-        d2 = _squared_distances(Z_query, Z_gallery, block, np.arange(n))
-        d2 = d2.take(row * n + gallery)
-    else:
-        d2 = _squared_distances(Z_query, Z_gallery, row + rows.start, gallery)
+    d2 = _squared_distances(Z_query, Z_gallery, at // n + rows.start, gallery)
     # Consecutive members share a run exactly when the first links onward.
     same = linked.take(at[:-1])
     ahead = (d2[:-1] < d2[1:]) | ((d2[:-1] == d2[1:]) & (gallery[:-1] < gallery[1:]))
@@ -511,18 +489,22 @@ def _order_runs(Z_query, Z_gallery, rows, order, linked):
         order.put(at[redo], gallery[redo[resorted]])
 
 
-def _direction_aps(query, labels_query, gallery, labels_gallery):
+def _label_codes(labels_a, labels_b):
+    """Per view, its labels as small unsigned codes and the count of each
+    code among them.  Both views share one code per distinct label, NaN
+    labels each their own, so equal codes are exactly equal labels."""
+    classes, codes = np.unique(
+        np.concatenate((labels_a, labels_b)), return_inverse=True, equal_nan=False
+    )
+    codes = np.split(codes.astype(np.min_scalar_type(classes.size)), [len(labels_a)])
+    return [(part, np.bincount(part, minlength=classes.size)) for part in codes]
+
+
+def _direction_aps(query, codes_query, gallery, codes_gallery, class_counts):
     """Per query of ``query``, the AP of its ranking of ``gallery`` (both
-    ``_Operands``)."""
+    ``_Operands``), from ``_label_codes``: the codes of both sides and the
+    gallery's count per code."""
     n_gallery = gallery.Z.shape[1]
-    # One code per distinct label, NaN labels each their own, so equal codes
-    # are exactly labels_gallery[j] == labels_query[i].
-    labels = np.concatenate((labels_gallery, labels_query))
-    classes, codes = np.unique(labels, return_inverse=True, equal_nan=False)
-    codes = codes.astype(np.min_scalar_type(classes.size))
-    codes_gallery, codes_query = codes[:n_gallery], codes[n_gallery:]
-    # Every row ranks each gallery point once, so it holds all of its class.
-    class_counts = np.bincount(codes_gallery, minlength=classes.size)
     # The integers 1 .. n_gallery, exact in longdouble: every hit count and
     # position is one, and taking them is cheaper than converting integers.
     integers = np.arange(1, n_gallery + 1, dtype=np.longdouble)
@@ -534,6 +516,7 @@ def _direction_aps(query, labels_query, gallery, labels_gallery):
         # is its running index among all relevant ranks less the count in
         # the rows before it.
         relevant = np.flatnonzero(rel)
+        # Every row ranks each gallery point once, so it holds all of its class.
         totals = class_counts[codes_query[rows]]
         before = np.cumsum(totals) - totals
         hits = np.arange(relevant.size) - np.repeat(before, totals)
@@ -606,8 +589,9 @@ def cross_modal_retrieve(Z_a, labels_a, Z_b, labels_b):
         )
     # Each view is the query side of one direction and the gallery of the other.
     a, b = _Operands(A), _Operands(B)
-    ap_ab = _direction_aps(a, labels_a, b, labels_b)
-    ap_ba = _direction_aps(b, labels_b, a, labels_a)
+    (codes_a, counts_a), (codes_b, counts_b) = _label_codes(labels_a, labels_b)
+    ap_ab = _direction_aps(a, codes_a, b, codes_b, counts_b)
+    ap_ba = _direction_aps(b, codes_b, a, codes_a, counts_a)
     map_ab = float(ap_ab.mean())
     map_ba = float(ap_ba.mean())
     return RetrievalResult(

@@ -187,33 +187,19 @@ def embed(model, dataset):
     return per_view, np.vstack(per_view)
 
 
-def decision_values(model, dataset, view=0):
-    """Class scores W^T P_s^T (X_s - mu_s 1^T) for one view.
+def predict(model, dataset):
+    """Argmax class labels of W^T z on the summed latent point
+    z = sum_s P_s^T (X_s - mu_s 1^T), the point W is fitted on.
 
-    Only defined for supervised target kinds, where the rows of the result
-    are aligned with classes 1..c.
+    Only defined for supervised target kinds, where the rows of W^T z are
+    aligned with classes 1..c.
     """
     if model.spec.target_kind not in SUPERVISED_KINDS:
         raise ValueError(
-            f"decision values need a supervised target kind, got "
-            f"{model.spec.target_kind!r}"
+            f"predict needs a supervised target kind, got {model.spec.target_kind!r}"
         )
-    if not 0 <= view < len(model.projections):
-        raise ValueError(f"view index {view} out of range")
-    X = dataset.views[view]
-    if X.shape[0] != model.dims[view]:
-        raise ValueError(
-            f"view {view} has dimension {X.shape[0]}, model expects "
-            f"{model.dims[view]}"
-        )
-    Xc = X - model.means[view][:, None]
-    return model.W.T @ (model.projections[view].T @ Xc)
-
-
-def predict(model, dataset, view=0):
-    """Argmax class labels from the decision values of one view."""
-    scores = decision_values(model, dataset, view)
-    return np.argmax(scores, axis=0) + 1
+    per_view, _ = embed(model, dataset)
+    return np.argmax(model.W.T @ sum(per_view), axis=0) + 1
 
 
 def save_model(model, out_dir):

@@ -37,7 +37,7 @@ the build or the solver.
 
 from __future__ import annotations
 
-from .framework import ModelSpec, fit_solved, label_readers, pencil, spec_terms
+from .framework import ModelSpec, fit_solved, pencil, spec_terms
 from .gevd import solve
 from .scatter import ClassStatistics
 
@@ -55,7 +55,6 @@ _CATALOG = {
 }
 
 METHOD_NAMES = tuple(_CATALOG)
-LAMBDA_METHODS = ("MvDA_VC", "MLDA", "GMA", "MvDA_CCA")
 
 
 def MethodId(name, k, gamma=1e-4, lam=1e-2):
@@ -73,11 +72,6 @@ def MethodId(name, k, gamma=1e-4, lam=1e-2):
         regularizers=tuple((rid, lam if w == "lam" else w) for rid, w in regularizers),
         method=name,
     )
-
-
-SUPERVISED_METHODS = tuple(
-    name for name in METHOD_NAMES if label_readers(MethodId(name, k=1))
-)
 
 
 def build(spec, dataset, terms=None, statistics=None):

@@ -4,7 +4,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from mvsubspace import ModelSpec, MultiViewDataset, build_indicator
-from mvsubspace.data import center_columns, make_target
+from mvsubspace.data import make_target
 from mvsubspace.framework import pencil
 from mvsubspace.gevd import GevdSolution, NumericalError, _fix_signs
 from mvsubspace.scatter import (
@@ -24,6 +24,12 @@ EVERY_REGULARIZER = ModelSpec(
     regularizers=(("mean", 0.5), ("representer", 0.2), ("hsic", 0.3),
                   ("cca", 0.4), ("lda", 0.7), ("joint", 0.6)),
 )
+
+
+def center_columns(X):
+    """Subtract the mean column of X, i.e. compute X @ H_n."""
+    X = np.asarray(X, dtype=float)
+    return X - X.mean(axis=1, keepdims=True)
 
 
 def balanced_labels(classes, n, rng):

@@ -96,9 +96,9 @@ def test_non_finite_embedding_exits_with_a_data_error(
     real = cli._embeddings
 
     def poisoned(*args):
-        Z_train, Z_test, per_test, model = real(*args)
+        Z_train, Z_test, per_test = real(*args)
         per_test[0][0, 0] = np.nan
-        return Z_train, Z_test, per_test, model
+        return Z_train, Z_test, per_test
 
     monkeypatch.setattr(cli, "_embeddings", poisoned)
     cfg = write_cfg(

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from mvsubspace import (
     MultiViewDataset,
     build_indicator,
-    center_columns,
     load_dataset,
     make_target,
     pca_reduce,
@@ -18,6 +17,7 @@ from mvsubspace.scatter import label_kernels
 from mvsubspace.toy import make_toy_dataset, save_dataset
 
 from helpers import (
+    center_columns,
     class_average_matrix,
     dense_label_kernels,
     densify,

@@ -21,8 +21,11 @@ from helpers import dense_direction_aps, dense_knn1
 
 def _direction_aps(Z_query, labels_query, Z_gallery, labels_gallery):
     """One direction of ``cross_modal_retrieve``, on any number of queries."""
+    (codes_query, _), (codes_gallery, counts) = evaluation._label_codes(
+        labels_query, labels_gallery
+    )
     return evaluation._direction_aps(
-        _Operands(Z_query), labels_query, _Operands(Z_gallery), labels_gallery
+        _Operands(Z_query), codes_query, _Operands(Z_gallery), codes_gallery, counts
     )
 
 

@@ -12,21 +12,23 @@ from mvsubspace import (
     ModelSpec,
     MultiViewDataset,
     build,
-    decision_values,
     embed,
     fit_method,
     load_model,
     make_target,
+    make_toy_dataset,
     predict,
     save_model,
     solve,
 )
-from mvsubspace.data import TARGET_KINDS, center_columns
+from mvsubspace.data import TARGET_KINDS
 from mvsubspace.deep import MlpConfig, TrainerConfig, forward_views, train
+from mvsubspace.framework import SUPERVISED_KINDS
 from mvsubspace.scatter import ClassStatistics, KernelTerm, symmetrize
 
 from helpers import (
     PENCIL_RTOL,
+    center_columns,
     dense_gevd,
     dense_materialize,
     pencil_gap,
@@ -136,16 +138,19 @@ def test_embed_rejects_wrong_dims():
         embed(model, random_dataset(seed=3, dims=(5, 3)))
 
 
+def _scores(model, dataset):
+    """W^T on the summed latent point sum_s P_s^T (X_s - mu_s 1^T)."""
+    per_view, _ = embed(model, dataset)
+    return model.W.T @ sum(per_view)
+
+
 def test_decision_values_separate_two_classes():
     X = np.array([[-2.0, -1.0, 1.0, 2.0]])
     labels = np.array([1, 1, 2, 2])
     ds = MultiViewDataset((X,), labels)
     model = fit_method(ModelSpec(target_kind="sigma_invsqrt_onehot", k=1), ds)
     np.testing.assert_array_equal(predict(model, ds), labels)
-    scores = decision_values(model, ds)
-    assert scores.shape == (2, 4)
-    # symmetric data: class scores mirror each other
-    np.testing.assert_allclose(scores[0], scores[1, ::-1], atol=1e-10)
+    assert _scores(model, ds).shape == (2, 4)
 
 
 def test_decision_values_scale_invariant_with_matched_gamma():
@@ -158,16 +163,32 @@ def test_decision_values_scale_invariant_with_matched_gamma():
     b = fit_method(
         ModelSpec("sigma_invsqrt_onehot", k=2, gamma=1e-4 * alpha**2), scaled
     )
-    np.testing.assert_allclose(
-        decision_values(a, ds), decision_values(b, scaled), atol=1e-10
-    )
+    np.testing.assert_allclose(_scores(a, ds), _scores(b, scaled), atol=1e-10)
 
 
 def test_decision_values_need_labels():
     ds = random_dataset(seed=5)
     model = fit_method(ModelSpec(target_kind="identity_n", k=2), ds)
     with pytest.raises(ValueError, match="supervised"):
-        decision_values(model, ds)
+        predict(model, ds)
+
+
+def test_predict_reads_w_on_the_summed_latent_point():
+    ds = make_toy_dataset(classes=4, views=3, samples=120, seed=1)
+    models = {name: fit_method(MethodId(name, k=3), ds) for name in METHOD_NAMES}
+    for model in models.values():
+        if model.spec.target_kind not in SUPERVISED_KINDS:
+            with pytest.raises(ValueError, match="supervised"):
+                predict(model, ds)
+            continue
+        want = np.argmax(_scores(model, ds), axis=0) + 1
+        np.testing.assert_array_equal(predict(model, ds), want)
+    # MvLDA's projection is joint, so one view's P_s^T X_s is not its latent
+    # point: W read on one view at a time gives other labels
+    model = models["MvLDA"]
+    per_view, _ = embed(model, ds)
+    for z in per_view:
+        assert (np.argmax(model.W.T @ z, axis=0) + 1 != predict(model, ds)).any()
 
 
 def test_save_load_roundtrip(tmp_path):

@@ -11,7 +11,6 @@ from mvsubspace import (
     build_indicator,
     scatter,
 )
-from mvsubspace.data import center_columns
 from mvsubspace.framework import REGULARIZERS, spec_terms
 from mvsubspace.scatter import (
     ClassStatistics,
@@ -29,6 +28,7 @@ from helpers import (
     PENCIL_RTOL,
     balanced_labels,
     between_class_scatter,
+    center_columns,
     centering_matrix,
     dense_materialize,
     densify,
