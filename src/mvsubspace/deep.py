@@ -26,7 +26,7 @@ from scipy.special import expit
 
 from .data import _read_matrix, _write_text
 from .framework import fit_solved, pencil, spec_terms
-from .gevd import GevdProblem, NumericalError, solve
+from .gevd import NumericalError, solve
 from .scatter import ClassStatistics, materialize_grads
 
 ACTIVATIONS = ("tanh", "sigmoid")
@@ -159,11 +159,8 @@ def _solve_with_retry(problem, jitter):
     except NumericalError:
         d = problem.dim
         scale = max(np.trace(problem.constraint) / d, 1.0)
-        return solve(GevdProblem(
-            problem.objective,
-            problem.constraint + jitter * scale * np.eye(d),
-            problem.k,
-            problem.objective_factor,
+        return solve(problem.with_constraint(
+            problem.constraint + jitter * scale * np.eye(d)
         ))
 
 

@@ -24,10 +24,13 @@ the centred class sums S = (X - mu 1^T) Y^T of the statistics, and
 W = (P^T S) G^T is the same W in exact arithmetic: a k x d x c product in
 place of a pass over the n samples.  S is summed from the mean-centred copy
 of the views, so a large view mean does not cancel in W.  For identity_n
-(T = I) W = P^T X H is formed view by view, sum_s P_s^T (X_s - mu_s 1^T),
-each view centred before it is projected.  The means mu_s are the
-statistics' mean, one owned contiguous copy per view, so no fit reduces the
-views twice.
+(T = I) W = P^T X H = P^T X_c, and X_c = X_w + (S Sigma^-1) Y adds each
+sample's class mean back to the statistics' class-centred copy X_w, so
+W = P^T X_w + (P^T S Sigma^-1) Y: one k x d x n product on that C-ordered
+copy and a k x c scatter over the classes, no centred copy of any view;
+with one class it is P^T X_w alone.  X_w is taken from the mean-centred
+copy too.  The means mu_s are the statistics' mean, one owned contiguous
+copy per view, so no fit reduces the views twice.
 """
 
 from __future__ import annotations
@@ -155,8 +158,9 @@ def fit_solved(statistics, solution, spec):
     projections = tuple(P[b, :] for b in statistics.blocks)
     means = tuple(statistics.mu[b].copy() for b in statistics.blocks)
     if spec.target_kind == "identity_n":
-        W = sum(Ps.T @ (X - mu[:, None])
-                for Ps, mu, X in zip(projections, means, statistics.views))
+        W = P.T @ statistics.X_w
+        if len(statistics.counts) > 1:
+            W += ((P.T @ statistics.S) / statistics.counts) @ statistics.Y
     else:
         G = TARGET_MIXES[spec.target_kind](statistics.counts)
         W = (P.T @ statistics.S) @ G.T

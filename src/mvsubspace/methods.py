@@ -79,7 +79,9 @@ def build(spec, dataset, terms=None, statistics=None):
 
     ``terms`` and ``statistics`` are the spec's ``spec_terms`` and their
     ``scatter.ClassStatistics`` on the dataset's views, when the caller
-    already has them.
+    already has them.  A pencil with an objective factor is factor-defined:
+    its ``objective`` is formed on first read, the same array as without the
+    factor, and ``fit``'s factored solve never reads it.
     """
     if terms is None:
         terms = spec_terms(spec, dataset.labels, dataset.n_samples, dataset.n_views)

@@ -13,14 +13,15 @@ reads the stacked views X (d x n) once and holds
 
 * the mean mu = X 1 / n,
 * the centred class sums S = (X - mu 1^T) Y^T (d x c),
-* the Gram C_w = X_w X_w^T of the class-centred views X_w (every sample
-  minus the mean of its class), whole or as its diagonal blocks,
+* the class-centred views X_w (every sample minus the mean of its class),
+  kept as the one d x n copy the statistics make,
+* the Gram C_w = X_w X_w^T, whole or as its diagonal blocks,
 
 and ``materialize(terms, statistics)`` builds every term from them in d x d
 algebra, without touching the samples.  The object is made once per fit
 (``ClassStatistics.of(terms, views)`` computes what a term list reads) and
-passed explicitly: the fit's packaging takes the means and the class sums
-of W from the same object, and a deep epoch makes one per epoch.
+passed explicitly: the fit's packaging takes the means and W from the same
+object, and a deep epoch makes one per epoch.
 
 With F = [S, mu] (d x (c + 1)), X = X_w + F [Sigma^-1; 1^T] Y and
 X_w Y^T = 0, so a kernel K = eye I + Y^T M Y gives
@@ -37,14 +38,33 @@ layout (per diagonal block for blockdiag), whatever the number of terms.
 With one class (the one-class indicator of a label-free spec) S = X_c 1 is
 exactly zero: it is set to 0, not computed, and the centred copy is already
 class-centred.  Computed, S would be a rounding residue that depends on
-where the copy lies in memory.  The objective's factor for the rank-c
-solve, the third value ``materialize`` returns, is this F and Mt.
+where the copy lies in memory.
+
+Objective factors.  The third value ``materialize`` returns is a factor
+(S, M) of the objective (``_plan`` decides which), for ``gevd``'s solve in
+its rank:
+
+* an objective of dense terms with eye = 0 (between, center_distance:
+  the rank-c targets) has this F and Mt, rank at most c + 1;
+* one with eye != 0 (MCCA's centering kernel) has the samples factor
+  ([X_w | F'], blockdiag(eye I_n, Mt')), with F' and Mt' the F and Mt
+  without unused columns, and simply (X_w, eye I_n) when Mt is zero, as
+  for one class.  It is made only where ``gevd`` would take it, n plus the
+  columns of F' below 0.4 d (``takes_factored_route``): MCCA at 3 x 250
+  dims and n = 250, not at 3 x 50 dims and n = 1500.
+
+With a factor, ``materialize`` returns the objective as the function that
+forms it, and the ``gevd.GevdProblem`` of ``methods.fit`` and deep training
+calls it only when the objective is read; formed, it is the same array as
+without the factor.
 
 Gram blocks only where read.  C_w is formed whole, one n d^2 product, only
 when a dense term has eye != 0 or the representer coupling needs the raw
-Gram.  When only blockdiag terms read it, the statistics form its
-diagonal blocks alone, one n d_s^2 product per view: at 3 x 250 dims and
-n = 250 on one BLAS thread, 1.4 ms against 5.3 ms for the whole Gram.
+Gram; an objective with the samples factor reads no Gram, and forms
+X_w X_w^T only when read.  When only blockdiag terms read it, the
+statistics form its diagonal blocks alone, one n d_s^2 product per view:
+at 3 x 250 dims and n = 250 on one BLAS thread, 1.4 ms against 5.3 ms for
+the whole Gram.
 
 Each side written once.  A side with dense terms starts as one fresh array,
 eye C_w + F Mt F^T (gemm adds the product into the scaled copy of C_w in
@@ -81,6 +101,9 @@ from scipy.linalg.blas import dgemm
 
 # Tile edge of ``symmetrize``: a tile and its mirror stay in cache.
 _TILE = 128
+# gevd's factored route runs while the factor's rank r is below this share
+# of d (``takes_factored_route``).
+_FACTORED_RANK_RATIO = 0.4
 
 
 def symmetrize(M):
@@ -305,16 +328,17 @@ class ClassStatistics:
       each view in the stack;
     * ``Y`` (c x n) and its class counts ``counts``;
     * ``F`` = [S, mu] (d x (c + 1));
+    * ``X_w``, the class-centred copy (d x n, C-ordered);
     * as much of C_w as ``gram`` asks: "full" gives ``C_w`` and its diagonal
       blocks ``C_blocks`` (views of it), "blocks" only the diagonal blocks,
       one X_w,s X_w,s^T per view, and None neither (None and Nones).
 
-    Every Gram is one product of the class-centred copy, which is not kept.
-    With one class S is exactly zero and the centred copy is already
-    class-centred.  ``ClassStatistics.of(terms, views)`` computes what a
-    term list reads, so ``materialize`` and the packaging of a fit share one
-    pass over the samples.  The object is passed explicitly, never cached
-    by dataset: a cache would go stale if a caller changed the views.
+    Every Gram is one product of X_w.  With one class S is exactly zero and
+    the centred copy is already class-centred.
+    ``ClassStatistics.of(terms, views)`` computes what a term list reads, so
+    ``materialize`` and the packaging of a fit share one pass over the
+    samples.  The object is passed explicitly, never cached by dataset: a
+    cache would go stale if a caller changed the views.
     """
 
     # Finite views can overflow a Gram; GevdProblem rejects it, so do not warn.
@@ -330,25 +354,28 @@ class ClassStatistics:
         one_class = len(self.counts) == 1
         S = np.zeros((len(X), 1)) if one_class else X @ Y.T
         self.F = np.column_stack((S, mu))
-        self.C_w, self.C_blocks = None, [None] * len(self.blocks)
-        if gram is None:
-            return
         if not one_class:
             # Y is one-hot, so every entry of the product is exact and this is
             # X - (S / counts) Y bit for bit.
             _subtract_product(X, S / self.counts, Y)
+        self.X_w = X
+        self.C_w, self.C_blocks = None, [None] * len(self.blocks)
         if gram == "full":
             self.C_w = X @ X.T
             self.C_blocks = [self.C_w[b, b] for b in self.blocks]
-        else:
+        elif gram == "blocks":
             self.C_blocks = [X[b] @ X[b].T for b in self.blocks]
 
     @classmethod
     def of(cls, terms, views):
         """The statistics ``materialize(terms, ...)`` reads on these views:
-        the terms' class indicator and ``_gram_read(terms, views)`` of C_w."""
-        indicator = _shared_indicator(terms, np.shape(views[0])[1])
-        return cls(views, indicator, _gram_read(terms, views))
+        the terms' class indicator and the part of C_w ``_plan`` names."""
+        Y = _shared_indicator(terms, np.shape(views[0])[1])
+        counts = Y.sum(axis=1)
+        pieces, couplings = _summed_terms(
+            terms, lambda kernel: _kernel_pieces(kernel, counts)
+        )
+        return cls(views, Y, _plan(pieces, couplings, views)[0])
 
     @property
     def mu(self):
@@ -361,18 +388,41 @@ class ClassStatistics:
         return self.F[:, :-1]
 
 
-def _gram_read(terms, views):
-    """The part of C_w the terms read: "full" when a dense term has eye != 0
-    or the representer coupling needs the raw Gram (every d_s <= n), else
-    "blocks" when a blockdiag term has eye != 0, else None."""
-    eyes, couplings = _summed_terms(
-        terms, lambda kernel: (1.0 if kernel is None else kernel.eye, 0.0)
-    )
-    reads = {layout for (_, layout), (eye, _) in eyes.items() if eye}
+def takes_factored_route(r, d):
+    """Whether ``gevd.solve`` tries its factored route for an objective
+    factor with r columns in dimension d: r < 0.4 d (``_FACTORED_RANK_RATIO``,
+    measured in the ``gevd`` module docstring).  ``_plan`` offers a samples
+    factor under the same rule."""
+    return r < _FACTORED_RANK_RATIO * d
+
+
+def _plan(pieces, couplings, views):
+    """``(gram, factor)`` for terms summed by ``_summed_terms``: the part of
+    C_w they read and the kind of the objective's factor.
+
+    The factor is "classes" (S = F) when the objective is dense terms alone
+    with eye = 0, and "samples" (S = [X_w | F']) when they have eye != 0 and
+    S would have fewer columns than ``gevd`` solves in rank at this d; an
+    objective with a samples factor reads no Gram.  The Gram is "full" when
+    a dense term reads it or the representer coupling needs the raw Gram
+    (every d_s <= n), else "blocks" when a blockdiag term has eye != 0, else
+    None.
+    """
     n = np.shape(views[0])[1]
-    if couplings and max(len(X) for X in views) <= n or "dense" in reads:
-        return "full"
-    return "blocks" if "blockdiag" in reads else None
+    dims = [np.shape(X)[0] for X in views]
+    factor = None
+    layouts = {layout for side, layout in pieces if side == "objective"}
+    if layouts == {"dense"} and "objective" not in couplings:
+        eye, Mt = pieces["objective", "dense"]
+        if not eye:
+            factor = "classes"
+        elif takes_factored_route(n + _kept_columns(Mt), sum(dims)):
+            factor = "samples"
+    reads = {layout for (side, layout), (eye, _) in pieces.items()
+             if eye and (side, factor) != ("objective", "samples")}
+    if couplings and max(dims) <= n or "dense" in reads:
+        return "full", factor
+    return ("blocks" if "blockdiag" in reads else None), factor
 
 
 def _kernel_pieces(kernel, counts):
@@ -393,6 +443,28 @@ def _kernel_pieces(kernel, counts):
 def _without_unused_mean(F, Mt):
     """Drop the mu column of F when Mt gives it no weight."""
     return (F[:, :-1], Mt[:-1, :-1]) if not Mt[-1].any() else (F, Mt)
+
+
+def _kept_columns(Mt):
+    """The columns of F the samples factor keeps for this Mt: none when Mt
+    is zero, else F without an unused mu column."""
+    if not Mt.any():
+        return 0
+    return len(Mt) if Mt[-1].any() else len(Mt) - 1
+
+
+def _sample_factor(X_w, F, eye, Mt):
+    """(S, M) = ([X_w | F'], blockdiag(eye I_n, Mt')) with S M S^T =
+    eye C_w + F Mt F^T, F' and Mt' as ``_without_unused_mean`` leaves them;
+    (X_w, eye I_n) when Mt is zero."""
+    n = X_w.shape[1]
+    if not _kept_columns(Mt):
+        return X_w, eye * np.eye(n)
+    F, Mt = _without_unused_mean(F, Mt)
+    M = np.zeros((n + len(Mt),) * 2)
+    M[:n, :n] = eye * np.eye(n)
+    M[n:, n:] = Mt
+    return np.hstack((X_w, F)), M
 
 
 def _kernel_sum(eye, Mt, F, C_w):
@@ -431,6 +503,23 @@ def _summed_terms(terms, pieces):
 
 # Finite views can overflow a side; GevdProblem rejects it, so do not warn.
 @np.errstate(over="ignore", invalid="ignore")
+def _side(side, pieces, couplings, statistics, C_w, gram):
+    """One side of ``materialize``: its dense terms as one fresh array, its
+    blockdiag blocks added in, its representer coupling last."""
+    F = statistics.F
+    d = F.shape[0]
+    dense = pieces.get((side, "dense"))
+    total = _kernel_sum(*dense, F, C_w) if dense else np.zeros((d, d))
+    if (side, "blockdiag") in pieces:
+        for b, C_b in zip(statistics.blocks, statistics.C_blocks):
+            block = _kernel_sum(*pieces[side, "blockdiag"], F[b], C_b)
+            total[b, b] += block if dense else symmetrize(block)
+    if side in couplings:
+        total += couplings[side] * pseudo_inverse_coupling(statistics.views, gram)
+    return symmetrize(total) if dense else total
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def materialize(terms, statistics):
     """Sum KernelTerms on the views of a ClassStatistics into ``(objective,
     constraint, factor)``.
@@ -439,11 +528,14 @@ def materialize(terms, statistics):
     C_w they read, as ``ClassStatistics.of(terms, views)`` does (ValueError
     otherwise); the module docstring says how the sum is formed.
 
-    ``factor`` is (S, M) with objective = S M S^T when the objective is one
-    dense term whose kernel has eye = 0, and None otherwise.  S is then the
-    F = [S, mu] of the statistics, without the mu column when the kernel's
-    a is zero (between, center_distance), so its rank is at most c, and M
-    is coeff * Mt: the same product the objective is built from.
+    ``factor`` is (S, M) with objective = S M S^T when ``_plan`` gives the
+    objective one, and None otherwise.  For eye = 0 S is the F = [S, mu] of
+    the statistics, without the mu column when the kernel's a is zero
+    (between, center_distance), so its rank is at most c, and M is the
+    summed coeff * Mt.  For eye != 0 it is ``_sample_factor``'s, through the
+    kept X_w.  With a factor, the objective is returned as a function of no
+    arguments that forms it, for a factor-defined ``gevd.GevdProblem``;
+    formed, it is the same array.
     """
     views, F, C_w = statistics.views, statistics.F, statistics.C_w
     n = views[0].shape[1]
@@ -454,30 +546,29 @@ def materialize(terms, statistics):
     pieces, couplings = _summed_terms(
         terms, lambda kernel: _kernel_pieces(kernel, counts)
     )
-    read = _gram_read(terms, views)
+    read, kind = _plan(pieces, couplings, views)
     if (read == "full" and C_w is None
             or read == "blocks" and statistics.C_blocks[0] is None):
         raise ValueError("the statistics lack the part of C_w the terms read")
     raw_gram = bool(couplings) and max(X.shape[0] for X in views) <= n
-    d = F.shape[0]
     gram = _kernel_sum(*_kernel_pieces(None, counts), F, C_w) if raw_gram else None
-    sides = []
-    for side in SIDES:
-        dense = pieces.get((side, "dense"))
-        total = _kernel_sum(*dense, F, C_w) if dense else np.zeros((d, d))
-        if (side, "blockdiag") in pieces:
-            for b, C_b in zip(statistics.blocks, statistics.C_blocks):
-                block = _kernel_sum(*pieces[side, "blockdiag"], F[b], C_b)
-                total[b, b] += block if dense else symmetrize(block)
-        if side in couplings:
-            total += couplings[side] * pseudo_inverse_coupling(views, gram)
-        sides.append(symmetrize(total) if dense else total)
-    objective = [term for term in terms if term.side == "objective"]
     factor = None
-    if (len(objective) == 1 and objective[0].layout == "dense"
-            and objective[0].kernel is not None and objective[0].kernel.eye == 0):
+    if kind == "classes":
         factor = _without_unused_mean(F, pieces["objective", "dense"][1])
-    return (*sides, factor)
+    elif kind == "samples":
+        factor = _sample_factor(statistics.X_w, F, *pieces["objective", "dense"])
+
+    def objective():
+        C = C_w
+        if C is None and kind == "samples":
+            with np.errstate(over="ignore", invalid="ignore"):
+                C = statistics.X_w @ statistics.X_w.T
+        return _side("objective", pieces, couplings, statistics, C, gram)
+
+    if factor is None:
+        objective = objective()
+    return objective, _side("constraint", pieces, couplings, statistics, C_w,
+                            gram), factor
 
 
 def _apply_sum(kernel, Z):

@@ -218,8 +218,10 @@ def catalog_terms(method, n, labels, v):
 
 
 def materialize_on(terms, views):
-    """``materialize`` of the terms on the ClassStatistics they read."""
-    return materialize(terms, ClassStatistics.of(terms, views))
+    """``materialize`` of the terms on the ClassStatistics they read, with an
+    objective returned as its forming function formed."""
+    objective, constraint, factor = materialize(terms, ClassStatistics.of(terms, views))
+    return (objective() if callable(objective) else objective), constraint, factor
 
 
 def catalog_pencil(method, dataset):

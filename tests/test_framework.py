@@ -325,9 +325,9 @@ def test_fit_matches_the_full_spectrum_oracle(target, regularizers, route):
     np.testing.assert_allclose(got, want.eigenvalues, rtol=1e-12, atol=1e-12)
 
 
-# W comes from the class sums (or, for identity_n, per-view products), not
-# one product of the stacked views; it agrees with the stacked oracle to this
-# share of its largest entry.
+# W comes from the class sums (or, for identity_n, the class-centred copy
+# and the class sums), not one product of the stacked views; it agrees with
+# the stacked oracle to this share of its largest entry.
 W_RTOL = 1e-13
 
 # (dims, n, classes): n above every d, d above n, one view, and the
@@ -430,6 +430,32 @@ def test_weights_of_offset_views_are_as_accurate_as_the_stacked_oracle(kind):
     got = np.abs(model.W - ref).max()
     oracle = np.abs(_stacked_weights(model, ds) - ref).max()
     assert got <= oracle + W_RTOL * np.abs(ref).max()
+
+
+def _per_view_weights(model, dataset):
+    """W of an identity_n fit by the per-view formula,
+    sum_s P_s^T (X_s - mu_s 1^T), each view centred by the model's mean."""
+    return sum(P.T @ (X - mu[:, None])
+               for P, mu, X in zip(model.projections, model.means, dataset.views))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+@pytest.mark.parametrize("shape", ["n>d", "tall", "wide"])
+@pytest.mark.parametrize("name", ["MCCA", "MLDA", "GMA"])
+def test_identity_n_weights_from_x_w_match_the_per_view_formula(name, shape, offset):
+    """W = P^T X_w + (P^T S Sigma^-1) Y, from the statistics' class-centred
+    copy, is the per-view formula in exact arithmetic.  In floating point
+    the two agree within 1e-13 of the largest entry of |P|^T |X_c|, the
+    scale of the terms both sum; with every view offset by 1e6 too, since
+    both subtract the same mean before any product."""
+    dims, n, classes = W_SHAPES[shape]
+    base = random_dataset(seed=n + 3, dims=dims, classes=classes, n=n)
+    ds = MultiViewDataset(tuple(X + offset for X in base.views), base.labels)
+    model = fit_method(MethodId(name, k=3), ds)
+    want = _per_view_weights(model, ds)
+    centred = np.vstack([np.abs(X - mu[:, None]) for X, mu in zip(ds.views, model.means)])
+    scale = (np.abs(np.vstack(model.projections)).T @ centred).max()
+    assert np.abs(model.W - want).max() <= 1e-13 * scale
 
 
 def test_every_public_name_resolves_once():

@@ -9,7 +9,7 @@ from scipy.linalg import subspace_angles
 from helpers import dense_gevd
 from mvsubspace import gevd
 from mvsubspace.gevd import GevdProblem, NumericalError, solve
-from mvsubspace.scatter import symmetrize
+from mvsubspace.scatter import symmetrize, takes_factored_route
 
 
 def test_diagonal_oracle():
@@ -263,21 +263,149 @@ def test_factored_route_drops_the_null_space_of_m():
 
 
 @pytest.mark.parametrize(
-    "case", ["k beyond rank", "k reaches the zeros", "r >= d/3", "r = d"]
+    "case", ["k beyond rank", "k reaches the zeros", "r >= 0.4 d", "r = d"]
 )
 def test_factored_route_falls_back_to_the_full_route(case):
     """The full route answers whenever the top k would include a padded zero
-    or the factor's rank is not small against d."""
+    or the factor's rank is not small against d (r = 4 at d = 10 is at the
+    measured ratio 0.4, not below it)."""
+    assert takes_factored_route(3, 10) and not takes_factored_route(4, 10)
     spectrum, d, k = {
         "k beyond rank": ([3.0, 2.0, 0.0], 30, 3),
         "k reaches the zeros": ([3.0, 2.0, -1.0], 30, 3),
-        "r >= d/3": ([4.0, 3.0, 2.0, 1.0], 12, 2),
+        "r >= 0.4 d": ([4.0, 3.0, 2.0, 1.0], 10, 2),
         "r = d": ([6.0, 5.0, 4.0, 3.0, 2.0, 1.0], 6, 2),
     }[case]
     prob = _factored_pencil(5, np.array(spectrum), d, k)
     sol, want = solve(prob), dense_gevd(prob)
     assert sol.route == "full"
     np.testing.assert_allclose(sol.eigenvalues, want.eigenvalues, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("m_kind", ["psd", "indefinite", "diagonal"])
+def test_large_rank_factors_match_the_full_spectrum_oracle(m_kind):
+    """From r = 8 (k + 1), for M >= 0, only the core's top k + 1 pairs are
+    computed; a diagonal M is used as its own eigendecomposition.  The
+    answer is the full spectrum's."""
+    d, r, k = 300, 90, 9
+    assert r >= gevd._LARGE_RANK_RATIO * (k + 1)
+    spectrum = np.linspace(10.0, 1.0, r)
+    if m_kind == "indefinite":
+        spectrum[-5:] = -spectrum[-5:]
+    if m_kind == "diagonal":
+        rng = np.random.default_rng(21)
+        R = rng.standard_normal((d, d))
+        B = R @ R.T / d + np.eye(d)
+        Q, _ = np.linalg.qr(rng.standard_normal((d, r)))
+        S, M = np.linalg.cholesky(B) @ Q, np.diag(spectrum)
+        prob = GevdProblem((S @ M) @ S.T, B, k, (S, M))
+    else:
+        prob = _factored_pencil(22, spectrum, d, k)
+    sol, want = solve(prob), dense_gevd(prob)
+    assert sol.route == "factored"
+    tol = 1e-12 * np.abs(spectrum).max()
+    np.testing.assert_allclose(sol.eigenvalues, want.eigenvalues, rtol=0, atol=tol)
+    np.testing.assert_allclose(sol.eigenvalues, spectrum[:k], rtol=0, atol=tol)
+    assert sol.spectrum_gap == pytest.approx(want.spectrum_gap, rel=0, abs=tol)
+    np.testing.assert_allclose(sol.P, want.P, rtol=0, atol=1e-10)
+
+
+def _deferred(prob, calls):
+    """``prob`` as a factor-defined problem whose objective function counts
+    its calls in ``calls``."""
+    def form():
+        calls.append(1)
+        return prob.objective.copy()
+
+    return GevdProblem(form, prob.constraint, prob.k, prob.objective_factor)
+
+
+def test_a_factor_defined_problem_forms_its_objective_only_when_read():
+    prob = _factored_pencil(3, np.array([3.0, 2.0, -1.0]), 30, 2)
+    calls = []
+    deferred = _deferred(prob, calls)
+    sol = solve(deferred)
+    assert sol.route == "factored" and not calls
+    np.testing.assert_array_equal(sol.P, solve(prob).P)
+    retry = deferred.with_constraint(2.0 * prob.constraint)
+    assert retry.objective_factor is not None and not calls
+    np.testing.assert_array_equal(deferred.objective, prob.objective)
+    np.testing.assert_array_equal(deferred.objective, prob.objective)
+    assert len(calls) == 1  # formed once, then kept
+
+
+def test_the_full_route_fallback_forms_the_objective():
+    """k beyond the factor's rank: the full route reads the objective."""
+    prob = _factored_pencil(4, np.array([3.0, 2.0]), 30, 3)
+    calls = []
+    sol = solve(_deferred(prob, calls))
+    assert sol.route == "full" and calls == [1]
+    np.testing.assert_array_equal(sol.P, solve(prob).P)
+
+
+def test_a_factor_defined_problem_checks_its_factor_but_not_the_product():
+    rng = np.random.default_rng(5)
+    S = rng.standard_normal((9, 2))
+    M = np.array([[2.0, 0.5], [0.5, -1.0]])
+    shaped = GevdProblem(lambda: None, np.eye(9), 1, (S, M + np.eye(2)))
+    assert shaped.objective_factor[1][0, 0] == 3.0  # S M S^T is not compared
+    asymmetric = M.copy()
+    asymmetric[0, 1] += 1e-13
+    problem = GevdProblem(lambda: None, np.eye(9), 1, (S, asymmetric))
+    np.testing.assert_array_equal(
+        problem.objective_factor[1], (asymmetric + asymmetric.T) * 0.5
+    )
+    for factor, match in (((S, np.eye(3)), "must be"),
+                          ((S, M + [[0.0, 1e-3], [0.0, 0.0]]), "not symmetric")):
+        with pytest.raises(ValueError, match=match):
+            GevdProblem(lambda: None, np.eye(9), 1, factor)
+    with pytest.raises(ValueError, match="needs its factor"):
+        GevdProblem(lambda: None, np.eye(9), 1)
+
+
+@pytest.mark.parametrize("bad", ["huge S", "inf in M"])
+def test_a_factor_that_may_overflow_forms_and_checks_its_objective(bad):
+    """Where the bound max_i ||S_i||_1^2 max(max|M|, 1) cannot rule out
+    overflow, the objective is formed when the problem is made and checked as
+    a given one: non-finite entries raise NumericalError, without numpy
+    warnings."""
+    rng = np.random.default_rng(8)
+    S = rng.standard_normal((9, 2))
+    M = np.array([[2.0, 0.5], [0.5, -1.0]])
+    if bad == "huge S":
+        S *= 1e160
+    else:
+        M[0, 0] = np.inf
+    calls = []
+
+    def form():
+        calls.append(1)
+        return symmetrize((S @ M) @ S.T)
+
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalError, match="objective matrix has non-finite"):
+            GevdProblem(form, np.eye(9), 1, (S, M))
+    assert calls == [1]
+
+
+def test_a_factor_past_the_bound_is_formed_when_made():
+    """A row of S near 1e155 puts the bound past the largest double although
+    M = 1e-20 I keeps S M S^T finite: the objective is formed when the
+    problem is made, passes the checks of a given one, and is kept."""
+    rng = np.random.default_rng(9)
+    S = rng.standard_normal((9, 2))
+    S[4] = 1e155
+    M = 1e-20 * np.eye(2)
+    calls = []
+
+    def form():
+        calls.append(1)
+        return symmetrize((S @ M) @ S.T)
+
+    problem = GevdProblem(form, np.eye(9), 1, (S, M))
+    assert calls == [1]
+    assert np.isfinite(problem.objective).all() and calls == [1]
+    assert solve(problem).eigenvalues[0] == pytest.approx(2e290, rel=1e-12)
 
 
 @pytest.mark.parametrize("bad", ["mismatch", "nan in S", "inf in M", "shape", "asymmetric M"])

@@ -1,7 +1,10 @@
 """The method catalog: every entry must solve its own pencil exactly."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.linalg import subspace_angles
 
 from mvsubspace import (
     METHOD_NAMES,
@@ -17,6 +20,7 @@ from mvsubspace import (
 )
 from mvsubspace.framework import label_readers, spec_terms
 from mvsubspace.methods import fit as fit_method
+from mvsubspace.scatter import ClassStatistics
 
 from helpers import (
     PENCIL_RTOL,
@@ -206,14 +210,112 @@ FACTORED_METHODS = ("MvOPLS", "MvLDA", "MvDA", "MvDA_VC", "MvMDA")
 @pytest.mark.parametrize("dim, n", [(50, 1500), (250, 250)])
 def test_rank_c_objectives_take_the_factored_route(dim, n):
     """At the benchmark's shapes (3 views, 10 classes, k = 9) the five methods
-    whose objective is one eye = 0 dense kernel are solved in its rank; the
-    other four, whose objectives carry an identity part, are not."""
+    whose objective is one eye = 0 dense kernel are solved in its rank.  Of
+    the four whose objectives carry an identity part, MCCA's single term has
+    the samples factor (X_w, I_n) where n = 250 is below 0.4 d = 300 (wide),
+    not at n = 1500 against d = 150 (tall); MLDA, GMA and MvDA_CCA have
+    blockdiag objective terms and no factor."""
     ds = make_toy_dataset(classes=10, views=3, samples=n, dims=(dim,) * 3, seed=1)
+    factored = FACTORED_METHODS + (("MCCA",) if n < 0.4 * 3 * dim else ())
     for name in METHOD_NAMES:
         prob = build(MethodId(name, k=9), ds)
-        assert (prob.objective_factor is not None) == (name in FACTORED_METHODS)
-        want = "factored" if name in FACTORED_METHODS else "full"
+        assert (prob.objective_factor is not None) == (name in factored)
+        want = "factored" if name in factored else "full"
         assert solve(prob).route == want, name
+
+
+# (dims, n): n above d and d above n, where MCCA's n = 30 columns are below
+# 0.4 d = 48 and it takes its samples factor.  With 5 classes and k = 3 the
+# five rank-c methods are factored at both.
+FIT_SHAPES = {"n>d": ((6, 5, 4), 40), "d>n": ((40, 40, 40), 30)}
+
+
+@pytest.mark.parametrize("shape", FIT_SHAPES)
+@pytest.mark.parametrize("name", METHOD_NAMES)
+def test_fit_agrees_with_solving_the_build(name, shape):
+    """``fit`` solves a factor-defined pencil that forms no dense objective;
+    the full route on the dense pencil ``build`` returns answers the same.
+    Eigenvalues agree within 1e-13 relative, and spans by subspace angle
+    where the gap exceeds 1e-8 of the top eigenvalue."""
+    dims, n = FIT_SHAPES[shape]
+    ds = random_dataset(seed=n, dims=dims, classes=5, n=n)
+    method = MethodId(name, k=3)
+    model, prob = fit_method(method, ds), build(method, ds)
+    factored = FACTORED_METHODS + (("MCCA",) if shape == "d>n" else ())
+    assert solve(prob).route == ("factored" if name in factored else "full")
+    want = solve(GevdProblem(prob.objective, prob.constraint, prob.k))
+    assert want.route == "full"
+    np.testing.assert_allclose(model.eigenvalues, want.eigenvalues, rtol=1e-13, atol=0)
+    if want.spectrum_gap > 1e-8 * abs(want.eigenvalues[0]):
+        P = np.vstack(model.projections)
+        assert subspace_angles(P, want.P).max() <= 1e-8
+
+
+def _gram_reads(monkeypatch):
+    """The ``gram`` each ClassStatistics is made with, in order."""
+    asked = []
+    construct = ClassStatistics.__init__
+
+    def recording(self, views, Y, gram=None):
+        asked.append(gram)
+        construct(self, views, Y, gram)
+
+    monkeypatch.setattr(ClassStatistics, "__init__", recording)
+    return asked
+
+
+def test_wide_mcca_takes_the_factored_route(monkeypatch):
+    """At 3 x 250 dims and n = 250 MCCA's objective X_w X_w^T is defined by
+    (X_w, I_n): its statistics form only the constraint's Gram blocks, a fit
+    forms no dense objective, and the solve is factored."""
+    asked = _gram_reads(monkeypatch)
+    ds = make_toy_dataset(classes=10, views=3, samples=250, dims=(250,) * 3, seed=1)
+    method = MethodId("MCCA", k=9)
+    formed = []
+    objective = GevdProblem.objective
+
+    def reading(self):
+        formed.append(self._objective is None)
+        return objective.fget(self)
+
+    monkeypatch.setattr(GevdProblem, "objective", property(reading))
+    model = fit_method(method, ds)
+    assert asked == ["blocks"] and formed == []
+    prob = build(method, ds)
+    S, M = prob.objective_factor
+    assert S.shape == (750, 250)
+    np.testing.assert_array_equal(M, np.eye(250))
+    solution = solve(prob)
+    assert solution.route == "factored" and formed == []
+    np.testing.assert_array_equal(model.eigenvalues, solution.eigenvalues)
+    # formed on its first read: X_w X_w^T, the objective the full Gram gives
+    whole = ClassStatistics(ds.views, np.ones((1, 250)), "full")
+    np.testing.assert_array_equal(prob.objective, whole.C_w)
+    assert formed == [True]
+
+
+def test_tall_mcca_builds_no_factor(monkeypatch):
+    """n = 1500 columns against d = 150: the factor would not be taken, so
+    none is made and the statistics form the whole Gram, as before."""
+    asked = _gram_reads(monkeypatch)
+    ds = make_toy_dataset(classes=10, views=3, samples=1500, dims=(50,) * 3, seed=1)
+    prob = build(MethodId("MCCA", k=9), ds)
+    assert asked == ["full"] and prob.objective_factor is None
+    assert solve(prob).route == "full"
+
+
+@pytest.mark.parametrize("name", ["MCCA", "MvOPLS"])
+def test_factored_fit_of_an_overflowing_pencil_is_a_numerical_error(name):
+    """Views near 1e160 with d > n: the samples (MCCA) or class (MvOPLS)
+    factor cannot rule out overflow, so the dense objective is formed and
+    fails its check as a given one would, without numpy warnings."""
+    ds = random_dataset(seed=9, dims=(40, 40, 40), classes=3, n=30)
+    huge = MultiViewDataset(tuple(1e160 * X for X in ds.views), ds.labels)
+    assert build(MethodId(name, k=2), ds).objective_factor is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="objective matrix has non-finite"):
+            fit_method(MethodId(name, k=2), huge)
 
 
 def test_factor_check_allows_the_rounding_of_raw_view_means():

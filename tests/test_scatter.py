@@ -150,6 +150,58 @@ def test_class_statistics_match_the_stacked_oracle(dims, n, gram, order):
             np.testing.assert_array_equal(g, w)
 
 
+@pytest.mark.parametrize("gram", ["full", "blocks", None])
+@pytest.mark.parametrize("classes", [1, 3])
+def test_class_statistics_keep_the_class_centred_copy(classes, gram):
+    """X_w is the stacked copy centred by mu and then by the class means,
+    whatever part of C_w is formed, and every Gram is a product of it."""
+    ds = random_dataset(seed=51, dims=(5, 4, 3), classes=3, n=30)
+    Y = build_indicator(ds.labels).Y if classes == 3 else np.ones((1, 30))
+    statistics = ClassStatistics(ds.views, Y, gram)
+    X = np.vstack(ds.views)
+    X -= (X.sum(axis=1) / 30)[:, None]
+    if classes == 3:
+        X -= (statistics.S / statistics.counts) @ Y
+    np.testing.assert_array_equal(statistics.X_w, X)
+    assert statistics.X_w.flags.c_contiguous
+    if gram == "full":
+        np.testing.assert_array_equal(statistics.C_w, X @ X.T)
+    elif gram == "blocks":
+        for b, C_b in zip(statistics.blocks, statistics.C_blocks, strict=True):
+            np.testing.assert_array_equal(C_b, X[b] @ X[b].T)
+
+
+@pytest.mark.parametrize("kernel", ["centering", None])
+def test_a_samples_factor_defines_the_objective(kernel):
+    """One dense objective term with eye != 0 and n below 0.4 d: the factor
+    is ([X_w | F'], blockdiag(eye I_n, Mt')), (X_w, I_n) for the one-class
+    centering kernel, and the objective, returned as the function that
+    forms it, is formed from the whole Gram of X_w as without it."""
+    ds = random_dataset(seed=52, dims=(20, 20, 20), classes=3, n=12)
+    Y = np.ones((1, 12)) if kernel else build_indicator(ds.labels).Y
+    K = label_kernels(build_indicator(np.ones(12, dtype=int)))[kernel] if kernel else None
+    terms = [KernelTerm("objective", "dense", 1.0, K),
+             KernelTerm("constraint", "blockdiag", 1.0,
+                        label_kernels(build_indicator(ds.labels))["within"])]
+    if kernel:
+        terms[1] = KernelTerm("constraint", "blockdiag", 1.0, K)
+    statistics = ClassStatistics.of(terms, ds.views)
+    assert statistics.C_w is None and statistics.C_blocks[0] is not None
+    form, _, (S, M) = materialize(terms, statistics)
+    assert callable(form)
+    objective = form()
+    whole = ClassStatistics(ds.views, statistics.Y, "full")
+    np.testing.assert_array_equal(objective, materialize(terms, whole)[0]())
+    if kernel:
+        assert S is statistics.X_w
+        np.testing.assert_array_equal(M, np.eye(12))
+    else:
+        # the identity kernel keeps the class sums and the mean: r = n + c + 1
+        assert S.shape == (60, 12 + 4) and M.shape == (16, 16)
+        np.testing.assert_array_equal(M[:12, :12], np.eye(12))
+    assert pencil_gap(objective, symmetrize((S @ M) @ S.T)) <= PENCIL_RTOL
+
+
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_one_class_statistics_are_exact(order):
     """With one class S = X_c 1 is exactly zero and C_w = X_c X_c^T."""
@@ -173,8 +225,8 @@ def test_materialize_refuses_statistics_the_terms_do_not_read():
     with pytest.raises(ValueError, match="part of C_w"):
         materialize(terms, ClassStatistics(ds.views, Y))
     # the Gram whole serves terms that read only its blocks
-    whole = materialize(terms, ClassStatistics(ds.views, Y, "full"))
-    for got, want in zip(whole[:2], materialize_on(terms, ds.views)[:2]):
+    form, constraint, _ = materialize(terms, ClassStatistics(ds.views, Y, "full"))
+    for got, want in zip((form(), constraint), materialize_on(terms, ds.views)[:2]):
         assert pencil_gap(got, want) <= PENCIL_RTOL
 
 
