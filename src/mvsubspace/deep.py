@@ -153,15 +153,19 @@ class TrainerConfig:
 
 def _solve_with_retry(problem, jitter):
     """``solve``, with one retry on a jitter-scaled ridge when the constraint
-    is not positive definite."""
+    is not positive definite: jitter * max(tr B / d, 1) is added to the
+    diagonal of each block of a constraint given as blocks, else of B."""
     try:
         return solve(problem)
     except NumericalError:
-        d = problem.dim
-        scale = max(np.trace(problem.constraint) / d, 1.0)
-        return solve(problem.with_constraint(
-            problem.constraint + jitter * scale * np.eye(d)
-        ))
+        blocks = problem.constraint_blocks
+        sides = [problem.constraint] if blocks is None else [B for _, B in blocks]
+        trace = np.concatenate([np.diagonal(B) for B in sides]).sum()
+        ridge = jitter * max(trace / problem.dim, 1.0)
+        sides = [B.copy() for B in sides]
+        for B in sides:
+            B[np.diag_indices_from(B)] += ridge
+        return solve(problem.with_constraint(sides if blocks else sides[0]))
 
 
 def spectral_loss(features, labels, spec, jitter=1e-8):

@@ -113,9 +113,11 @@ class SubspaceModel:
 def pencil(terms, statistics, k, gamma):
     """The GevdProblem of KernelTerms on the views of a
     ``scatter.ClassStatistics``: one ``scatter.materialize`` call plus
-    gamma I on the constraint."""
+    gamma I on the constraint, added to each block of a constraint that
+    comes as its diagonal blocks."""
     objective, constraint, factor = materialize(terms, statistics)
-    constraint[np.diag_indices_from(constraint)] += gamma
+    for B in constraint if isinstance(constraint, list) else [constraint]:
+        B[np.diag_indices_from(B)] += gamma
     return GevdProblem(objective, constraint, k, factor)
 
 

@@ -6,18 +6,22 @@ B = L L^T, C = L^-1 A L^-T, C u = lambda u, p = L^-T u, and one of two
 routes finds the top eigenpairs of C.
 
 Block-diagonal constraints.  Most pencils of the package have the
-constraint blockdiag(X_s K X_s^T) + gamma I, one block per view.  ``solve``
-finds the finest split of B into diagonal blocks from B itself: a block
-boundary is a row p with B[p:, :p] exactly zero (B is symmetric, so the
-lower triangle decides).  Only rows whose subdiagonal entry B[p, p-1] is
-zero are candidates, so a dense B costs one read of its subdiagonal, and a
-block-diagonal one a read of its lower off-block part.  Any nonzero entry,
-however small, joins the blocks it couples.  LAPACK ``potrf`` factors each
-block, and L = blockdiag(L_s) is kept as its blocks: every product with
-L^-1 or L^-T is one triangular solve per block, d_s^2 where a full L costs
-d^2.  At 3 x 250 dims the three block factorizations took 1.1 ms against
-8.9 ms for one d = 750 ``potrf`` (one BLAS thread).  A block that is not
-positive definite fails as a whole B would.
+constraint blockdiag(X_s K X_s^T) + gamma I, one block per view, and
+``framework.pencil`` hands it over as that list of blocks: ``GevdProblem``
+checks each block as it would the whole side, LAPACK ``potrf`` factors each,
+and the d x d constraint is formed only when something reads
+``problem.constraint``.  A constraint given as one array, as from outside
+the package or with dense terms, is split into the finest diagonal blocks
+found from the array itself: a block boundary is a row p with B[p:, :p]
+exactly zero (B is symmetric, so the lower triangle decides).  Only rows
+whose subdiagonal entry B[p, p-1] is zero are candidates, so a dense B costs
+one read of its subdiagonal, and a block-diagonal one a read of its lower
+off-block part.  Any nonzero entry, however small, joins the blocks it
+couples.  Either way L = blockdiag(L_s) is kept as its blocks: every product
+with L^-1 or L^-T is one triangular solve per block, d_s^2 where a full L
+costs d^2.  At 3 x 250 dims the three block factorizations took 1.1 ms
+against 8.9 ms for one d = 750 ``potrf`` (one BLAS thread).  A block that is
+not positive definite fails as a whole B would.
 
 Full route.  C is formed in its lower triangle and only the k + 1 largest
 eigenpairs of C are computed (the k returned and one more for the spectrum
@@ -27,6 +31,27 @@ triangular solve per block row and one per block column, (v + 1) d^3 / v^2
 flops for v equal blocks against ``sygst``'s d^3.  Measured on one BLAS
 thread with three equal blocks: 15.1 against 18.5 ms at d = 750, 0.37
 against 0.53 ms at d = 150, the two agreeing to 1e-15 of max|C|.
+
+Whitening from the samples.  A problem defined by a
+``scatter.SampleObjective`` (``problem.objective_samples``), whose view
+blocks are the constraint's, never forms its objective on the full route.
+Block (s, t) of A is e_st X_w,s X_w,t^T + F_s M_st F_t^T, so with
+T_s = L_s^-1 X_w,s and Phi_s = L_s^-1 F_s (one triangular solve per view)
+block (s, t), t <= s, of C is e_st T_s T_t^T + Phi_s M_st Phi_t^T, and the
+T_s T_s^T of a diagonal block is skipped where its e cancels (MLDA and
+GMA).  ``scatter`` offers such an objective only where n <= d
+(``scatter.whitens_samples``, measured there).  At 3 x 250 dims and
+n = 250 this took 5.5 ms against 11.8 ms for whitening the formed
+objective, which the fit no longer forms, nor the whole Gram it reads.
+It is also the more accurate: the formed objective rounds X_s X_t^T at
+eps |X_s| |X_t|, and L^-1 ... L^-T magnifies that rounding along the
+constraint's eigenvalues near gamma, while the samples are whitened before
+any product, so T_s T_t^T rounds at the size of the whitened terms.  On MLDA at 3 x 40 dims and n = 30, against a long-double
+whitening, C from the samples was off by 1.4e-13 of max|C| and C from the
+formed objective by 3.0e-10; the top eigenvalues agree to 1e-14.  Overflow
+is ruled out as for a factor: max_i (||X_w,i||_1 + ||F_i||_1)^2 times the
+terms' coefficient scale (``SampleObjective.term_bound``) at most a quarter
+of the largest double, or the objective is formed and checked at once.
 
 Factored route.  A problem may carry an objective factor (S, M) with
 A = S M S^T, S d x r and M r x r symmetric (not necessarily semidefinite).
@@ -78,7 +103,8 @@ The route is taken when
 Otherwise the full route runs, reusing the Cholesky factor.
 
 Factor-defined problems.  ``GevdProblem`` takes its objective either as a
-d x d array or, with a factor, as a function that forms it.  In the second
+d x d array or, with a factor or as a ``scatter.SampleObjective``, as a
+function that forms it.  In the second
 form the factor defines the problem: S and M are checked for shape, M for
 symmetry (a copy symmetrized when not exact), and the dense objective is
 formed only when something reads ``problem.objective`` (the full route,
@@ -115,10 +141,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.linalg.blas import dtrsm
+from scipy.linalg.blas import dgemm, dtrsm
 from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dormqr, dpotrf, dsygst
 
-from .scatter import symmetrize, takes_factored_route
+from .scatter import SampleObjective, symmetrize, takes_factored_route
 
 # From this many times k + 1, the factor's rank r counts as large: with
 # M >= 0 the factored route takes only the core's top k + 1 pairs (module
@@ -141,25 +167,31 @@ class NumericalError(RuntimeError):
 
 # A non-finite side fails its finite check before its asymmetry is read.
 @np.errstate(invalid="ignore", over="ignore")
-def _sweep(M):
-    """(max|M|, max|M - M^T|) in one read of M; the second is None unless M
-    is square.
+def _sweep(*sides):
+    """(max|M|, max|M - M^T|) over the arrays M given, in one read of each;
+    the second is None unless every M is square.
 
     Stripe i of ``_SWEEP_ROWS`` rows gives its extremes for the scale and is
     compared, from its diagonal rightwards, with the matching columns.  NaN
     propagates through every maximum, so a non-finite entry anywhere makes
-    the scale non-finite.
+    the scale non-finite.  The diagonal blocks of a constraint are swept in
+    one call: a 16 x 16 block is one stripe, and the call's own overhead
+    would otherwise come once per block.
     """
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        return np.abs(M).max(initial=0.0), None
     scales, worst = [0.0], [0.0]
-    for i in range(0, M.shape[0], _SWEEP_ROWS):
-        rows = M[i:i + _SWEEP_ROWS]
-        scales += (rows.max(), -rows.min())
-        asymmetry = rows[:, i:] - M[i:, i:i + _SWEEP_ROWS].T
-        np.abs(asymmetry, out=asymmetry)
-        worst.append(asymmetry.max())
-    return np.max(scales), np.max(worst)
+    for M in sides:
+        if M.ndim != 2 or M.shape[0] != M.shape[1]:
+            scales.append(np.abs(M).max(initial=0.0))
+            worst = None
+            continue
+        for i in range(0, M.shape[0], _SWEEP_ROWS):
+            rows = M[i:i + _SWEEP_ROWS]
+            scales += (rows.max(), -rows.min())
+            asymmetry = rows[:, i:] - M[i:, i:i + _SWEEP_ROWS].T
+            np.abs(asymmetry, out=asymmetry)
+            if worst is not None:
+                worst.append(asymmetry.max())
+    return np.max(scales), None if worst is None else np.max(worst)
 
 
 def _check_finite(scale, name):
@@ -238,6 +270,17 @@ def _bounded_factor(factor, d):
     return S, _symmetric_factor(M, scale_M, asymmetry)
 
 
+def _constraint_sweep(constraint):
+    """(B, blocks, max|B|, max|B - B^T|, d) of a constraint given as one array
+    (B, blocks None) or as the list of its diagonal blocks (B None); the
+    asymmetry is None unless every array is square."""
+    if not isinstance(constraint, list):
+        B = np.asarray(constraint, dtype=float)
+        return (B, None, *_sweep(B), B.shape[0] if B.ndim else 0)
+    blocks = [np.asarray(B, dtype=float) for B in constraint]
+    return (None, blocks, *_sweep(*blocks), sum(len(B) for B in blocks))
+
+
 class GevdProblem:
     """A pencil (objective, constraint) with the number of directions to keep.
 
@@ -245,11 +288,16 @@ class GevdProblem:
     side that is not exactly symmetric is replaced by (M + M^T) / 2, and an
     exactly symmetric float array is stored as given, not copied.
 
+    ``constraint`` is a d x d array or the list of its diagonal blocks, the
+    entries off them zero; blocks are checked as the array would be, and
+    ``constraint`` forms that array only on first read (module docstring).
+
     ``objective_factor`` is an optional (S, M) with objective = S M S^T, which
     lets ``solve`` work in the rank of S.  Given with a dense objective, it is
     checked against it (``_checked_factor``).  ``objective`` may instead be a
     function of no arguments that forms the dense objective: the problem is
-    then defined by its factor, and the objective is formed on its first
+    then defined by its factor, or by the samples of a
+    ``scatter.SampleObjective``, and the objective is formed on its first
     read, through the checks a given one passes, and kept (module
     docstring).
     """
@@ -257,17 +305,23 @@ class GevdProblem:
     def __init__(self, objective, constraint, k, objective_factor=None):
         self.k = k
         self._form = None
+        self.objective_samples = None
         factor = objective_factor
-        if callable(objective):
+        B, blocks, scale_B, asymmetry_B, d = _constraint_sweep(constraint)
+        if isinstance(objective, SampleObjective) and factor is None:
+            if objective.term_bound() <= _OVERFLOW_FREE:
+                self._form = self.objective_samples = objective
+                objective = None
+            else:  # overflow not ruled out: check it as given
+                objective = objective()
+        elif callable(objective):
             if factor is None:
                 raise ValueError("an objective given as a function needs its factor")
-            factor = _bounded_factor(factor, np.shape(constraint)[0])
+            factor = _bounded_factor(factor, d)
             if factor is None:  # overflow not ruled out: check it as given
                 objective, factor = objective(), objective_factor
             else:
                 self._form, objective = objective, None
-        B = np.asarray(constraint, dtype=float)
-        scale_B, asymmetry_B = _sweep(B)
         if objective is not None:
             A = np.asarray(objective, dtype=float)
             scale_A, asymmetry_A = _sweep(A)
@@ -279,16 +333,25 @@ class GevdProblem:
         else:
             if asymmetry_A is None:
                 raise ValueError("objective must be a square matrix")
-            if B.shape != A.shape:
+            if asymmetry_B is None or A.shape != (d, d):
                 raise ValueError("objective and constraint must share a shape")
             A_exact = _check_symmetric(asymmetry_A, "objective", scale_A)
         B_exact = _check_symmetric(asymmetry_B, "constraint", scale_B)
-        if not 1 <= k <= B.shape[0]:
-            raise ValueError(
-                f"k={k} is out of range for problem dimension d={B.shape[0]}"
-            )
+        if not 1 <= k <= d:
+            raise ValueError(f"k={k} is out of range for problem dimension d={d}")
+        self.dim = d
         # ``symmetrize`` works in place: a caller's side is never written.
-        self.constraint = B if B_exact else symmetrize(B.copy())
+        if blocks is None:
+            self._constraint = B if B_exact else symmetrize(B.copy())
+            self.constraint_blocks = None
+        else:
+            self._constraint = None
+            if not B_exact:
+                blocks = [symmetrize(block.copy()) for block in blocks]
+            self.constraint_blocks, start = [], 0
+            for block in blocks:
+                self.constraint_blocks.append((slice(start, start + len(block)), block))
+                start += len(block)
         self._objective = None
         if objective is not None:
             self._objective = A if A_exact else symmetrize(A.copy())
@@ -304,15 +367,22 @@ class GevdProblem:
             A = np.asarray(self._form(), dtype=float)
             scale, asymmetry = _sweep(A)
             _check_finite(scale, "objective")
-            if A.shape != self.constraint.shape:
+            if A.shape != (self.dim, self.dim):
                 raise ValueError("objective and constraint must share a shape")
             exact = _check_symmetric(asymmetry, "objective", scale)
             self._objective = A if exact else symmetrize(A.copy())
         return self._objective
 
     @property
-    def dim(self):
-        return self.constraint.shape[0]
+    def constraint(self):
+        """The dense constraint, formed from its blocks on first read when it
+        was given as blocks."""
+        if self._constraint is None:
+            B = np.zeros((self.dim, self.dim))
+            for rows, block in self.constraint_blocks:
+                B[rows, rows] = block
+            self._constraint = B
+        return self._constraint
 
     def with_constraint(self, constraint):
         """The same objective, formed or not, and factor over ``constraint``."""
@@ -364,12 +434,21 @@ def _diagonal_blocks(B):
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [d])]
 
 
-def _cholesky(B):
-    """B = L L^T with L = blockdiag(L_s) over B's diagonal blocks, as a list
-    of (rows, L_s)."""
+def _constraint_blocks(problem):
+    """The constraint's diagonal blocks as (rows, B_s): as given, or found
+    from the exact zeros of a dense constraint (``_diagonal_blocks``)."""
+    if problem.constraint_blocks is not None:
+        return problem.constraint_blocks
+    B = problem.constraint
+    return [(rows, B[rows, rows]) for rows in _diagonal_blocks(B)]
+
+
+def _cholesky(blocks):
+    """B = L L^T with L = blockdiag(L_s) over the blocks (rows, B_s), as a
+    list of (rows, L_s)."""
     factors = []
-    for rows in _diagonal_blocks(B):
-        L, info = dpotrf(B[rows, rows], lower=1)
+    for rows, B in blocks:
+        L, info = dpotrf(B, lower=1)
         if info != 0:
             raise NumericalError(
                 "constraint matrix is not positive definite; increase the "
@@ -411,6 +490,26 @@ def _whitened(A, factors):
     return C
 
 
+def _whitened_samples(objective, factors):
+    """C = L^-1 A L^-T in the lower triangle of a Fortran array, block by
+    block from the samples of a ``scatter.SampleObjective`` whose view blocks
+    are the factors' (module docstring)."""
+    d = objective.X_w.shape[0]
+    T = [dtrsm(1.0, L, objective.X_w[rows], lower=1) for rows, L in factors]
+    Phi = [dtrsm(1.0, L, objective.F[rows], lower=1) for rows, L in factors]
+    C = np.zeros((d, d), order="F")
+    for s, (rows, _) in enumerate(factors):
+        for t, (cols, _) in enumerate(factors[:s + 1]):
+            eye, Mt = objective.diagonal if s == t else objective.off_diagonal
+            m = len(Mt)
+            block = (Phi[s][:, :m] @ Mt) @ Phi[t][:, :m].T
+            if eye:
+                block = dgemm(eye, T[s], T[t], trans_b=1, beta=1.0, c=block,
+                              overwrite_c=1)
+            C[rows, cols] = block
+    return C
+
+
 def _solution(factors, U, eigvals, next_eigval, route):
     """Back-transform the top-k whitened vectors U into a solution."""
     k = U.shape[1]
@@ -425,7 +524,11 @@ def _solution(factors, U, eigvals, next_eigval, route):
 def _solve_full(problem, factors):
     d, k = problem.dim, problem.k
     # Only the lower triangle of C holds C; the eigensolver reads that one.
-    C = _whitened(problem.objective, factors)
+    samples = problem.objective_samples
+    if samples is not None and [rows for rows, _ in factors] == samples.blocks:
+        C = _whitened_samples(samples, factors)
+    else:
+        C = _whitened(problem.objective, factors)
     m = min(k + 1, d)
     eigvals, U = eigh(
         C, lower=True, subset_by_index=[d - m, d - 1], driver="evr", overwrite_a=True
@@ -494,7 +597,7 @@ def _solve_factored(problem, factors):
 
 def solve(problem):
     """Solve the pencil and return the top-k B-orthonormal eigenvectors."""
-    factors = _cholesky(problem.constraint)
+    factors = _cholesky(_constraint_blocks(problem))
     factor = problem.objective_factor
     if factor is not None and takes_factored_route(factor[0].shape[1], problem.dim):
         solution = _solve_factored(problem, factors)

@@ -79,9 +79,11 @@ def build(spec, dataset, terms=None, statistics=None):
 
     ``terms`` and ``statistics`` are the spec's ``spec_terms`` and their
     ``scatter.ClassStatistics`` on the dataset's views, when the caller
-    already has them.  A pencil with an objective factor is factor-defined:
-    its ``objective`` is formed on first read, the same array as without the
-    factor, and ``fit``'s factored solve never reads it.
+    already has them.  A pencil with an objective factor or a
+    ``scatter.SampleObjective`` is defined by it: its ``objective`` is formed
+    on first read, the same array as without it, and ``fit``'s solve never
+    reads it.  A block-diagonal constraint is kept as its blocks, and
+    ``constraint`` forms the d x d array on first read.
     """
     if terms is None:
         terms = spec_terms(spec, dataset.labels, dataset.n_samples, dataset.n_views)

@@ -1,7 +1,7 @@
 """Label kernels and the term algebra of multi-view pencils.
 
 Every pencil side in the package is a sum of KernelTerms over factored
-LabelKernels; ``materialize`` turns such a sum into dense matrices and
+LabelKernels; ``materialize`` turns such a sum into matrices and
 ``materialize_grads`` pushes pencil adjoints back onto the views.  Every
 side produced here is exactly symmetric, so downstream eigensolvers never
 see asymmetry beyond exact floating-point roundoff.
@@ -58,13 +58,34 @@ forms it, and the ``gevd.GevdProblem`` of ``methods.fit`` and deep training
 calls it only when the objective is read; formed, it is the same array as
 without the factor.
 
+Whitening from the samples.  An objective of dense and blockdiag terms
+without a factor (MLDA, GMA, and MCCA where n is too large for its samples
+factor) over a constraint that comes as blocks (below) is returned, where
+n <= d (``whitens_samples``, measured there), as a ``SampleObjective``:
+X_w, F, the view blocks and the summed (eye, Mt) of a diagonal block
+(dense plus blockdiag terms) and of an off-diagonal one (dense terms), from
+which ``gevd`` whitens C = L^-1 A L^-T one block pair at a time, as
+e_st T_s T_t^T + Phi_s M_st Phi_t^T with T_s = L_s^-1 X_w,s and
+Phi_s = L_s^-1 F_s.  For MLDA and GMA the dense eye 1 and the blockdiag
+eye -1 cancel on the diagonal blocks, which are then F_s Mt F_s^T alone.
+Called, the object forms the dense objective, the same array as without
+it; a fit never calls it.
+
+Constraint blocks.  A constraint without dense and representer terms
+(MCCA, MvOPLS, MvMDA, MLDA and GMA: blockdiag(X_s K X_s^T)) is returned as
+the list of its diagonal blocks, each exactly symmetric, and never written
+into a d x d array of zeros; ``framework.pencil`` adds gamma to each, and
+``gevd`` factors them as given.
+
 Gram blocks only where read.  C_w is formed whole, one n d^2 product, only
 when a dense term has eye != 0 or the representer coupling needs the raw
-Gram; an objective with the samples factor reads no Gram, and forms
-X_w X_w^T only when read.  When only blockdiag terms read it, the
-statistics form its diagonal blocks alone, one n d_s^2 product per view:
-at 3 x 250 dims and n = 250 on one BLAS thread, 1.4 ms against 5.3 ms for
-the whole Gram.
+Gram; an objective with the samples factor, or a ``SampleObjective``, reads
+no Gram, and forms X_w X_w^T only when read.  When only blockdiag terms
+read it (the constraint's, for a sample objective), the statistics form its
+diagonal blocks alone, one n d_s^2 product per view: at 3 x 250 dims and
+n = 250 on one BLAS thread, 1.4 ms against 5.3 ms for the whole Gram.
+The blocks round differently from the same blocks of the whole Gram, in
+the last bits.
 
 Each side written once.  A side with dense terms starts as one fresh array,
 eye C_w + F Mt F^T (gemm adds the product into the scaled copy of C_w in
@@ -93,6 +114,7 @@ kernel's Mt.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -396,17 +418,54 @@ def takes_factored_route(r, d):
     return r < _FACTORED_RANK_RATIO * d
 
 
+def whitens_samples(n, d):
+    """Whether ``gevd.solve``'s full route whitens a ``SampleObjective``'s
+    samples for n samples in dimension d: n <= d.  ``_plan`` offers one under
+    this rule.
+
+    In multiply-adds over v equal views, whitening the samples costs
+    d^2 n / (2 v) for the constraint's Gram blocks, as much for the solves
+    L_s^-1 X_w,s and (v - 1) d^2 n / (2 v) for the blocks T_s T_t^T below the
+    diagonal; whitening a formed objective costs the whole Gram, d^2 n / 2,
+    and the blockwise reduction, (v + 1) d^3 / (2 v^2).  At v = 3 the two
+    meet at n = 4 d / 3.  Measured on
+    one BLAS thread, whole fits with three equal views, 10 classes and
+    k = 9, the sample whitening's fit time over the formed objective's
+    (best of 7, MLDA / GMA):
+
+        n / d          0.2        0.33       0.5        0.75       1          1.5
+        d = 300    0.76/0.84  0.81/0.80  0.84/0.80  0.83/0.83  0.89/0.88  1.03/1.00
+        d = 750    0.73/0.67  0.76/0.78  0.81/0.79  0.88/0.89  0.92/0.95  0.99/1.01
+
+    so the samples pay up to n = d and break even near n = 1.5 d, where the
+    fit's common eigensolve, Cholesky and statistics dilute the difference.
+    MCCA, whose diagonal blocks keep their T_s T_s^T, read 0.84, 0.90 and
+    0.96 at d = 300 and 0.86, 0.92 and 1.03 at d = 750 for n / d = 0.5,
+    0.75 and 1 (below about 0.4 d it takes its samples factor instead).
+    """
+    return n <= d
+
+
+def _block_constraint(pieces, couplings):
+    """Whether the constraint has neither dense nor representer terms, so
+    ``materialize`` returns it as its diagonal blocks."""
+    return ("constraint", "dense") not in pieces and "constraint" not in couplings
+
+
 def _plan(pieces, couplings, views):
     """``(gram, factor)`` for terms summed by ``_summed_terms``: the part of
     C_w they read and the kind of the objective's factor.
 
     The factor is "classes" (S = F) when the objective is dense terms alone
     with eye = 0, and "samples" (S = [X_w | F']) when they have eye != 0 and
-    S would have fewer columns than ``gevd`` solves in rank at this d; an
-    objective with a samples factor reads no Gram.  The Gram is "full" when
-    a dense term reads it or the representer coupling needs the raw Gram
-    (every d_s <= n), else "blocks" when a blockdiag term has eye != 0, else
-    None.
+    S would have fewer columns than ``gevd`` solves in rank at this d.
+    Otherwise it is "sample objective" (a ``SampleObjective``) when the
+    objective has dense or blockdiag terms and no representer term, the
+    constraint comes as blocks (``_block_constraint``) and n <= d
+    (``whitens_samples``).  An objective with a samples factor or a sample
+    objective reads no Gram.  The Gram is "full" when a dense term reads it
+    or the representer coupling needs the raw Gram (every d_s <= n), else
+    "blocks" when a blockdiag term has eye != 0, else None.
     """
     n = np.shape(views[0])[1]
     dims = [np.shape(X)[0] for X in views]
@@ -418,8 +477,13 @@ def _plan(pieces, couplings, views):
             factor = "classes"
         elif takes_factored_route(n + _kept_columns(Mt), sum(dims)):
             factor = "samples"
+    if (factor is None and layouts and "objective" not in couplings
+            and _block_constraint(pieces, couplings)
+            and whitens_samples(n, sum(dims))):
+        factor = "sample objective"
+    unread = factor in ("samples", "sample objective")
     reads = {layout for (side, layout), (eye, _) in pieces.items()
-             if eye and (side, factor) != ("objective", "samples")}
+             if eye and not (side == "objective" and unread)}
     if couplings and max(dims) <= n or "dense" in reads:
         return "full", factor
     return ("blocks" if "blockdiag" in reads else None), factor
@@ -505,18 +569,81 @@ def _summed_terms(terms, pieces):
 @np.errstate(over="ignore", invalid="ignore")
 def _side(side, pieces, couplings, statistics, C_w, gram):
     """One side of ``materialize``: its dense terms as one fresh array, its
-    blockdiag blocks added in, its representer coupling last."""
+    blockdiag blocks added in (from the blocks of C_w when it is given), its
+    representer coupling last."""
     F = statistics.F
     d = F.shape[0]
     dense = pieces.get((side, "dense"))
     total = _kernel_sum(*dense, F, C_w) if dense else np.zeros((d, d))
     if (side, "blockdiag") in pieces:
-        for b, C_b in zip(statistics.blocks, statistics.C_blocks):
+        C_blocks = (statistics.C_blocks if C_w is None
+                    else [C_w[b, b] for b in statistics.blocks])
+        for b, C_b in zip(statistics.blocks, C_blocks):
             block = _kernel_sum(*pieces[side, "blockdiag"], F[b], C_b)
             total[b, b] += block if dense else symmetrize(block)
     if side in couplings:
         total += couplings[side] * pseudo_inverse_coupling(statistics.views, gram)
     return symmetrize(total) if dense else total
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _side_blocks(side, pieces, statistics):
+    """A side without dense or representer terms as its diagonal blocks, each
+    exactly symmetric: the blocks ``_side`` writes into zeros."""
+    if (side, "blockdiag") not in pieces:
+        return [np.zeros((b.stop - b.start,) * 2) for b in statistics.blocks]
+    F = statistics.F
+    return [symmetrize(_kernel_sum(*pieces[side, "blockdiag"], F[b], C_b))
+            for b, C_b in zip(statistics.blocks, statistics.C_blocks)]
+
+
+@dataclass(frozen=True, eq=False)
+class SampleObjective:
+    """An objective of dense and blockdiag kernel terms kept as its samples,
+    which ``gevd.solve`` whitens one view block at a time (module docstring).
+
+    Block (s, t) of the objective is eye X_w,s X_w,t^T + F_s Mt F_t^T with
+    (eye, Mt) = ``diagonal`` for s = t and ``off_diagonal`` otherwise; an Mt
+    whose mu row is zero has lost it, so Mt always multiplies the first
+    len(Mt) columns of F.  ``scale`` is the sum of the largest |eye| and
+    |Mt| entry of the dense and the blockdiag terms.  Calling the object
+    forms the dense objective: the array ``materialize`` returns without it.
+    """
+
+    X_w: np.ndarray
+    F: np.ndarray
+    blocks: list
+    diagonal: tuple
+    off_diagonal: tuple
+    scale: float
+    form: Callable[[], np.ndarray]
+
+    def __call__(self):
+        return self.form()
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def term_bound(self):
+        """max_i (||X_w,i||_1 + ||F_i||_1)^2 max(scale, 1) over the rows i: it
+        bounds every entry of each term of the formed objective and of the
+        Gram formed on the way, and is non-finite when the samples are."""
+        rows = np.abs(self.X_w).sum(axis=1) + np.abs(self.F).sum(axis=1)
+        return rows.max(initial=0.0) ** 2 * max(self.scale, 1.0)
+
+
+def _sample_objective(statistics, pieces, form):
+    """The ``SampleObjective`` of the objective's dense and blockdiag pieces."""
+    c = len(statistics.counts)
+    zero = (0.0, np.zeros((c + 1, c + 1)))
+    dense = pieces.get(("objective", "dense"), zero)
+    blockdiag = pieces.get(("objective", "blockdiag"), zero)
+    diagonal = (dense[0] + blockdiag[0], dense[1] + blockdiag[1])
+    scale = sum(max(abs(eye), np.abs(Mt).max()) for eye, Mt in (dense, blockdiag))
+    return SampleObjective(
+        statistics.X_w, statistics.F, statistics.blocks,
+        (diagonal[0], _without_unused_mean(statistics.F, diagonal[1])[1]),
+        (dense[0], _without_unused_mean(statistics.F, dense[1])[1]),
+        scale, form,
+    )
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -534,8 +661,13 @@ def materialize(terms, statistics):
     (between, center_distance), so its rank is at most c, and M is the
     summed coeff * Mt.  For eye != 0 it is ``_sample_factor``'s, through the
     kept X_w.  With a factor, the objective is returned as a function of no
-    arguments that forms it, for a factor-defined ``gevd.GevdProblem``;
-    formed, it is the same array.
+    arguments that forms it, for a factor-defined ``gevd.GevdProblem``, and
+    where ``_plan`` names a sample objective, as a ``SampleObjective``;
+    formed, either is the same array.
+
+    A constraint without dense and representer terms is returned as the
+    list of its diagonal blocks, one per view, each exactly symmetric; any
+    other constraint as one d x d array.
     """
     views, F, C_w = statistics.views, statistics.F, statistics.C_w
     n = views[0].shape[1]
@@ -560,15 +692,20 @@ def materialize(terms, statistics):
 
     def objective():
         C = C_w
-        if C is None and kind == "samples":
+        if C is None and kind in ("samples", "sample objective"):
             with np.errstate(over="ignore", invalid="ignore"):
                 C = statistics.X_w @ statistics.X_w.T
         return _side("objective", pieces, couplings, statistics, C, gram)
 
-    if factor is None:
+    if kind == "sample objective":
+        objective = _sample_objective(statistics, pieces, objective)
+    elif factor is None:
         objective = objective()
-    return objective, _side("constraint", pieces, couplings, statistics, C_w,
-                            gram), factor
+    if _block_constraint(pieces, couplings):
+        constraint = _side_blocks("constraint", pieces, statistics)
+    else:
+        constraint = _side("constraint", pieces, couplings, statistics, C_w, gram)
+    return objective, constraint, factor
 
 
 def _apply_sum(kernel, Z):

@@ -6,7 +6,7 @@ from scipy.linalg import solve_triangular
 from mvsubspace import ModelSpec, MultiViewDataset, build_indicator
 from mvsubspace.data import make_target
 from mvsubspace.framework import pencil
-from mvsubspace.gevd import GevdSolution, NumericalError, _fix_signs
+from mvsubspace.gevd import GevdSolution, NumericalError, _fix_signs, solve
 from mvsubspace.scatter import (
     ClassStatistics,
     KernelTerm,
@@ -217,11 +217,19 @@ def catalog_terms(method, n, labels, v):
     raise ValueError(f"unknown method {name!r}")
 
 
+def dense_sides(objective, constraint):
+    """``materialize``'s two sides as d x d arrays: an objective returned as
+    its forming function formed, a constraint returned as its diagonal
+    blocks assembled."""
+    return (objective() if callable(objective) else objective,
+            blockdiag_dense(constraint) if isinstance(constraint, list) else constraint)
+
+
 def materialize_on(terms, views):
-    """``materialize`` of the terms on the ClassStatistics they read, with an
-    objective returned as its forming function formed."""
+    """``materialize`` of the terms on the ClassStatistics they read, both
+    sides as d x d arrays (``dense_sides``)."""
     objective, constraint, factor = materialize(terms, ClassStatistics.of(terms, views))
-    return (objective() if callable(objective) else objective), constraint, factor
+    return (*dense_sides(objective, constraint), factor)
 
 
 def catalog_pencil(method, dataset):
@@ -315,6 +323,46 @@ def dense_gevd(problem):
     return GevdSolution(
         P=P, eigenvalues=eigvals[:k].copy(), spectrum_gap=gap, route="full"
     )
+
+
+def dense_retry(problem, jitter):
+    """``deep._solve_with_retry`` on the dense constraint: ``solve``, then
+    one retry on B + jitter * max(tr B / d, 1) I when B is not positive
+    definite."""
+    try:
+        return solve(problem)
+    except NumericalError:
+        d = problem.dim
+        scale = max(np.trace(problem.constraint) / d, 1.0)
+        return solve(problem.with_constraint(
+            problem.constraint + jitter * scale * np.eye(d)
+        ))
+
+
+def _longdouble_lower_solve(L, B):
+    """L^-1 B in long double by forward substitution, L lower triangular."""
+    L = L.astype(np.longdouble)
+    X = np.zeros(B.shape, dtype=np.longdouble)
+    for i in range(L.shape[0]):
+        X[i] = (B[i] - L[i, :i] @ X[:i]) / L[i, i]
+    return X
+
+
+def longdouble_whitened(samples, factors):
+    """C = L^-1 A L^-T of a ``scatter.SampleObjective`` in long double: A
+    summed block by block from its samples, L = blockdiag of the factors."""
+    X_w, F = (np.asarray(Z, dtype=np.longdouble) for Z in (samples.X_w, samples.F))
+    d = X_w.shape[0]
+    A = np.zeros((d, d), dtype=np.longdouble)
+    L = np.zeros((d, d))
+    for s, (rows, L_s) in enumerate(factors):
+        L[rows, rows] = np.tril(L_s)
+        for t, (cols, _) in enumerate(factors):
+            eye, Mt = samples.diagonal if s == t else samples.off_diagonal
+            m = len(Mt)
+            A[rows, cols] = (eye * (X_w[rows] @ X_w[cols].T)
+                             + F[rows, :m] @ Mt.astype(np.longdouble) @ F[cols, :m].T)
+    return _longdouble_lower_solve(L, _longdouble_lower_solve(L, A).T).T
 
 
 def loss_only(nets, ds, method, activation):

@@ -443,6 +443,23 @@ def test_overflowing_data_exits_numerically(tmp_path, capsys):
     assert "non-finite" in err and "RuntimeWarning" not in err
 
 
+@pytest.mark.parametrize("method", ["MLDA", "GMA"])
+def test_overflowing_wide_data_exits_numerically(tmp_path, capsys, method):
+    # 2 x 20 dims against 12 samples: the objective comes as its samples,
+    # which cannot rule out overflow, so it is formed and fails its check
+    rng = np.random.default_rng(0)
+    data = tmp_path / "huge"
+    data.mkdir()
+    for s in (1, 2):
+        np.savetxt(data / f"view_{s}.csv", 1e160 * rng.standard_normal((12, 20)),
+                   delimiter=",")
+    np.savetxt(data / "labels.csv", np.repeat([1, 2, 3], 4), fmt="%d")
+    cfg = write_cfg(tmp_path / "fit.cfg", dataset=str(data), method=method, k="1")
+    assert main(["fit", "--config", cfg, "--out", str(tmp_path / "m")]) == 3
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "RuntimeWarning" not in err
+
+
 def test_seed_flag_overrides_config(toy_dir, tmp_path):
     cfg = write_cfg(
         tmp_path / "cls.cfg", dataset=str(toy_dir), method="MvLDA", k="2",

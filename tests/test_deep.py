@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mvsubspace import MethodId, MultiViewDataset, NumericalError, build
+from mvsubspace import GevdProblem, MethodId, MultiViewDataset, NumericalError, build
 from mvsubspace.deep import (
     MlpConfig,
     _Workspace,
@@ -26,7 +26,7 @@ from mvsubspace.framework import spec_terms
 from mvsubspace.gevd import solve
 from mvsubspace.toy import make_toy_dataset
 
-from helpers import fd_worst_violation, loss_only, random_dataset
+from helpers import dense_retry, fd_worst_violation, loss_only, random_dataset
 
 
 PLAIN_METHODS = (
@@ -283,6 +283,33 @@ def test_retry_keeps_the_objective_factor():
     assert problem.objective_factor is not None
     solution = _solve_with_retry(problem, 1e-6)
     assert solution.route == "factored"
+
+
+@pytest.mark.parametrize("name", ["MCCA", "MLDA", "GMA", "MvLDA"])
+def test_retry_adds_the_ridge_to_each_block(name, monkeypatch):
+    """One view of zero features makes its constraint block singular at
+    gamma = 0.  The retry adds jitter * max(tr B / d, 1) to the diagonal of
+    each block of a constraint given as blocks, forming no dense constraint,
+    or to the dense constraint of MvLDA; the answer is the dense retry's
+    (``helpers.dense_retry``)."""
+    rng = np.random.default_rng(5)
+    features = [rng.standard_normal((6, 12)), np.zeros((4, 12)), rng.standard_normal((5, 12))]
+    problem = build(MethodId(name, k=2, gamma=0.0),
+                    MultiViewDataset(tuple(features), np.repeat([1, 2, 3], 4)))
+    assert (problem.constraint_blocks is None) == (name == "MvLDA")
+    with pytest.raises(NumericalError, match="positive definite"):
+        solve(problem)
+    reads = []
+    constraint = GevdProblem.constraint
+    monkeypatch.setattr(GevdProblem, "constraint", property(
+        lambda self: reads.append(1) or constraint.fget(self)))
+    solution = _solve_with_retry(problem, 1e-6)
+    assert bool(reads) == (name == "MvLDA")
+    monkeypatch.undo()
+    want = dense_retry(problem, 1e-6)
+    assert solution.route == want.route
+    np.testing.assert_allclose(solution.eigenvalues, want.eigenvalues, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(solution.P, want.P, rtol=0, atol=1e-10 * np.abs(want.P).max())
 
 
 @pytest.mark.parametrize("activation", ["tanh", "sigmoid"])

@@ -516,6 +516,49 @@ def test_a_tiny_entry_off_the_blocks_joins_them(route, potrf_orders):
     np.testing.assert_allclose(sol.P, want.P, rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("route", ["full", "factored"])
+def test_a_constraint_given_as_blocks_is_not_scanned(route, potrf_orders, monkeypatch):
+    """Blocks in, one ``potrf`` per block and no search for zeros; the answer
+    is the dense constraint's bit for bit, and that array is formed only
+    when read."""
+    spectrum = np.array([3.0, 2.0, -1.0]) if route == "factored" else (
+        np.arange(12, 0, -1.0) - 4.0)
+    dense = _block_pencil(3, (5, 4, 3), spectrum, 2, route == "factored")
+    want = solve(dense)
+    potrf_orders.clear()
+    blocks = [dense.constraint[b, b] for b in (slice(0, 5), slice(5, 9), slice(9, 12))]
+    monkeypatch.setattr(gevd, "_diagonal_blocks", None)
+    prob = GevdProblem(dense.objective, blocks, 2, dense.objective_factor)
+    sol = solve(prob)
+    assert potrf_orders == [5, 4, 3] and prob._constraint is None
+    assert sol.route == route and prob.dim == 12
+    np.testing.assert_array_equal(sol.P, want.P)
+    np.testing.assert_array_equal(prob.constraint, dense.constraint)
+    retry = prob.with_constraint([2.0 * B for B in blocks])
+    assert [B.shape for _, B in retry.constraint_blocks] == [(5, 5), (4, 4), (3, 3)]
+
+
+def test_constraint_blocks_are_checked_as_the_dense_side():
+    """The finite and symmetry checks of a dense constraint, block by block:
+    a block nearly symmetric is symmetrized, not the caller's array."""
+    good = [np.eye(2), 2.0 * np.eye(3)]
+    nearly = np.array([[2.0, 1.0], [1.0 + 1e-14, 2.0]])
+    prob = GevdProblem(np.eye(5), [nearly, good[1]], 1)
+    np.testing.assert_array_equal(prob.constraint_blocks[0][1], (nearly + nearly.T) * 0.5)
+    assert nearly[1, 0] == 1.0 + 1e-14
+    for bad, error, match in ((np.array([[1.0, np.inf], [np.inf, 1.0]]), NumericalError,
+                               "constraint matrix has non-finite"),
+                              (np.array([[1.0, 1.0], [0.0, 1.0]]), ValueError,
+                               "constraint matrix is not symmetric"),
+                              (np.ones((2, 3)), ValueError, "share a shape")):
+        with pytest.raises(error, match=match):
+            GevdProblem(np.eye(5), [bad, good[1]], 1)
+    with pytest.raises(ValueError, match="constraint must be a square"):
+        GevdProblem(lambda: None, [np.ones((2, 3))], 1, (np.ones((2, 1)), np.eye(1)))
+    with pytest.raises(NumericalError, match="positive definite"):
+        solve(GevdProblem(np.eye(5), [good[0], -good[1]], 1))
+
+
 def test_blocks_are_found_from_the_zeros():
     B = np.eye(9)
     B[1, 2] = B[2, 1] = 0.5  # joins rows 1 and 2

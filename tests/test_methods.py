@@ -18,14 +18,16 @@ from mvsubspace import (
     make_toy_dataset,
     solve,
 )
+from mvsubspace import gevd
 from mvsubspace.framework import label_readers, spec_terms
 from mvsubspace.methods import fit as fit_method
-from mvsubspace.scatter import ClassStatistics
+from mvsubspace.scatter import ClassStatistics, materialize, whitens_samples
 
 from helpers import (
     PENCIL_RTOL,
     catalog_pencil,
     dense_materialize,
+    longdouble_whitened,
     pencil_gap,
     random_dataset,
 )
@@ -302,6 +304,116 @@ def test_tall_mcca_builds_no_factor(monkeypatch):
     prob = build(MethodId("MCCA", k=9), ds)
     assert asked == ["full"] and prob.objective_factor is None
     assert solve(prob).route == "full"
+
+
+SAMPLE_WHITENED = ("MLDA", "GMA")
+
+
+def _side_reads(monkeypatch):
+    """The dense sides of a GevdProblem read, by name, in order."""
+    reads = []
+    for side in ("objective", "constraint"):
+        prop = getattr(GevdProblem, side)
+
+        def reading(self, side=side, prop=prop):
+            reads.append(side)
+            return prop.fget(self)
+
+        monkeypatch.setattr(GevdProblem, side, property(reading))
+    return reads
+
+
+@pytest.mark.parametrize("name", SAMPLE_WHITENED)
+def test_wide_fits_whiten_their_samples(monkeypatch, name):
+    """At 3 x 250 dims and n = 250 <= d the objectives of MLDA and GMA, dense
+    and blockdiag terms over a block constraint, come as a SampleObjective:
+    the statistics form only the constraint's Gram blocks, a fit reads
+    neither dense side, and the full route solves.  Read, the objective is
+    the one the whole Gram gives."""
+    asked = _gram_reads(monkeypatch)
+    ds = make_toy_dataset(classes=10, views=3, samples=250, dims=(250,) * 3, seed=1)
+    method = MethodId(name, k=9)
+    reads = _side_reads(monkeypatch)
+    model = fit_method(method, ds)
+    assert asked == ["blocks"] and reads == []
+    prob = build(method, ds)
+    assert prob.objective_samples is not None and prob.objective_factor is None
+    assert [rows for rows, _ in prob.constraint_blocks] == prob.objective_samples.blocks
+    solution = solve(prob)
+    assert solution.route == "full" and reads == []
+    np.testing.assert_array_equal(model.eigenvalues, solution.eigenvalues)
+    terms = spec_terms(method, ds.labels, ds.n_samples, ds.n_views)
+    whole = ClassStatistics(ds.views, terms[0].kernel.Y, "full")
+    np.testing.assert_array_equal(prob.objective, materialize(terms, whole)[0]())
+
+
+@pytest.mark.parametrize("name", SAMPLE_WHITENED)
+def test_whitening_the_samples_takes_n_at_most_d(name):
+    """``scatter.whitens_samples``: at d = 30 a sample objective with n = 30
+    and a formed one with n = 31; the constraint comes as blocks at both."""
+    for n, samples in ((30, True), (31, False)):
+        ds = random_dataset(seed=n, dims=(10, 10, 10), classes=3, n=n)
+        prob = build(MethodId(name, k=2), ds)
+        assert (prob.objective_samples is not None) == samples
+        assert whitens_samples(n, 30) == samples
+        assert len(prob.constraint_blocks) == 3
+
+
+def test_dense_constraints_are_one_array():
+    """MvLDA, MvDA, MvDA_VC and MvDA_CCA have dense or representer
+    constraint terms: one d x d constraint, and no sample objective."""
+    ds = random_dataset(seed=30, dims=(10, 10, 10), classes=3, n=12)
+    for name in ("MvLDA", "MvDA", "MvDA_VC", "MvDA_CCA"):
+        prob = build(MethodId(name, k=2), ds)
+        assert prob.constraint_blocks is None and prob.objective_samples is None
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+@pytest.mark.parametrize("name", SAMPLE_WHITENED)
+def test_sample_whitening_matches_the_formed_objective(name, offset):
+    """d > n, views offset by 0 and by 1e6.  The constraint blocks are the
+    diagonal blocks of ``build``'s dense constraint bit for bit, zeros off
+    them.  C's lower triangle from the samples matches the whitening of the
+    formed objective to 1e-9 of max|C|, the formed objective's own error: its
+    rounding of X_s X_t^T is magnified along the constraint's eigenvalues at
+    gamma (3.0e-10 for MLDA here, 1.4e-13 from the samples against a
+    long-double whitening, which both are held to).  The eigenvalues agree
+    with the full route on the dense pencil within 1e-13 relative."""
+    ds = random_dataset(seed=30, dims=(40, 40, 40), classes=5, n=30)
+    shifted = MultiViewDataset(tuple(X + offset for X in ds.views), ds.labels)
+    prob = build(MethodId(name, k=3), shifted)
+    off_blocks = np.ones((120, 120), dtype=bool)
+    for rows, B in prob.constraint_blocks:
+        np.testing.assert_array_equal(prob.constraint[rows, rows], B)
+        off_blocks[rows, rows] = False
+    assert not prob.constraint[off_blocks].any()
+    factors = gevd._cholesky(prob.constraint_blocks)
+    C = gevd._whitened_samples(prob.objective_samples, factors)
+    lower = np.tril(np.ones(C.shape, dtype=bool))
+    scale = np.abs(C[lower]).max()
+    formed = gevd._whitened(prob.objective, factors)
+    assert np.abs(C - formed)[lower].max() <= 1e-9 * scale
+    extended = longdouble_whitened(prob.objective_samples, factors)
+    for got in (C, formed):
+        assert np.abs(got - extended)[lower].max() <= 1e-9 * scale
+    assert np.abs(C - extended)[lower].max() <= 1e-12 * scale
+    want = solve(GevdProblem(prob.objective, prob.constraint, prob.k))
+    np.testing.assert_allclose(solve(prob).eigenvalues, want.eigenvalues,
+                               rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("name", SAMPLE_WHITENED)
+def test_sample_whitened_fit_of_an_overflowing_pencil_is_a_numerical_error(name):
+    """Views near 1e160 with d > n: the samples cannot rule out overflow, so
+    the dense objective is formed and fails its check as a given one would,
+    without numpy warnings."""
+    ds = random_dataset(seed=9, dims=(40, 40, 40), classes=3, n=30)
+    huge = MultiViewDataset(tuple(1e160 * X for X in ds.views), ds.labels)
+    assert build(MethodId(name, k=2), ds).objective_samples is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="objective matrix has non-finite"):
+            fit_method(MethodId(name, k=2), huge)
 
 
 @pytest.mark.parametrize("name", ["MCCA", "MvOPLS"])
