@@ -27,7 +27,7 @@ from scipy.special import expit
 from .data import _read_matrix, _write_text
 from .framework import fit_solved, pencil, spec_terms
 from .gevd import NumericalError, solve
-from .scatter import ClassStatistics, materialize_grads
+from .scatter import ClassStatistics, LowRankBlocks, materialize_grads
 
 ACTIVATIONS = ("tanh", "sigmoid")
 # Adam's moment decay rates and denominator guard.
@@ -154,18 +154,24 @@ class TrainerConfig:
 def _solve_with_retry(problem, jitter):
     """``solve``, with one retry on a jitter-scaled ridge when the constraint
     is not positive definite: jitter * max(tr B / d, 1) is added to the
-    diagonal of each block of a constraint given as blocks, else of B."""
+    diagonal of each block of a constraint given as blocks, its low-rank
+    term, if any, kept as it is, else of B."""
     try:
         return solve(problem)
     except NumericalError:
-        blocks = problem.constraint_blocks
+        blocks, Z = problem.constraint_blocks, problem.constraint_low_rank
         sides = [problem.constraint] if blocks is None else [B for _, B in blocks]
         trace = np.concatenate([np.diagonal(B) for B in sides]).sum()
+        if Z is not None:
+            trace += np.einsum("ij,ij->", Z, Z)
         ridge = jitter * max(trace / problem.dim, 1.0)
         sides = [B.copy() for B in sides]
         for B in sides:
             B[np.diag_indices_from(B)] += ridge
-        return solve(problem.with_constraint(sides if blocks else sides[0]))
+        if blocks is None:
+            return solve(problem.with_constraint(sides[0]))
+        return solve(problem.with_constraint(
+            sides if Z is None else LowRankBlocks(sides, Z)))
 
 
 def spectral_loss(features, labels, spec, jitter=1e-8):

@@ -10,7 +10,8 @@ constraint blockdiag(X_s K X_s^T) + gamma I, one block per view, and
 ``framework.pencil`` hands it over as that list of blocks: ``GevdProblem``
 checks each block as it would the whole side, LAPACK ``potrf`` factors each,
 and the d x d constraint is formed only when something reads
-``problem.constraint``.  A constraint given as one array, as from outside
+``problem.constraint``, on each read and without keeping it: a problem
+holds only what it solves from.  A constraint given as one array, as from outside
 the package or with dense terms, is split into the finest diagonal blocks
 found from the array itself: a block boundary is a row p with B[p:, :p]
 exactly zero (B is symmetric, so the lower triangle decides).  Only rows
@@ -22,6 +23,33 @@ with L^-1 or L^-T is one triangular solve per block, d_s^2 where a full L
 costs d^2.  At 3 x 250 dims the three block factorizations took 1.1 ms
 against 8.9 ms for one d = 750 ``potrf`` (one BLAS thread).  A block that is
 not positive definite fails as a whole B would.
+
+Block constraints with a low-rank term.  MvDA's and MvDA_CCA's constraint
+is blockdiag(X_s H X_s^T) + gamma I + n U (I - 1 1^T / v) U^T with
+U = blockdiag(mu_s), and ``framework.pencil`` hands it over as a
+``scatter.LowRankBlocks``: the blocks and the d x (v - 1) factor
+Z = sqrt(n) U Q of the semidefinite mean term, Q an orthonormal basis of
+1-perp.  ``_Whitening`` factors the blocks, L_0 = blockdiag(L_s), and takes
+V = L_0^-1 Z with its thin SVD V = W Sigma R^T.  Then
+N = (I + V V^T)^-1/2 = I + W diag(h) W^T with h = (1 + sigma^2)^-1/2 - 1,
+and B = L L^T for L = L_0 N^-1, so every route keeps its one solve path:
+the full route folds C = N C_0 N into the lower triangle of
+C_0 = L_0^-1 A L_0^-T (one ``symm`` and one ``syr2k``), the factored route
+takes G = N L_0^-1 S, and both back-transform by P = L_0^-T N U.  No Cholesky
+factor is updated and no d x d factorization runs.  At 3 x 250 dims, n = 250,
+10 classes and k = 9 (one BLAS thread, best of 7) a wide MvDA_CCA fit took
+49.5-49.9 ms against 73.1-75.0 ms with its constraint as one array: the
+block factors and the fold took 1.3-1.7 ms and 2.3 ms where the dense
+``potrf`` took about 5 ms, and the objective is whitened from the samples
+(below).  MvDA's fit took 8.4 ms against 16.7-18.2 ms, next to MvOPLS's
+5.4 ms.  The mean term is never added to the blocks, where it would be
+rounded at its own size: with views offset by 1e6 (3 x 40 dims, n = 30),
+n mu_s mu_s^T is about 1e15, and the one-array constraint loses gamma = 1e-4
+to rounding and is no longer positive definite, while the split keeps the
+eigenvalues and P^T B P - I within 1.8e-15 of a long-double oracle.  A V
+that is not finite fails as an indefinite block would, and a Z whose
+``_term_bound`` cannot rule out an overflowing Z Z^T is assembled with its
+blocks and checked as one array.
 
 Full route.  C is formed in its lower triangle and only the k + 1 largest
 eigenpairs of C are computed (the k returned and one more for the spectrum
@@ -39,7 +67,8 @@ Block (s, t) of A is e_st X_w,s X_w,t^T + F_s M_st F_t^T, so with
 T_s = L_s^-1 X_w,s and Phi_s = L_s^-1 F_s (one triangular solve per view)
 block (s, t), t <= s, of C is e_st T_s T_t^T + Phi_s M_st Phi_t^T, and the
 T_s T_s^T of a diagonal block is skipped where its e cancels (MLDA and
-GMA).  ``scatter`` offers such an objective only where n <= d
+GMA); with a low-rank constraint term (MvDA_CCA) the result is folded as
+above.  ``scatter`` offers such an objective only where n <= d
 (``scatter.whitens_samples``, measured there).  At 3 x 250 dims and
 n = 250 this took 5.5 ms against 11.8 ms for whitening the formed
 objective, which the fit no longer forms, nor the whole Gram it reads.
@@ -48,7 +77,9 @@ eps |X_s| |X_t|, and L^-1 ... L^-T magnifies that rounding along the
 constraint's eigenvalues near gamma, while the samples are whitened before
 any product, so T_s T_t^T rounds at the size of the whitened terms.  On MLDA at 3 x 40 dims and n = 30, against a long-double
 whitening, C from the samples was off by 1.4e-13 of max|C| and C from the
-formed objective by 3.0e-10; the top eigenvalues agree to 1e-14.  Overflow
+formed objective by 3.0e-10 (MvDA_CCA, folded: 1.8e-13 against 2.9e-10,
+and 2.3e-13 against 4.3e-10 with the views offset by 1e6); the top
+eigenvalues agree to 1e-14.  Overflow
 is ruled out as for a factor: max_i (||X_w,i||_1 + ||F_i||_1)^2 times the
 terms' coefficient scale (``SampleObjective.term_bound``) at most a quarter
 of the largest double, or the objective is formed and checked at once.
@@ -141,10 +172,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.linalg.blas import dgemm, dtrsm
+from scipy.linalg.blas import dgemm, dsymm, dsyr2k, dtrsm
 from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dormqr, dpotrf, dsygst
 
-from .scatter import SampleObjective, symmetrize, takes_factored_route
+from .scatter import LowRankBlocks, SampleObjective, symmetrize, takes_factored_route
 
 # From this many times k + 1, the factor's rank r counts as large: with
 # M >= 0 the factored route takes only the core's top k + 1 pairs (module
@@ -159,6 +190,11 @@ _OVERFLOW_FREE = np.finfo(float).max / 4
 # Rows per stripe of the check sweep.  Measured at d = 750: 32 to 128 rows
 # take 1.0-1.1 ms, 256 rows 1.2 ms (the stripe's temporary leaves L2).
 _SWEEP_ROWS = 64
+
+
+_NOT_POSITIVE_DEFINITE = (
+    "constraint matrix is not positive definite; increase the tikhonov gamma"
+)
 
 
 class NumericalError(RuntimeError):
@@ -270,15 +306,43 @@ def _bounded_factor(factor, d):
     return S, _symmetric_factor(M, scale_M, asymmetry)
 
 
+def _assembled(blocks, Z=None):
+    """blockdiag(blocks) + Z Z^T as one exactly symmetric d x d array."""
+    d = sum(len(block) for block in blocks)
+    B, start = np.zeros((d, d)), 0
+    for block in blocks:
+        B[start:start + len(block), start:start + len(block)] = block
+        start += len(block)
+    if Z is None:
+        return B
+    # gemm adds Z Z^T into B through its Fortran-ordered transpose, in
+    # place.  Finite factors can overflow; the finite check reports it.
+    dgemm(1.0, Z, Z, trans_b=1, beta=1.0, c=B.T, overwrite_c=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return symmetrize(B)
+
+
 def _constraint_sweep(constraint):
-    """(B, blocks, max|B|, max|B - B^T|, d) of a constraint given as one array
-    (B, blocks None) or as the list of its diagonal blocks (B None); the
-    asymmetry is None unless every array is square."""
+    """(B, blocks, Z, max|B|, max|B - B^T|, d) of a constraint given as one
+    array (B; blocks and Z None), as the list of its diagonal blocks (B and Z
+    None) or as a ``scatter.LowRankBlocks`` (B None).  A low-rank factor Z
+    whose ``_term_bound`` cannot rule out an overflowing Z Z^T is assembled
+    with its blocks into B, as a given array.  The asymmetry is None unless
+    every array is square."""
+    Z = None
+    if isinstance(constraint, LowRankBlocks):
+        blocks = [np.asarray(B, dtype=float) for B in constraint.blocks]
+        Z = np.asarray(constraint.Z, dtype=float)
+        if Z.ndim != 2 or len(Z) != sum(len(B) for B in blocks):
+            raise ValueError("constraint low-rank factor must be d x m")
+        constraint = blocks
+        if not _term_bound(Z, 1.0) <= _OVERFLOW_FREE:
+            constraint, Z = _assembled(blocks, Z), None
     if not isinstance(constraint, list):
         B = np.asarray(constraint, dtype=float)
-        return (B, None, *_sweep(B), B.shape[0] if B.ndim else 0)
+        return (B, None, None, *_sweep(B), B.shape[0] if B.ndim else 0)
     blocks = [np.asarray(B, dtype=float) for B in constraint]
-    return (None, blocks, *_sweep(*blocks), sum(len(B) for B in blocks))
+    return (None, blocks, Z, *_sweep(*blocks), sum(len(B) for B in blocks))
 
 
 class GevdProblem:
@@ -288,9 +352,10 @@ class GevdProblem:
     side that is not exactly symmetric is replaced by (M + M^T) / 2, and an
     exactly symmetric float array is stored as given, not copied.
 
-    ``constraint`` is a d x d array or the list of its diagonal blocks, the
-    entries off them zero; blocks are checked as the array would be, and
-    ``constraint`` forms that array only on first read (module docstring).
+    ``constraint`` is a d x d array, the list of its diagonal blocks, the
+    entries off them zero, or a ``scatter.LowRankBlocks``, those blocks plus
+    Z Z^T; blocks are checked as the array would be, and ``constraint``
+    forms that array on each read without keeping it (module docstring).
 
     ``objective_factor`` is an optional (S, M) with objective = S M S^T, which
     lets ``solve`` work in the rank of S.  Given with a dense objective, it is
@@ -307,7 +372,7 @@ class GevdProblem:
         self._form = None
         self.objective_samples = None
         factor = objective_factor
-        B, blocks, scale_B, asymmetry_B, d = _constraint_sweep(constraint)
+        B, blocks, low_rank, scale_B, asymmetry_B, d = _constraint_sweep(constraint)
         if isinstance(objective, SampleObjective) and factor is None:
             if objective.term_bound() <= _OVERFLOW_FREE:
                 self._form = self.objective_samples = objective
@@ -341,6 +406,7 @@ class GevdProblem:
             raise ValueError(f"k={k} is out of range for problem dimension d={d}")
         self.dim = d
         # ``symmetrize`` works in place: a caller's side is never written.
+        self.constraint_low_rank = low_rank
         if blocks is None:
             self._constraint = B if B_exact else symmetrize(B.copy())
             self.constraint_blocks = None
@@ -375,13 +441,12 @@ class GevdProblem:
 
     @property
     def constraint(self):
-        """The dense constraint, formed from its blocks on first read when it
-        was given as blocks."""
+        """The dense constraint; given as blocks, it is formed from them and
+        its low-rank factor on each read and not kept, since the solve
+        reads only the blocks."""
         if self._constraint is None:
-            B = np.zeros((self.dim, self.dim))
-            for rows, block in self.constraint_blocks:
-                B[rows, rows] = block
-            self._constraint = B
+            return _assembled([block for _, block in self.constraint_blocks],
+                              self.constraint_low_rank)
         return self._constraint
 
     def with_constraint(self, constraint):
@@ -450,10 +515,7 @@ def _cholesky(blocks):
     for rows, B in blocks:
         L, info = dpotrf(B, lower=1)
         if info != 0:
-            raise NumericalError(
-                "constraint matrix is not positive definite; increase the "
-                "tikhonov gamma"
-            )
+            raise NumericalError(_NOT_POSITIVE_DEFINITE)
         factors.append((rows, L))
     return factors
 
@@ -470,13 +532,64 @@ def _lower_solve(factors, Z, trans=0, order="C"):
     return out
 
 
-def _whitened(A, factors):
+class _Whitening:
+    """B = L L^T for a constraint of diagonal blocks B_s plus Z Z^T, applied
+    as L^-1 and L^-T (module docstring).
+
+    ``factors`` is L_0 = blockdiag(L_s) as (rows, L_s).  With Z, V = L_0^-1 Z
+    has the thin SVD W Sigma R^T, N = (I + V V^T)^-1/2 = I + W diag(h) W^T
+    with h = (1 + sigma^2)^-1/2 - 1, and L = L_0 N^-1, so L^-1 = N L_0^-1 and
+    L^-T = L_0^-T N; without Z, W is None and L = L_0.
+    """
+
+    def __init__(self, blocks, Z=None):
+        self.factors = _cholesky(blocks)
+        self.W = self.h = None
+        if Z is not None:
+            V = _lower_solve(self.factors, Z)
+            if not np.isfinite(V).all():
+                raise NumericalError(_NOT_POSITIVE_DEFINITE)
+            self.W, sigma, _ = np.linalg.svd(V, full_matrices=False)
+            # (1 + s^2)^-1/2 - 1 = -s^2 / (r (1 + r)), r = hypot(1, s): no
+            # cancellation for small s, no overflow for large s.
+            r = np.hypot(1.0, sigma)
+            self.h = -(sigma / r) * (sigma / (1.0 + r))
+
+    def _times_n(self, Z):
+        """N Z, written into Z."""
+        if self.W is not None:
+            Z += self.W @ (self.h[:, None] * (self.W.T @ Z))
+        return Z
+
+    def solve(self, Z, order="C"):
+        """L^-1 Z into a fresh array of this memory ``order``."""
+        return self._times_n(_lower_solve(self.factors, Z, order=order))
+
+    def solve_transposed(self, U):
+        """L^-T U."""
+        return _lower_solve(self.factors, self._times_n(np.array(U)), trans=1)
+
+    def fold(self, C):
+        """N C N for C = L_0^-1 A L_0^-T in the lower triangle of a Fortran
+        array, written into that triangle: with Y = C W (one ``symm``),
+        N C N = C + W X^T + X W^T for X = Y diag(h) + W G / 2 and
+        G = diag(h) W^T Y diag(h), one ``syr2k``."""
+        if self.W is None:
+            return C
+        W, h = self.W, self.h
+        Y = dsymm(1.0, C, W, lower=1)
+        X = Y * h + W @ (0.5 * np.outer(h, h) * (W.T @ Y))
+        return dsyr2k(1.0, W, X, beta=1.0, c=C, lower=1, overwrite_c=1)
+
+
+def _whitened(A, whitening):
     """C = L^-1 A L^-T in the lower triangle of a Fortran array."""
+    factors = whitening.factors
     if len(factors) == 1:
         C, info = dsygst(A, factors[0][1], itype=1, lower=1)
         if info != 0:
             raise NumericalError(f"LAPACK dsygst failed with info={info}")
-        return C
+        return whitening.fold(C)
     # Block row s first becomes L_s^-1 A[s, :s], then each block column t
     # from the diagonal down is multiplied by L_t^-T.  The upper triangle
     # stays zero.
@@ -487,13 +600,14 @@ def _whitened(A, factors):
         C[rows.start:, rows] = dtrsm(
             1.0, L, C[rows.start:, rows], side=1, lower=1, trans_a=1
         )
-    return C
+    return whitening.fold(C)
 
 
-def _whitened_samples(objective, factors):
+def _whitened_samples(objective, whitening):
     """C = L^-1 A L^-T in the lower triangle of a Fortran array, block by
     block from the samples of a ``scatter.SampleObjective`` whose view blocks
     are the factors' (module docstring)."""
+    factors = whitening.factors
     d = objective.X_w.shape[0]
     T = [dtrsm(1.0, L, objective.X_w[rows], lower=1) for rows, L in factors]
     Phi = [dtrsm(1.0, L, objective.F[rows], lower=1) for rows, L in factors]
@@ -507,28 +621,29 @@ def _whitened_samples(objective, factors):
                 block = dgemm(eye, T[s], T[t], trans_b=1, beta=1.0, c=block,
                               overwrite_c=1)
             C[rows, cols] = block
-    return C
+    return whitening.fold(C)
 
 
-def _solution(factors, U, eigvals, next_eigval, route):
+def _solution(whitening, U, eigvals, next_eigval, route):
     """Back-transform the top-k whitened vectors U into a solution."""
     k = U.shape[1]
     return GevdSolution(
-        P=_fix_signs(_lower_solve(factors, U, trans=1)),
+        P=_fix_signs(whitening.solve_transposed(U)),
         eigenvalues=eigvals[:k].copy(),
         spectrum_gap=float(eigvals[k - 1] - next_eigval),
         route=route,
     )
 
 
-def _solve_full(problem, factors):
+def _solve_full(problem, whitening):
     d, k = problem.dim, problem.k
     # Only the lower triangle of C holds C; the eigensolver reads that one.
     samples = problem.objective_samples
-    if samples is not None and [rows for rows, _ in factors] == samples.blocks:
-        C = _whitened_samples(samples, factors)
+    if (samples is not None
+            and [rows for rows, _ in whitening.factors] == samples.blocks):
+        C = _whitened_samples(samples, whitening)
     else:
-        C = _whitened(problem.objective, factors)
+        C = _whitened(problem.objective, whitening)
     m = min(k + 1, d)
     eigvals, U = eigh(
         C, lower=True, subset_by_index=[d - m, d - 1], driver="evr", overwrite_a=True
@@ -536,7 +651,7 @@ def _solve_full(problem, factors):
     eigvals = eigvals[::-1]
     U = U[:, ::-1]
     next_eigval = eigvals[k] if k < d else eigvals[k - 1]  # gap 0 when k = d
-    return _solution(factors, U[:, :k], eigvals, next_eigval, "full")
+    return _solution(whitening, U[:, :k], eigvals, next_eigval, "full")
 
 
 def _householder_qr(G):
@@ -558,7 +673,7 @@ def _times_q(qr, tau, U):
     return QU
 
 
-def _solve_factored(problem, factors):
+def _solve_factored(problem, whitening):
     """The factored route, or None when the top k reach the padded zeros."""
     S, M = problem.objective_factor
     k = problem.k
@@ -577,7 +692,7 @@ def _solve_factored(problem, factors):
         S = S @ V[:, nonzero]
     elif r < S.shape[1]:
         S = S[:, nonzero]
-    qr, tau = _householder_qr(_lower_solve(factors, S, order="F"))
+    qr, tau = _householder_qr(whitening.solve(S, order="F"))
     R = np.triu(qr[:r])
     if r < _LARGE_RANK_RATIO * (k + 1) or D.min() < 0:
         eigvals, U = np.linalg.eigh(symmetrize((R * D) @ R.T))
@@ -591,16 +706,16 @@ def _solve_factored(problem, factors):
         return None
     # The d - r padded zeros sort between Lambda's positive and negative part.
     next_eigval = max(eigvals[k], 0.0) if k < r else 0.0
-    return _solution(factors, _times_q(qr, tau, U[:, :k]), eigvals, next_eigval,
-                     "factored")
+    return _solution(whitening, _times_q(qr, tau, U[:, :k]), eigvals,
+                     next_eigval, "factored")
 
 
 def solve(problem):
     """Solve the pencil and return the top-k B-orthonormal eigenvectors."""
-    factors = _cholesky(_constraint_blocks(problem))
+    whitening = _Whitening(_constraint_blocks(problem), problem.constraint_low_rank)
     factor = problem.objective_factor
     if factor is not None and takes_factored_route(factor[0].shape[1], problem.dim):
-        solution = _solve_factored(problem, factors)
+        solution = _solve_factored(problem, whitening)
         if solution is not None:
             return solution
-    return _solve_full(problem, factors)
+    return _solve_full(problem, whitening)

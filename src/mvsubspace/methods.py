@@ -82,8 +82,9 @@ def build(spec, dataset, terms=None, statistics=None):
     already has them.  A pencil with an objective factor or a
     ``scatter.SampleObjective`` is defined by it: its ``objective`` is formed
     on first read, the same array as without it, and ``fit``'s solve never
-    reads it.  A block-diagonal constraint is kept as its blocks, and
-    ``constraint`` forms the d x d array on first read.
+    reads it.  A block-diagonal constraint is kept as its blocks, with
+    MvDA's and MvDA_CCA's mean term as its low-rank factor, and
+    ``constraint`` forms the d x d array on each read.
     """
     if terms is None:
         terms = spec_terms(spec, dataset.labels, dataset.n_samples, dataset.n_views)

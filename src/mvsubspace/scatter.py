@@ -59,9 +59,10 @@ calls it only when the objective is read; formed, it is the same array as
 without the factor.
 
 Whitening from the samples.  An objective of dense and blockdiag terms
-without a factor (MLDA, GMA, and MCCA where n is too large for its samples
-factor) over a constraint that comes as blocks (below) is returned, where
-n <= d (``whitens_samples``, measured there), as a ``SampleObjective``:
+without a factor (MLDA, GMA, MvDA_CCA, and MCCA where n is too large for
+its samples factor) over a constraint that comes as blocks (below, with or
+without a mean term) is returned, where n <= d (``whitens_samples``,
+measured there), as a ``SampleObjective``:
 X_w, F, the view blocks and the summed (eye, Mt) of a diagonal block
 (dense plus blockdiag terms) and of an off-diagonal one (dense terms), from
 which ``gevd`` whitens C = L^-1 A L^-T one block pair at a time, as
@@ -76,6 +77,23 @@ Constraint blocks.  A constraint without dense and representer terms
 the list of its diagonal blocks, each exactly symmetric, and never written
 into a d x d array of zeros; ``framework.pencil`` adds gamma to each, and
 ``gevd`` factors them as given.
+
+Mean terms.  A kernel m 1 1^T (the mean kernel, eye 0 and M constant) gives
+X K X^T = m n^2 mu mu^T, so the mean-consistency regularizer's
+blockdiag(mean) - dense(mean) / v is n U (I - 1 1^T / v) U^T with
+U = blockdiag(mu_s): positive semidefinite, of rank v - 1.  Where every
+other constraint term is blockdiag (MvDA and MvDA_CCA, not MvDA_VC and
+MvLDA, whose representer and joint terms are not low rank),
+``_split_mean`` takes the constraint's mean terms out of the sum, and the
+constraint is returned as a ``LowRankBlocks``: the blocks of the other
+terms (X_s H X_s^T) and Z = sqrt(n) U Q with Q the Helmert basis of 1-perp
+(``_mean_factor``), so that Z Z^T is the mean term.  With one view the
+mean terms cancel, and the blocks come alone.  The two mean parts
+stay together: the diagonal blocks of the dense part alone hold
+-(n / v) mu_s mu_s^T, so folding only its off-diagonal blocks into blocks
+that keep them leaves an indefinite remainder.  mu is the statistics'
+mean, and the mean term, ~n |mu|^2, is never rounded into the blocks; a
+dense constraint sums it with them (``_side``).
 
 Gram blocks only where read.  C_w is formed whole, one n d^2 product, only
 when a dense term has eye != 0 or the representer coupling needs the raw
@@ -393,10 +411,7 @@ class ClassStatistics:
         """The statistics ``materialize(terms, ...)`` reads on these views:
         the terms' class indicator and the part of C_w ``_plan`` names."""
         Y = _shared_indicator(terms, np.shape(views[0])[1])
-        counts = Y.sum(axis=1)
-        pieces, couplings = _summed_terms(
-            terms, lambda kernel: _kernel_pieces(kernel, counts)
-        )
+        pieces, couplings, _ = _pencil_pieces(terms, Y.sum(axis=1), len(views))
         return cls(views, Y, _plan(pieces, couplings, views)[0])
 
     @property
@@ -446,6 +461,78 @@ def whitens_samples(n, d):
     return n <= d
 
 
+@dataclass(frozen=True, eq=False)
+class LowRankBlocks:
+    """A constraint blockdiag(blocks) + Z Z^T: the diagonal blocks of its
+    blockdiag terms, each exactly symmetric, and the d x m factor Z of its
+    positive semidefinite low-rank term (module docstring)."""
+
+    blocks: list
+    Z: np.ndarray
+
+
+def _is_mean_kernel(kernel):
+    """Whether a kernel is m 1 1^T: no identity part and M constant."""
+    return (kernel is not None and not kernel.eye
+            and bool((kernel.M == kernel.M.flat[0]).all()))
+
+
+def _split_mean(terms, n, v):
+    """``(terms, beta)``: the terms without the constraint's mean kernels and
+    the weight beta of the mean term beta U (I - 1 1^T / v) U^T they sum
+    to, or the terms as given and None (module docstring).
+
+    A term coeff * layout(X (m 1 1^T) X^T) is coeff m n^2 U U^T for
+    blockdiag and coeff m n^2 U 1 1^T U^T for dense, U = blockdiag(mu_s), so
+    the mean terms sum to U (beta I + delta 1 1^T) U^T.  They are split off
+    only when every other constraint term is blockdiag, beta > 0 and
+    beta + v delta is zero to its rounding, as the mean-consistency
+    regularizer's are.
+    """
+    rest, beta, delta = [], 0.0, 0.0
+    for term in terms:
+        if term.side == "constraint" and _is_mean_kernel(term.kernel):
+            weight = term.coeff * term.kernel.M.flat[0] * float(n) ** 2
+            if term.layout == "blockdiag":
+                beta += weight
+            else:
+                delta += weight
+        elif term.side == "constraint" and term.layout != "blockdiag":
+            return terms, None
+        else:
+            rest.append(term)
+    rounding = 4 * v * np.finfo(float).eps * (abs(beta) + v * abs(delta))
+    if not (beta > 0 and abs(beta + v * delta) <= rounding):
+        return terms, None
+    return rest, beta
+
+
+def _mean_factor(beta, statistics):
+    """Z = sqrt(beta) U Q with Z Z^T = beta U (I - 1 1^T / v) U^T, Q the
+    v x (v - 1) Helmert basis of 1-perp."""
+    v = len(statistics.blocks)
+    Q = np.zeros((v, v - 1))
+    for j in range(1, v):
+        Q[:j, j - 1] = 1.0 / np.sqrt(j * (j + 1))
+        Q[j, j - 1] = -j / np.sqrt(j * (j + 1))
+    Q *= np.sqrt(beta)
+    mu = statistics.mu
+    Z = np.empty((len(mu), v - 1))
+    for b, row in zip(statistics.blocks, Q):
+        Z[b] = np.outer(mu[b], row)
+    return Z
+
+
+def _pencil_pieces(terms, counts, v):
+    """``(pieces, couplings, beta)`` of a term list: ``_summed_terms`` of the
+    terms left by ``_split_mean``, and its mean term's weight."""
+    terms, beta = _split_mean(terms, counts.sum(), v)
+    pieces, couplings = _summed_terms(
+        terms, lambda kernel: _kernel_pieces(kernel, counts)
+    )
+    return pieces, couplings, beta
+
+
 def _block_constraint(pieces, couplings):
     """Whether the constraint has neither dense nor representer terms, so
     ``materialize`` returns it as its diagonal blocks."""
@@ -461,7 +548,8 @@ def _plan(pieces, couplings, views):
     S would have fewer columns than ``gevd`` solves in rank at this d.
     Otherwise it is "sample objective" (a ``SampleObjective``) when the
     objective has dense or blockdiag terms and no representer term, the
-    constraint comes as blocks (``_block_constraint``) and n <= d
+    constraint comes as blocks (``_block_constraint``, with or without the
+    mean terms ``_split_mean`` took out of ``pieces``) and n <= d
     (``whitens_samples``).  An objective with a samples factor or a sample
     objective reads no Gram.  The Gram is "full" when a dense term reads it
     or the representer coupling needs the raw Gram (every d_s <= n), else
@@ -666,8 +754,10 @@ def materialize(terms, statistics):
     formed, either is the same array.
 
     A constraint without dense and representer terms is returned as the
-    list of its diagonal blocks, one per view, each exactly symmetric; any
-    other constraint as one d x d array.
+    list of its diagonal blocks, one per view, each exactly symmetric; one
+    whose only other terms are mean kernels as a ``LowRankBlocks`` of those
+    blocks and the mean term's factor (module docstring); any other
+    constraint as one d x d array.
     """
     views, F, C_w = statistics.views, statistics.F, statistics.C_w
     n = views[0].shape[1]
@@ -675,9 +765,7 @@ def materialize(terms, statistics):
     if Y is not statistics.Y and not np.array_equal(Y, statistics.Y):
         raise ValueError("the statistics are not on the terms' class indicator")
     counts = statistics.counts
-    pieces, couplings = _summed_terms(
-        terms, lambda kernel: _kernel_pieces(kernel, counts)
-    )
+    pieces, couplings, beta = _pencil_pieces(terms, counts, len(views))
     read, kind = _plan(pieces, couplings, views)
     if (read == "full" and C_w is None
             or read == "blocks" and statistics.C_blocks[0] is None):
@@ -703,6 +791,8 @@ def materialize(terms, statistics):
         objective = objective()
     if _block_constraint(pieces, couplings):
         constraint = _side_blocks("constraint", pieces, statistics)
+        if beta is not None and len(views) > 1:
+            constraint = LowRankBlocks(constraint, _mean_factor(beta, statistics))
     else:
         constraint = _side("constraint", pieces, couplings, statistics, C_w, gram)
     return objective, constraint, factor

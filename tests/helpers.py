@@ -10,6 +10,10 @@ from mvsubspace.gevd import GevdSolution, NumericalError, _fix_signs, solve
 from mvsubspace.scatter import (
     ClassStatistics,
     KernelTerm,
+    LowRankBlocks,
+    _kernel_pieces,
+    _side,
+    _summed_terms,
     _view_blocks,
     label_kernels,
     materialize,
@@ -220,9 +224,13 @@ def catalog_terms(method, n, labels, v):
 def dense_sides(objective, constraint):
     """``materialize``'s two sides as d x d arrays: an objective returned as
     its forming function formed, a constraint returned as its diagonal
-    blocks assembled."""
-    return (objective() if callable(objective) else objective,
-            blockdiag_dense(constraint) if isinstance(constraint, list) else constraint)
+    blocks, with or without a low-rank term, assembled."""
+    if isinstance(constraint, LowRankBlocks):
+        Z = constraint.Z
+        constraint = symmetrize(blockdiag_dense(constraint.blocks) + Z @ Z.T)
+    elif isinstance(constraint, list):
+        constraint = blockdiag_dense(constraint)
+    return objective() if callable(objective) else objective, constraint
 
 
 def materialize_on(terms, views):
@@ -348,13 +356,16 @@ def _longdouble_lower_solve(L, B):
     return X
 
 
-def longdouble_whitened(samples, factors):
+def longdouble_whitened(samples, whitening):
     """C = L^-1 A L^-T of a ``scatter.SampleObjective`` in long double: A
-    summed block by block from its samples, L = blockdiag of the factors."""
+    summed block by block from its samples, L^-1 = N L_0^-1 with L_0 the
+    blockdiag of the whitening's factors and N = I + W diag(h) W^T its fold
+    (the identity without a low-rank term)."""
     X_w, F = (np.asarray(Z, dtype=np.longdouble) for Z in (samples.X_w, samples.F))
     d = X_w.shape[0]
     A = np.zeros((d, d), dtype=np.longdouble)
     L = np.zeros((d, d))
+    factors = whitening.factors
     for s, (rows, L_s) in enumerate(factors):
         L[rows, rows] = np.tril(L_s)
         for t, (cols, _) in enumerate(factors):
@@ -362,7 +373,91 @@ def longdouble_whitened(samples, factors):
             m = len(Mt)
             A[rows, cols] = (eye * (X_w[rows] @ X_w[cols].T)
                              + F[rows, :m] @ Mt.astype(np.longdouble) @ F[cols, :m].T)
-    return _longdouble_lower_solve(L, _longdouble_lower_solve(L, A).T).T
+    C = _longdouble_lower_solve(L, _longdouble_lower_solve(L, A).T).T
+    if whitening.W is None:
+        return C
+    W = whitening.W.astype(np.longdouble)
+    N = np.eye(d, dtype=np.longdouble) + (W * whitening.h.astype(np.longdouble)) @ W.T
+    return N @ C @ N
+
+
+def longdouble_cholesky(B):
+    """The lower Cholesky factor of B in long double, column by column."""
+    B = np.asarray(B, dtype=np.longdouble)
+    L = np.zeros(B.shape, dtype=np.longdouble)
+    for j in range(B.shape[0]):
+        pivot = B[j, j] - L[j, :j] @ L[j, :j]
+        L[j, j] = np.sqrt(pivot)
+        L[j + 1:, j] = (B[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
+    return L
+
+
+def _longdouble_householder(V):
+    """(Q, R): Q^T V = [R; 0] by one Householder reflector per column of V,
+    in long double, Q full and orthogonal."""
+    d, m = V.shape
+    R = np.asarray(V, dtype=np.longdouble).copy()
+    Q = np.eye(d, dtype=np.longdouble)
+    for j in range(m):
+        x = R[j:, j].copy()
+        x[0] -= -np.copysign(np.sqrt(x @ x), x[0])
+        scale = 2 / (x @ x)
+        R[j:] -= np.outer(x, scale * (x @ R[j:]))
+        Q[:, j:] -= np.outer(scale * (Q[:, j:] @ x), x)
+    return Q, np.triu(R[:m])
+
+
+def longdouble_mean_oracle(dataset, gamma, cca=0.0):
+    """``(eigenvalues, B_0, Z)`` of MvDA (``cca`` 0) or MvDA_CCA (``cca`` its
+    lam) in long double, from the raw views, never forming B.
+
+    B = B_0 + Z Z^T with B_0 = blockdiag(X_s H X_s^T) + gamma I and
+    Z Z^T = n U (I - 1 1^T / v) U^T, U = blockdiag(mu_s); the objective is
+    A = X (Q - 1 1^T / n) X^T + cca (X H X^T - v blockdiag(X_s H X_s^T)).
+    With B_0 = L_0 L_0^T, V = L_0^-1 Z and Q^T V = [R; 0],
+    Q^T (I + V V^T) Q = blockdiag(I + R R^T, I), so with I + R R^T = L_m L_m^T
+    the eigenvalues (descending) are those of
+    K^-1 Q^T L_0^-1 A L_0^-T Q K^-T, K = blockdiag(L_m, I).  Formed in long
+    double, B would round its n mu_s mu_s^T at a size that swamps gamma once
+    the views are offset by 1e4 or more."""
+    views = [np.asarray(X, dtype=np.longdouble) for X in dataset.views]
+    v, n = len(views), dataset.n_samples
+    centred = [X - (X.sum(axis=1) / n)[:, None] for X in views]
+    rows = _view_blocks(views)
+    d = rows[-1].stop
+    helmert = np.zeros((v, v - 1))
+    for j in range(1, v):
+        helmert[:j, j - 1] = 1.0 / np.sqrt(j * (j + 1))
+        helmert[j, j - 1] = -j / np.sqrt(j * (j + 1))
+    B_0 = gamma * np.eye(d, dtype=np.longdouble)
+    Z = np.zeros((d, v - 1), dtype=np.longdouble)
+    for s, (b, X, X_c) in enumerate(zip(rows, views, centred)):
+        B_0[b, b] += X_c @ X_c.T
+        Z[b] = np.sqrt(np.longdouble(n)) * np.outer(X.sum(axis=1) / n, helmert[s])
+    X_c = np.vstack(centred)
+    indicator = build_indicator(dataset.labels)
+    sums = X_c @ indicator.Y.T.astype(np.longdouble)
+    A = (sums / indicator.counts) @ sums.T + cca * (X_c @ X_c.T)
+    for b, X_s in zip(rows, centred):
+        A[b, b] -= cca * v * (X_s @ X_s.T)
+    L_0 = longdouble_cholesky(B_0)
+    Q, R = _longdouble_householder(_longdouble_lower_solve(L_0, Z))
+    K = np.eye(d, dtype=np.longdouble)
+    K[:v - 1, :v - 1] = longdouble_cholesky(np.eye(v - 1) + R @ R.T)
+    C = _longdouble_lower_solve(L_0, _longdouble_lower_solve(L_0, A).T).T
+    C = Q.T @ C @ Q
+    C = _longdouble_lower_solve(K, _longdouble_lower_solve(K, C).T).T
+    return np.linalg.eigvalsh(C.astype(float))[::-1], B_0, Z
+
+
+def parent_constraint(terms, statistics):
+    """The constraint of the terms as one d x d array, every term summed into
+    its layout (the mean kernel's onto the diagonal blocks and the dense
+    side), as ``scatter`` builds a constraint with dense terms."""
+    pieces, couplings = _summed_terms(
+        terms, lambda kernel: _kernel_pieces(kernel, statistics.counts)
+    )
+    return _side("constraint", pieces, couplings, statistics, statistics.C_w, None)
 
 
 def loss_only(nets, ds, method, activation):

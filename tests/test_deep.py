@@ -285,18 +285,20 @@ def test_retry_keeps_the_objective_factor():
     assert solution.route == "factored"
 
 
-@pytest.mark.parametrize("name", ["MCCA", "MLDA", "GMA", "MvLDA"])
+@pytest.mark.parametrize("name", ["MCCA", "MLDA", "GMA", "MvDA", "MvDA_CCA", "MvLDA"])
 def test_retry_adds_the_ridge_to_each_block(name, monkeypatch):
     """One view of zero features makes its constraint block singular at
     gamma = 0.  The retry adds jitter * max(tr B / d, 1) to the diagonal of
     each block of a constraint given as blocks, forming no dense constraint,
-    or to the dense constraint of MvLDA; the answer is the dense retry's
-    (``helpers.dense_retry``)."""
+    with MvDA's and MvDA_CCA's low-rank mean term kept as it is (tr B counts
+    it), or to the dense constraint of MvLDA; the answer is the dense
+    retry's (``helpers.dense_retry``)."""
     rng = np.random.default_rng(5)
     features = [rng.standard_normal((6, 12)), np.zeros((4, 12)), rng.standard_normal((5, 12))]
     problem = build(MethodId(name, k=2, gamma=0.0),
                     MultiViewDataset(tuple(features), np.repeat([1, 2, 3], 4)))
     assert (problem.constraint_blocks is None) == (name == "MvLDA")
+    assert (problem.constraint_low_rank is not None) == name.startswith("MvDA")
     with pytest.raises(NumericalError, match="positive definite"):
         solve(problem)
     reads = []

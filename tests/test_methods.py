@@ -21,13 +21,21 @@ from mvsubspace import (
 from mvsubspace import gevd
 from mvsubspace.framework import label_readers, spec_terms
 from mvsubspace.methods import fit as fit_method
-from mvsubspace.scatter import ClassStatistics, materialize, whitens_samples
+from mvsubspace.scatter import (
+    ClassStatistics,
+    LowRankBlocks,
+    materialize,
+    whitens_samples,
+)
 
 from helpers import (
     PENCIL_RTOL,
     catalog_pencil,
+    center_columns,
     dense_materialize,
+    longdouble_mean_oracle,
     longdouble_whitened,
+    parent_constraint,
     pencil_gap,
     random_dataset,
 )
@@ -306,7 +314,7 @@ def test_tall_mcca_builds_no_factor(monkeypatch):
     assert solve(prob).route == "full"
 
 
-SAMPLE_WHITENED = ("MLDA", "GMA")
+SAMPLE_WHITENED = ("MLDA", "GMA", "MvDA_CCA")
 
 
 def _side_reads(monkeypatch):
@@ -325,8 +333,9 @@ def _side_reads(monkeypatch):
 
 @pytest.mark.parametrize("name", SAMPLE_WHITENED)
 def test_wide_fits_whiten_their_samples(monkeypatch, name):
-    """At 3 x 250 dims and n = 250 <= d the objectives of MLDA and GMA, dense
-    and blockdiag terms over a block constraint, come as a SampleObjective:
+    """At 3 x 250 dims and n = 250 <= d the objectives of MLDA, GMA and
+    MvDA_CCA, dense and blockdiag terms over a block constraint (with
+    MvDA_CCA's low-rank mean term), come as a SampleObjective:
     the statistics form only the constraint's Gram blocks, a fit reads
     neither dense side, and the full route solves.  Read, the objective is
     the one the whole Gram gives."""
@@ -360,12 +369,36 @@ def test_whitening_the_samples_takes_n_at_most_d(name):
 
 
 def test_dense_constraints_are_one_array():
-    """MvLDA, MvDA, MvDA_VC and MvDA_CCA have dense or representer
-    constraint terms: one d x d constraint, and no sample objective."""
+    """MvLDA and MvDA_VC have joint or representer constraint terms, which
+    are not low rank: one d x d constraint, and no sample objective."""
     ds = random_dataset(seed=30, dims=(10, 10, 10), classes=3, n=12)
-    for name in ("MvLDA", "MvDA", "MvDA_VC", "MvDA_CCA"):
+    for name in ("MvLDA", "MvDA_VC"):
         prob = build(MethodId(name, k=2), ds)
         assert prob.constraint_blocks is None and prob.objective_samples is None
+        assert prob.constraint_low_rank is None
+
+
+@pytest.mark.parametrize("name", ["MvDA", "MvDA_CCA"])
+def test_mean_constraints_are_blocks_and_a_mean_factor(name):
+    """MvDA and MvDA_CCA's constraint comes as the view blocks
+    X_s H X_s^T + gamma I and the factor Z = sqrt(n) U Q of the mean term,
+    Z Z^T = n U (I - 1 1^T / v) U^T with U = blockdiag(mu_s); at n <= d
+    MvDA_CCA's objective is a SampleObjective."""
+    ds = random_dataset(seed=30, dims=(10, 10, 10), classes=3, n=12)
+    method = MethodId(name, k=2)
+    prob = build(method, ds)
+    assert (prob.objective_samples is not None) == (name == "MvDA_CCA")
+    assert prob.constraint_low_rank.shape == (30, 2)
+    for (rows, B), X in zip(prob.constraint_blocks, ds.views):
+        X_c = center_columns(X)
+        np.testing.assert_allclose(B, X_c @ X_c.T + method.gamma * np.eye(10),
+                                   rtol=0, atol=1e-13 * np.abs(B).max())
+    U = np.zeros((30, 3))
+    for s, X in enumerate(ds.views):
+        U[10 * s:10 * s + 10, s] = X.mean(axis=1)
+    Z = prob.constraint_low_rank
+    want = 12 * U @ (np.eye(3) - 1.0 / 3) @ U.T
+    np.testing.assert_allclose(Z @ Z.T, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e6])
@@ -373,33 +406,129 @@ def test_dense_constraints_are_one_array():
 def test_sample_whitening_matches_the_formed_objective(name, offset):
     """d > n, views offset by 0 and by 1e6.  The constraint blocks are the
     diagonal blocks of ``build``'s dense constraint bit for bit, zeros off
-    them.  C's lower triangle from the samples matches the whitening of the
-    formed objective to 1e-9 of max|C|, the formed objective's own error: its
-    rounding of X_s X_t^T is magnified along the constraint's eigenvalues at
-    gamma (3.0e-10 for MLDA here, 1.4e-13 from the samples against a
-    long-double whitening, which both are held to).  The eigenvalues agree
-    with the full route on the dense pencil within 1e-13 relative."""
+    them, where it has no low-rank term.  C's lower triangle from the samples
+    matches the whitening of the formed objective to 1e-9 of max|C|, the
+    formed objective's own error: its rounding of X_s X_t^T is magnified
+    along the constraint's eigenvalues at gamma (3.0e-10 for MLDA and
+    2.9e-10 / 4.3e-10 for MvDA_CCA at offsets 0 / 1e6 here, against
+    1.4e-13 and 1.8e-13 / 2.3e-13 from the samples against a long-double
+    whitening, which both are held to).  The eigenvalues agree within 1e-13
+    relative with the full route on the dense pencil, or for MvDA_CCA, whose
+    dense constraint rounds its n mu_s mu_s^T, with the long-double oracle."""
     ds = random_dataset(seed=30, dims=(40, 40, 40), classes=5, n=30)
     shifted = MultiViewDataset(tuple(X + offset for X in ds.views), ds.labels)
-    prob = build(MethodId(name, k=3), shifted)
-    off_blocks = np.ones((120, 120), dtype=bool)
-    for rows, B in prob.constraint_blocks:
-        np.testing.assert_array_equal(prob.constraint[rows, rows], B)
-        off_blocks[rows, rows] = False
-    assert not prob.constraint[off_blocks].any()
-    factors = gevd._cholesky(prob.constraint_blocks)
-    C = gevd._whitened_samples(prob.objective_samples, factors)
+    method = MethodId(name, k=3)
+    prob = build(method, shifted)
+    if prob.constraint_low_rank is None:
+        off_blocks = np.ones((120, 120), dtype=bool)
+        for rows, B in prob.constraint_blocks:
+            np.testing.assert_array_equal(prob.constraint[rows, rows], B)
+            off_blocks[rows, rows] = False
+        assert not prob.constraint[off_blocks].any()
+    whitening = gevd._Whitening(prob.constraint_blocks, prob.constraint_low_rank)
+    C = gevd._whitened_samples(prob.objective_samples, whitening)
     lower = np.tril(np.ones(C.shape, dtype=bool))
     scale = np.abs(C[lower]).max()
-    formed = gevd._whitened(prob.objective, factors)
+    formed = gevd._whitened(prob.objective, whitening)
     assert np.abs(C - formed)[lower].max() <= 1e-9 * scale
-    extended = longdouble_whitened(prob.objective_samples, factors)
+    extended = longdouble_whitened(prob.objective_samples, whitening)
     for got in (C, formed):
         assert np.abs(got - extended)[lower].max() <= 1e-9 * scale
     assert np.abs(C - extended)[lower].max() <= 1e-12 * scale
-    want = solve(GevdProblem(prob.objective, prob.constraint, prob.k))
-    np.testing.assert_allclose(solve(prob).eigenvalues, want.eigenvalues,
-                               rtol=1e-13, atol=0)
+    if prob.constraint_low_rank is None:
+        want = solve(GevdProblem(prob.objective, prob.constraint, prob.k)).eigenvalues
+    else:
+        want = longdouble_mean_oracle(shifted, method.gamma, method.lam)[0][:3]
+    np.testing.assert_allclose(solve(prob).eigenvalues, want, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+@pytest.mark.parametrize("name", ["MvDA", "MvDA_CCA"])
+def test_mean_term_keeps_large_view_means_exact(name, offset):
+    """Views offset by 0 and 1e6, d > n.  Both routes against the
+    long-double oracle (``helpers.longdouble_mean_oracle``), which never
+    forms B: the split constraint's eigenvalues and max|P^T B P - I|
+    measured 3e-16 to 1.8e-15 at both offsets (7.4e-16 at 1e6).  The dense
+    constraint of the parent's route (``helpers.parent_constraint``)
+    measured 1.0e-15 to 1.5e-15 at offset 0, 3.5e-8 at 1e4, and at 1e6 it
+    rounds n mu_s mu_s^T (~1e15) far above gamma and is not positive
+    definite: the split is the closer route."""
+    ds = random_dataset(seed=30, dims=(40, 40, 40), classes=5, n=30)
+    shifted = MultiViewDataset(tuple(X + offset for X in ds.views), ds.labels)
+    method = MethodId(name, k=3)
+    prob = build(method, shifted)
+    eigenvalues, B_0, Z = longdouble_mean_oracle(
+        shifted, method.gamma, method.lam if name == "MvDA_CCA" else 0.0)
+    terms = spec_terms(method, shifted.labels, shifted.n_samples, 3)
+    whole = ClassStatistics(shifted.views, terms[0].kernel.Y, "full")
+    dense = parent_constraint(terms, whole)
+    dense[np.diag_indices_from(dense)] += method.gamma
+    routes = {"split": prob, "dense": GevdProblem(prob.objective, dense, 3)}
+    errors = {}
+    for route, problem in routes.items():
+        try:
+            solution = solve(problem)
+        except NumericalError as err:
+            assert route == "dense" and offset == 1e6, err
+            assert "not positive definite" in str(err)
+            continue
+        P = solution.P.astype(np.longdouble)
+        ZP = Z.T @ P
+        orth = float(np.abs(P.T @ B_0 @ P + ZP.T @ ZP - np.eye(3)).max())
+        eig = np.max(np.abs(solution.eigenvalues - eigenvalues[:3]) / eigenvalues[:3])
+        errors[route] = max(orth, eig)
+    assert errors["split"] <= 1e-14
+    if offset == 0.0:
+        assert errors["dense"] <= 1e-14
+    else:
+        assert "dense" not in errors
+
+
+@pytest.mark.parametrize("dim, n", [(50, 1500), (250, 250)])
+def test_mean_constraints_keep_the_dense_route_spectrum(dim, n):
+    """At the benchmark's tall and wide shapes, seed 1, MvDA's and
+    MvDA_CCA's eigenvalues from the blocks and the mean factor are those of
+    the parent's one-array constraint (``helpers.parent_constraint``) on the
+    full route, within 1e-10 relative (measured: 2.9e-12 wide, 1.3e-15
+    tall)."""
+    ds = make_toy_dataset(classes=10, views=3, samples=n, dims=(dim,) * 3, seed=1)
+    for name in ("MvDA", "MvDA_CCA"):
+        method = MethodId(name, k=9)
+        prob = build(method, ds)
+        terms = spec_terms(method, ds.labels, ds.n_samples, 3)
+        dense = parent_constraint(terms, ClassStatistics.of(terms, ds.views))
+        dense[np.diag_indices_from(dense)] += method.gamma
+        want = solve(GevdProblem(prob.objective, dense, 9)).eigenvalues
+        np.testing.assert_allclose(solve(prob).eigenvalues, want, rtol=1e-10,
+                                   atol=0, err_msg=name)
+
+
+def test_a_fold_that_overflows_is_not_positive_definite():
+    """A subnormal block at 1e-320 whitens a finite low-rank factor, whose
+    Z Z^T is finite, beyond the largest double: I + V V^T is not a positive
+    definite double, and the solve raises the Cholesky's NumericalError,
+    without numpy warnings."""
+    blocks = [1e-320 * np.eye(3), np.eye(2)]
+    Z = np.full((5, 1), 1e153)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prob = GevdProblem(np.eye(5), LowRankBlocks(blocks, Z), 1)
+        with pytest.raises(NumericalError, match="not positive definite"):
+            solve(prob)
+
+
+@pytest.mark.parametrize("name", ["MvDA", "MvDA_CCA"])
+def test_an_overflowing_mean_term_is_a_numerical_error(name):
+    """Views offset by 1e155 overflow n mu_s mu_s^T but not the view blocks:
+    the mean factor cannot rule out overflow, so the dense constraint is
+    formed and fails its check, as the parent's one array did, without
+    numpy warnings."""
+    ds = random_dataset(seed=9, dims=(40, 40, 40), classes=3, n=30)
+    far = MultiViewDataset(tuple(X + 1e155 for X in ds.views), ds.labels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="constraint matrix has non-finite"):
+            fit_method(MethodId(name, k=2), far)
 
 
 @pytest.mark.parametrize("name", SAMPLE_WHITENED)

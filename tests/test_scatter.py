@@ -109,15 +109,21 @@ def test_method_pencils_match_dense_materialize(name, shape):
 
 # The part of C_w each catalog pencil reads: the whole Gram for a dense term
 # with an identity part or the representer coupling, else its view blocks.
+# The part of C_w each method's statistics form at n = 40 > d = 12 and at
+# n = 10 <= d, where the objectives of MCCA, MLDA, GMA and MvDA_CCA are
+# whitened from the samples and read only the constraint's blocks.
 GRAM_READS = {
     "MCCA": "full", "MvOPLS": "blocks", "MvLDA": "full", "MvDA": "blocks",
     "MvDA_VC": "full", "MvMDA": "blocks", "MLDA": "full", "GMA": "full",
     "MvDA_CCA": "full",
 }
+WIDE_GRAM_READS = {
+    **GRAM_READS, "MCCA": "blocks", "MLDA": "blocks", "GMA": "blocks",
+    "MvDA_CCA": "blocks",
+}
 
 
-@pytest.mark.parametrize("name", METHOD_NAMES)
-def test_the_gram_is_formed_only_where_a_layout_reads_it(name, monkeypatch):
+def _recorded_gram_reads(name, n, monkeypatch):
     asked = []
     construct = ClassStatistics.__init__
 
@@ -126,9 +132,19 @@ def test_the_gram_is_formed_only_where_a_layout_reads_it(name, monkeypatch):
         construct(self, views, Y, gram)
 
     monkeypatch.setattr(ClassStatistics, "__init__", recording)
-    ds = random_dataset(seed=1, dims=(5, 4, 3), classes=3, n=40)
+    ds = random_dataset(seed=1, dims=(5, 4, 3), classes=3, n=n)
     build(MethodId(name, k=1), ds)
-    assert asked == [GRAM_READS[name]]
+    return asked
+
+
+@pytest.mark.parametrize("name", METHOD_NAMES)
+def test_the_gram_is_formed_only_where_a_layout_reads_it(name, monkeypatch):
+    assert _recorded_gram_reads(name, 40, monkeypatch) == [GRAM_READS[name]]
+
+
+@pytest.mark.parametrize("name", METHOD_NAMES)
+def test_wide_pencils_form_the_gram_only_where_a_layout_reads_it(name, monkeypatch):
+    assert _recorded_gram_reads(name, 10, monkeypatch) == [WIDE_GRAM_READS[name]]
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
