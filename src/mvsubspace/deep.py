@@ -154,24 +154,20 @@ class TrainerConfig:
 def _solve_with_retry(problem, jitter):
     """``solve``, with one retry on a jitter-scaled ridge when the constraint
     is not positive definite: jitter * max(tr B / d, 1) is added to the
-    diagonal of each block of a constraint given as blocks, its low-rank
-    term, if any, kept as it is, else of B."""
+    diagonal of each of its blocks, its low-rank term, if any, kept as it
+    is."""
     try:
         return solve(problem)
     except NumericalError:
-        blocks, Z = problem.constraint_blocks, problem.constraint_low_rank
-        sides = [problem.constraint] if blocks is None else [B for _, B in blocks]
-        trace = np.concatenate([np.diagonal(B) for B in sides]).sum()
+        Z = problem.constraint_low_rank
+        blocks = [B.copy() for _, B in problem.constraint_blocks]
+        trace = sum(np.trace(B) for B in blocks)
         if Z is not None:
             trace += np.einsum("ij,ij->", Z, Z)
         ridge = jitter * max(trace / problem.dim, 1.0)
-        sides = [B.copy() for B in sides]
-        for B in sides:
+        for B in blocks:
             B[np.diag_indices_from(B)] += ridge
-        if blocks is None:
-            return solve(problem.with_constraint(sides[0]))
-        return solve(problem.with_constraint(
-            sides if Z is None else LowRankBlocks(sides, Z)))
+        return solve(problem.with_constraint(LowRankBlocks(blocks, Z)))
 
 
 def spectral_loss(features, labels, spec, jitter=1e-8):

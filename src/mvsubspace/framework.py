@@ -44,7 +44,7 @@ import numpy as np
 from .data import TARGET_KINDS, TARGET_MIXES, _read_matrix, _write_text, build_indicator
 from .gevd import GevdProblem
 from .regularizers import LABELED_REGULARIZERS, REGULARIZERS
-from .scatter import KernelTerm, LowRankBlocks, label_kernels, materialize
+from .scatter import KernelTerm, label_kernels, materialize
 
 SUPERVISED_KINDS = tuple(k for k in TARGET_KINDS if k != "identity_n")
 
@@ -113,11 +113,10 @@ class SubspaceModel:
 def pencil(terms, statistics, k, gamma):
     """The GevdProblem of KernelTerms on the views of a
     ``scatter.ClassStatistics``: one ``scatter.materialize`` call plus
-    gamma I on the constraint, added to each block of a constraint that
-    comes as its diagonal blocks, with or without a low-rank term."""
+    gamma I on the constraint, added to each of its diagonal blocks (its
+    low-rank term, if any, kept as it is)."""
     objective, constraint, factor = materialize(terms, statistics)
-    blocks = constraint.blocks if isinstance(constraint, LowRankBlocks) else constraint
-    for B in blocks if isinstance(blocks, list) else [blocks]:
+    for B in constraint.blocks:
         B[np.diag_indices_from(B)] += gamma
     return GevdProblem(objective, constraint, k, factor)
 

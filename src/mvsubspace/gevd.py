@@ -5,29 +5,25 @@ definite) to an ordinary symmetric eigenproblem by Cholesky whitening,
 B = L L^T, C = L^-1 A L^-T, C u = lambda u, p = L^-T u, and one of two
 routes finds the top eigenpairs of C.
 
-Block-diagonal constraints.  Most pencils of the package have the
-constraint blockdiag(X_s K X_s^T) + gamma I, one block per view, and
-``framework.pencil`` hands it over as that list of blocks: ``GevdProblem``
-checks each block as it would the whole side, LAPACK ``potrf`` factors each,
-and the d x d constraint is formed only when something reads
-``problem.constraint``, on each read and without keeping it: a problem
-holds only what it solves from.  A constraint given as one array, as from outside
-the package or with dense terms, is split into the finest diagonal blocks
-found from the array itself: a block boundary is a row p with B[p:, :p]
-exactly zero (B is symmetric, so the lower triangle decides).  Only rows
-whose subdiagonal entry B[p, p-1] is zero are candidates, so a dense B costs
-one read of its subdiagonal, and a block-diagonal one a read of its lower
-off-block part.  Any nonzero entry, however small, joins the blocks it
-couples.  Either way L = blockdiag(L_s) is kept as its blocks: every product
-with L^-1 or L^-T is one triangular solve per block, d_s^2 where a full L
-costs d^2.  At 3 x 250 dims the three block factorizations took 1.1 ms
-against 8.9 ms for one d = 750 ``potrf`` (one BLAS thread).  A block that is
-not positive definite fails as a whole B would.
+Block-diagonal constraints.  Every constraint is diagonal blocks plus an
+optional low-rank term, and ``framework.pencil`` hands it over as a
+``scatter.LowRankBlocks``: the view blocks blockdiag(X_s K X_s^T) + gamma I
+of most pencils, or one d x d block where dense or representer terms couple
+the views (MvLDA, MvDA_VC); a constraint given as one array, as from
+outside the package, is one block.  ``GevdProblem`` checks each block as it
+would the whole side, LAPACK ``potrf`` factors each, and the d x d
+constraint is formed only when something reads ``problem.constraint``, on
+each read and without keeping it: a problem holds only what it solves from.
+L = blockdiag(L_s) is kept as its blocks: every product with L^-1 or L^-T
+is one triangular solve per block, d_s^2 where a full L costs d^2.  At
+3 x 250 dims the three block factorizations took 1.1 ms against 8.9 ms for
+one d = 750 ``potrf`` (one BLAS thread).  A block that is not positive
+definite fails as a whole B would.
 
-Block constraints with a low-rank term.  MvDA's and MvDA_CCA's constraint
-is blockdiag(X_s H X_s^T) + gamma I + n U (I - 1 1^T / v) U^T with
-U = blockdiag(mu_s), and ``framework.pencil`` hands it over as a
-``scatter.LowRankBlocks``: the blocks and the d x (v - 1) factor
+Low-rank constraint terms.  MvDA's, MvDA_CCA's and MvDA_VC's constraint is
+B_0 + n U (I - 1 1^T / v) U^T with U = blockdiag(mu_s), B_0 the view
+blocks X_s H X_s^T + gamma I (MvDA_VC: one block, with its representer
+coupling), and the ``LowRankBlocks`` carries the d x (v - 1) factor
 Z = sqrt(n) U Q of the semidefinite mean term, Q an orthonormal basis of
 1-perp.  ``_Whitening`` factors the blocks, L_0 = blockdiag(L_s), and takes
 V = L_0^-1 Z with its thin SVD V = W Sigma R^T.  Then
@@ -46,8 +42,10 @@ block factors and the fold took 1.3-1.7 ms and 2.3 ms where the dense
 rounded at its own size: with views offset by 1e6 (3 x 40 dims, n = 30),
 n mu_s mu_s^T is about 1e15, and the one-array constraint loses gamma = 1e-4
 to rounding and is no longer positive definite, while the split keeps the
-eigenvalues and P^T B P - I within 1.8e-15 of a long-double oracle.  A V
-that is not finite fails as an indefinite block would, and a Z whose
+eigenvalues and P^T B P - I within 1.8e-15 of a long-double oracle.
+MvDA_VC's one array failed from an offset of 1e5; its split keeps
+P^T B P - I within 1.4e-15 up to 1e6.
+A V that is not finite fails as an indefinite block would, and a Z whose
 ``_term_bound`` cannot rule out an overflowing Z Z^T is assembled with its
 blocks and checked as one array.
 
@@ -323,26 +321,24 @@ def _assembled(blocks, Z=None):
 
 
 def _constraint_sweep(constraint):
-    """(B, blocks, Z, max|B|, max|B - B^T|, d) of a constraint given as one
-    array (B; blocks and Z None), as the list of its diagonal blocks (B and Z
-    None) or as a ``scatter.LowRankBlocks`` (B None).  A low-rank factor Z
-    whose ``_term_bound`` cannot rule out an overflowing Z Z^T is assembled
-    with its blocks into B, as a given array.  The asymmetry is None unless
-    every array is square."""
+    """(blocks, Z, max|B|, max|B - B^T|, d) of a constraint given as a
+    ``scatter.LowRankBlocks`` or as one array, a single block with Z None.
+    A low-rank factor Z whose ``_term_bound`` cannot rule out an overflowing
+    Z Z^T is assembled with its blocks into one block, as a given array.
+    The asymmetry is None unless every block is square."""
     Z = None
     if isinstance(constraint, LowRankBlocks):
         blocks = [np.asarray(B, dtype=float) for B in constraint.blocks]
-        Z = np.asarray(constraint.Z, dtype=float)
-        if Z.ndim != 2 or len(Z) != sum(len(B) for B in blocks):
-            raise ValueError("constraint low-rank factor must be d x m")
-        constraint = blocks
-        if not _term_bound(Z, 1.0) <= _OVERFLOW_FREE:
-            constraint, Z = _assembled(blocks, Z), None
-    if not isinstance(constraint, list):
-        B = np.asarray(constraint, dtype=float)
-        return (B, None, None, *_sweep(B), B.shape[0] if B.ndim else 0)
-    blocks = [np.asarray(B, dtype=float) for B in constraint]
-    return (None, blocks, Z, *_sweep(*blocks), sum(len(B) for B in blocks))
+        if constraint.Z is not None:
+            Z = np.asarray(constraint.Z, dtype=float)
+            if Z.ndim != 2 or len(Z) != sum(len(B) for B in blocks):
+                raise ValueError("constraint low-rank factor must be d x m")
+            if not _term_bound(Z, 1.0) <= _OVERFLOW_FREE:
+                blocks, Z = [_assembled(blocks, Z)], None
+    else:
+        blocks = [np.asarray(constraint, dtype=float)]
+    d = sum(B.shape[0] if B.ndim else 0 for B in blocks)
+    return (blocks, Z, *_sweep(*blocks), d)
 
 
 class GevdProblem:
@@ -352,10 +348,12 @@ class GevdProblem:
     side that is not exactly symmetric is replaced by (M + M^T) / 2, and an
     exactly symmetric float array is stored as given, not copied.
 
-    ``constraint`` is a d x d array, the list of its diagonal blocks, the
-    entries off them zero, or a ``scatter.LowRankBlocks``, those blocks plus
-    Z Z^T; blocks are checked as the array would be, and ``constraint``
-    forms that array on each read without keeping it (module docstring).
+    ``constraint`` is a ``scatter.LowRankBlocks``, diagonal blocks plus an
+    optional Z Z^T, or one d x d array, its one block.  Blocks are checked
+    as the array would be; ``constraint_blocks`` lists them as (rows, B_s),
+    ``constraint_low_rank`` is Z or None, and ``constraint`` is the lone
+    block itself or the array formed on each read without being kept
+    (module docstring).
 
     ``objective_factor`` is an optional (S, M) with objective = S M S^T, which
     lets ``solve`` work in the rank of S.  Given with a dense objective, it is
@@ -372,7 +370,7 @@ class GevdProblem:
         self._form = None
         self.objective_samples = None
         factor = objective_factor
-        B, blocks, low_rank, scale_B, asymmetry_B, d = _constraint_sweep(constraint)
+        blocks, low_rank, scale_B, asymmetry_B, d = _constraint_sweep(constraint)
         if isinstance(objective, SampleObjective) and factor is None:
             if objective.term_bound() <= _OVERFLOW_FREE:
                 self._form = self.objective_samples = objective
@@ -407,17 +405,12 @@ class GevdProblem:
         self.dim = d
         # ``symmetrize`` works in place: a caller's side is never written.
         self.constraint_low_rank = low_rank
-        if blocks is None:
-            self._constraint = B if B_exact else symmetrize(B.copy())
-            self.constraint_blocks = None
-        else:
-            self._constraint = None
-            if not B_exact:
-                blocks = [symmetrize(block.copy()) for block in blocks]
-            self.constraint_blocks, start = [], 0
-            for block in blocks:
-                self.constraint_blocks.append((slice(start, start + len(block)), block))
-                start += len(block)
+        if not B_exact:
+            blocks = [symmetrize(block.copy()) for block in blocks]
+        self.constraint_blocks, start = [], 0
+        for block in blocks:
+            self.constraint_blocks.append((slice(start, start + len(block)), block))
+            start += len(block)
         self._objective = None
         if objective is not None:
             self._objective = A if A_exact else symmetrize(A.copy())
@@ -441,13 +434,13 @@ class GevdProblem:
 
     @property
     def constraint(self):
-        """The dense constraint; given as blocks, it is formed from them and
-        its low-rank factor on each read and not kept, since the solve
-        reads only the blocks."""
-        if self._constraint is None:
-            return _assembled([block for _, block in self.constraint_blocks],
-                              self.constraint_low_rank)
-        return self._constraint
+        """The dense constraint: the lone block itself without a low-rank
+        factor, else formed from the blocks and the factor on each read and
+        not kept, since the solve reads only those."""
+        blocks, Z = self.constraint_blocks, self.constraint_low_rank
+        if len(blocks) == 1 and Z is None:
+            return blocks[0][1]
+        return _assembled([block for _, block in blocks], Z)
 
     def with_constraint(self, constraint):
         """The same objective, formed or not, and factor over ``constraint``."""
@@ -475,37 +468,6 @@ def _fix_signs(P):
         if P[i, j] < 0:
             P[:, j] = -P[:, j]
     return P
-
-
-def _diagonal_blocks(B):
-    """The finest split of symmetric B into diagonal blocks with exactly zero
-    entries off them, as row slices (module docstring).
-
-    Each candidate p (B[p, p-1] == 0) is checked against the columns before
-    it, rows p up to the next candidate; a nonzero entry in column j joins
-    the candidate to the block holding j and every block after it.
-    """
-    d = B.shape[0]
-    cuts = [int(p) for p in np.flatnonzero(np.diagonal(B, -1) == 0) + 1]
-    starts = [0]
-    for p, end in zip(cuts, cuts[1:] + [d]):
-        coupled = B[p:end, :p].any(axis=0)
-        if coupled.any():
-            first = int(np.argmax(coupled))
-            while starts[-1] > first:
-                starts.pop()
-        else:
-            starts.append(p)
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [d])]
-
-
-def _constraint_blocks(problem):
-    """The constraint's diagonal blocks as (rows, B_s): as given, or found
-    from the exact zeros of a dense constraint (``_diagonal_blocks``)."""
-    if problem.constraint_blocks is not None:
-        return problem.constraint_blocks
-    B = problem.constraint
-    return [(rows, B[rows, rows]) for rows in _diagonal_blocks(B)]
 
 
 def _cholesky(blocks):
@@ -712,7 +674,7 @@ def _solve_factored(problem, whitening):
 
 def solve(problem):
     """Solve the pencil and return the top-k B-orthonormal eigenvectors."""
-    whitening = _Whitening(_constraint_blocks(problem), problem.constraint_low_rank)
+    whitening = _Whitening(problem.constraint_blocks, problem.constraint_low_rank)
     factor = problem.objective_factor
     if factor is not None and takes_factored_route(factor[0].shape[1], problem.dim):
         solution = _solve_factored(problem, whitening)

@@ -82,9 +82,10 @@ def build(spec, dataset, terms=None, statistics=None):
     already has them.  A pencil with an objective factor or a
     ``scatter.SampleObjective`` is defined by it: its ``objective`` is formed
     on first read, the same array as without it, and ``fit``'s solve never
-    reads it.  A block-diagonal constraint is kept as its blocks, with
-    MvDA's and MvDA_CCA's mean term as its low-rank factor, and
-    ``constraint`` forms the d x d array on each read.
+    reads it.  The constraint is kept as its diagonal blocks, one per view
+    or one d x d block, with MvDA's, MvDA_CCA's and MvDA_VC's mean term as
+    its low-rank factor, and ``constraint`` forms the d x d array on each
+    read.
     """
     if terms is None:
         terms = spec_terms(spec, dataset.labels, dataset.n_samples, dataset.n_views)

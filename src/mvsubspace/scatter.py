@@ -60,8 +60,8 @@ without the factor.
 
 Whitening from the samples.  An objective of dense and blockdiag terms
 without a factor (MLDA, GMA, MvDA_CCA, and MCCA where n is too large for
-its samples factor) over a constraint that comes as blocks (below, with or
-without a mean term) is returned, where n <= d (``whitens_samples``,
+its samples factor) over a constraint that comes as view blocks (below,
+with or without a mean term) is returned, where n <= d (``whitens_samples``,
 measured there), as a ``SampleObjective``:
 X_w, F, the view blocks and the summed (eye, Mt) of a diagonal block
 (dense plus blockdiag terms) and of an off-diagonal one (dense terms), from
@@ -72,28 +72,26 @@ eye -1 cancel on the diagonal blocks, which are then F_s Mt F_s^T alone.
 Called, the object forms the dense objective, the same array as without
 it; a fit never calls it.
 
-Constraint blocks.  A constraint without dense and representer terms
-(MCCA, MvOPLS, MvMDA, MLDA and GMA: blockdiag(X_s K X_s^T)) is returned as
-the list of its diagonal blocks, each exactly symmetric, and never written
-into a d x d array of zeros; ``framework.pencil`` adds gamma to each, and
-``gevd`` factors them as given.
+One constraint form.  Every constraint is returned as a ``LowRankBlocks``:
+diagonal blocks and an optional low-rank factor Z.  One without dense and
+representer terms (MCCA, MvOPLS, MvMDA, MLDA, GMA, MvDA and MvDA_CCA:
+blockdiag(X_s K X_s^T)) comes as its view blocks, each exactly symmetric,
+never written into a d x d array of zeros; one with such terms (MvLDA,
+MvDA_VC) as one d x d block.  ``framework.pencil`` adds gamma to each
+block, and ``gevd`` factors them as given.
 
 Mean terms.  A kernel m 1 1^T (the mean kernel, eye 0 and M constant) gives
 X K X^T = m n^2 mu mu^T, so the mean-consistency regularizer's
 blockdiag(mean) - dense(mean) / v is n U (I - 1 1^T / v) U^T with
-U = blockdiag(mu_s): positive semidefinite, of rank v - 1.  Where every
-other constraint term is blockdiag (MvDA and MvDA_CCA, not MvDA_VC and
-MvLDA, whose representer and joint terms are not low rank),
-``_split_mean`` takes the constraint's mean terms out of the sum, and the
-constraint is returned as a ``LowRankBlocks``: the blocks of the other
-terms (X_s H X_s^T) and Z = sqrt(n) U Q with Q the Helmert basis of 1-perp
-(``_mean_factor``), so that Z Z^T is the mean term.  With one view the
-mean terms cancel, and the blocks come alone.  The two mean parts
+U = blockdiag(mu_s): positive semidefinite, of rank v - 1.
+``_split_mean`` takes the constraint's mean terms out of the sum (MvDA,
+MvDA_CCA and MvDA_VC), and Z = sqrt(n) U Q with Q the Helmert basis of
+1-perp (``_mean_factor``) carries them, so that Z Z^T is the mean term.
+With one view the mean terms cancel, and Z is None.  The two mean parts
 stay together: the diagonal blocks of the dense part alone hold
 -(n / v) mu_s mu_s^T, so folding only its off-diagonal blocks into blocks
 that keep them leaves an indefinite remainder.  mu is the statistics'
-mean, and the mean term, ~n |mu|^2, is never rounded into the blocks; a
-dense constraint sums it with them (``_side``).
+mean, and the mean term, ~n |mu|^2, is never rounded into the blocks.
 
 Gram blocks only where read.  C_w is formed whole, one n d^2 product, only
 when a dense term has eye != 0 or the representer coupling needs the raw
@@ -463,12 +461,12 @@ def whitens_samples(n, d):
 
 @dataclass(frozen=True, eq=False)
 class LowRankBlocks:
-    """A constraint blockdiag(blocks) + Z Z^T: the diagonal blocks of its
-    blockdiag terms, each exactly symmetric, and the d x m factor Z of its
-    positive semidefinite low-rank term (module docstring)."""
+    """A constraint blockdiag(blocks) + Z Z^T: its diagonal blocks, each
+    exactly symmetric, and the d x m factor Z of its positive semidefinite
+    low-rank term, None without one (module docstring)."""
 
     blocks: list
-    Z: np.ndarray
+    Z: np.ndarray | None = None
 
 
 def _is_mean_kernel(kernel):
@@ -485,9 +483,8 @@ def _split_mean(terms, n, v):
     A term coeff * layout(X (m 1 1^T) X^T) is coeff m n^2 U U^T for
     blockdiag and coeff m n^2 U 1 1^T U^T for dense, U = blockdiag(mu_s), so
     the mean terms sum to U (beta I + delta 1 1^T) U^T.  They are split off
-    only when every other constraint term is blockdiag, beta > 0 and
-    beta + v delta is zero to its rounding, as the mean-consistency
-    regularizer's are.
+    only when beta > 0 and beta + v delta is zero to its rounding, as the
+    mean-consistency regularizer's are.
     """
     rest, beta, delta = [], 0.0, 0.0
     for term in terms:
@@ -497,8 +494,6 @@ def _split_mean(terms, n, v):
                 beta += weight
             else:
                 delta += weight
-        elif term.side == "constraint" and term.layout != "blockdiag":
-            return terms, None
         else:
             rest.append(term)
     rounding = 4 * v * np.finfo(float).eps * (abs(beta) + v * abs(delta))
@@ -535,7 +530,7 @@ def _pencil_pieces(terms, counts, v):
 
 def _block_constraint(pieces, couplings):
     """Whether the constraint has neither dense nor representer terms, so
-    ``materialize`` returns it as its diagonal blocks."""
+    ``materialize`` returns it as its view blocks."""
     return ("constraint", "dense") not in pieces and "constraint" not in couplings
 
 
@@ -548,8 +543,8 @@ def _plan(pieces, couplings, views):
     S would have fewer columns than ``gevd`` solves in rank at this d.
     Otherwise it is "sample objective" (a ``SampleObjective``) when the
     objective has dense or blockdiag terms and no representer term, the
-    constraint comes as blocks (``_block_constraint``, with or without the
-    mean terms ``_split_mean`` took out of ``pieces``) and n <= d
+    constraint comes as view blocks (``_block_constraint``, with or without
+    the mean terms ``_split_mean`` took out of ``pieces``) and n <= d
     (``whitens_samples``).  An objective with a samples factor or a sample
     objective reads no Gram.  The Gram is "full" when a dense term reads it
     or the representer coupling needs the raw Gram (every d_s <= n), else
@@ -753,11 +748,9 @@ def materialize(terms, statistics):
     where ``_plan`` names a sample objective, as a ``SampleObjective``;
     formed, either is the same array.
 
-    A constraint without dense and representer terms is returned as the
-    list of its diagonal blocks, one per view, each exactly symmetric; one
-    whose only other terms are mean kernels as a ``LowRankBlocks`` of those
-    blocks and the mean term's factor (module docstring); any other
-    constraint as one d x d array.
+    The constraint is a ``LowRankBlocks``: one block per view, each exactly
+    symmetric, when it has no dense and representer terms, else one d x d
+    block, and the mean term's factor Z, or None (module docstring).
     """
     views, F, C_w = statistics.views, statistics.F, statistics.C_w
     n = views[0].shape[1]
@@ -790,12 +783,11 @@ def materialize(terms, statistics):
     elif factor is None:
         objective = objective()
     if _block_constraint(pieces, couplings):
-        constraint = _side_blocks("constraint", pieces, statistics)
-        if beta is not None and len(views) > 1:
-            constraint = LowRankBlocks(constraint, _mean_factor(beta, statistics))
+        blocks = _side_blocks("constraint", pieces, statistics)
     else:
-        constraint = _side("constraint", pieces, couplings, statistics, C_w, gram)
-    return objective, constraint, factor
+        blocks = [_side("constraint", pieces, couplings, statistics, C_w, gram)]
+    Z = _mean_factor(beta, statistics) if beta is not None and len(views) > 1 else None
+    return objective, LowRankBlocks(blocks, Z), factor
 
 
 def _apply_sum(kernel, Z):

@@ -10,7 +10,6 @@ from mvsubspace.gevd import GevdSolution, NumericalError, _fix_signs, solve
 from mvsubspace.scatter import (
     ClassStatistics,
     KernelTerm,
-    LowRankBlocks,
     _kernel_pieces,
     _side,
     _summed_terms,
@@ -223,14 +222,12 @@ def catalog_terms(method, n, labels, v):
 
 def dense_sides(objective, constraint):
     """``materialize``'s two sides as d x d arrays: an objective returned as
-    its forming function formed, a constraint returned as its diagonal
-    blocks, with or without a low-rank term, assembled."""
-    if isinstance(constraint, LowRankBlocks):
-        Z = constraint.Z
-        constraint = symmetrize(blockdiag_dense(constraint.blocks) + Z @ Z.T)
-    elif isinstance(constraint, list):
-        constraint = blockdiag_dense(constraint)
-    return objective() if callable(objective) else objective, constraint
+    its forming function formed, the constraint's diagonal blocks and
+    low-rank term, if any, assembled."""
+    B, Z = blockdiag_dense(constraint.blocks), constraint.Z
+    if Z is not None:
+        B = symmetrize(B + Z @ Z.T)
+    return objective() if callable(objective) else objective, B
 
 
 def materialize_on(terms, views):

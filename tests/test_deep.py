@@ -289,15 +289,15 @@ def test_retry_keeps_the_objective_factor():
 def test_retry_adds_the_ridge_to_each_block(name, monkeypatch):
     """One view of zero features makes its constraint block singular at
     gamma = 0.  The retry adds jitter * max(tr B / d, 1) to the diagonal of
-    each block of a constraint given as blocks, forming no dense constraint,
-    with MvDA's and MvDA_CCA's low-rank mean term kept as it is (tr B counts
-    it), or to the dense constraint of MvLDA; the answer is the dense
-    retry's (``helpers.dense_retry``)."""
+    each block of the constraint, MvLDA's one d x d block or the view blocks
+    of the others, forming no dense constraint, with MvDA's and MvDA_CCA's
+    low-rank mean term kept as it is (tr B counts it); the answer is the
+    dense retry's (``helpers.dense_retry``)."""
     rng = np.random.default_rng(5)
     features = [rng.standard_normal((6, 12)), np.zeros((4, 12)), rng.standard_normal((5, 12))]
     problem = build(MethodId(name, k=2, gamma=0.0),
                     MultiViewDataset(tuple(features), np.repeat([1, 2, 3], 4)))
-    assert (problem.constraint_blocks is None) == (name == "MvLDA")
+    assert len(problem.constraint_blocks) == (1 if name == "MvLDA" else 3)
     assert (problem.constraint_low_rank is not None) == name.startswith("MvDA")
     with pytest.raises(NumericalError, match="positive definite"):
         solve(problem)
@@ -306,7 +306,7 @@ def test_retry_adds_the_ridge_to_each_block(name, monkeypatch):
     monkeypatch.setattr(GevdProblem, "constraint", property(
         lambda self: reads.append(1) or constraint.fget(self)))
     solution = _solve_with_retry(problem, 1e-6)
-    assert bool(reads) == (name == "MvLDA")
+    assert not reads
     monkeypatch.undo()
     want = dense_retry(problem, 1e-6)
     assert solution.route == want.route

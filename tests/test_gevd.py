@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
-from helpers import dense_gevd
+from helpers import blockdiag_dense, dense_gevd
 from mvsubspace import gevd
 from mvsubspace.gevd import GevdProblem, NumericalError, solve
-from mvsubspace.scatter import symmetrize, takes_factored_route
+from mvsubspace.scatter import LowRankBlocks, symmetrize, takes_factored_route
 
 
 def test_diagonal_oracle():
@@ -454,21 +454,28 @@ def _block_factor(rng, dims):
     return L
 
 
+def _blocks(B, dims):
+    """The diagonal blocks of B over ``dims``."""
+    ends = np.cumsum(dims)
+    return [B[end - d_s:end, end - d_s:end] for d_s, end in zip(dims, ends)]
+
+
 def _block_pencil(seed, dims, spectrum, k, factored):
-    """A pencil with constraint blockdiag over ``dims`` and generalized
-    eigenvalues ``spectrum`` (plus zeros up to d when ``factored``, which
-    attaches the objective factor (S, M))."""
+    """A pencil with constraint blockdiag over ``dims``, given as its blocks,
+    and generalized eigenvalues ``spectrum`` (plus zeros up to d when
+    ``factored``, which attaches the objective factor (S, M))."""
     rng = np.random.default_rng(seed)
     L = _block_factor(rng, dims)
     d, r = L.shape[0], len(spectrum)
+    constraint = LowRankBlocks(_blocks(L @ L.T, dims))
     Q, _ = np.linalg.qr(rng.standard_normal((d, r if factored else d)))
     if not factored:
         LQ = L @ Q
-        return GevdProblem((LQ * spectrum) @ LQ.T, L @ L.T, k)
+        return GevdProblem((LQ * spectrum) @ LQ.T, constraint, k)
     W, _ = np.linalg.qr(rng.standard_normal((r, r)))
     S = L @ Q @ W
     M = (W.T * spectrum) @ W
-    return GevdProblem((S @ M) @ S.T, L @ L.T, k, (S, M))
+    return GevdProblem((S @ M) @ S.T, constraint, k, (S, M))
 
 
 @pytest.fixture
@@ -501,41 +508,30 @@ def test_block_diagonal_constraint_matches_the_oracle(dims, route, potrf_orders)
 
 
 @pytest.mark.parametrize("route", ["full", "factored"])
-def test_a_tiny_entry_off_the_blocks_joins_them(route, potrf_orders):
-    """1e-300 between the first and the last view block: a single
-    factorization of the whole constraint, and still the oracle's answer."""
+def test_a_constraint_given_as_blocks_is_not_scanned(route, potrf_orders):
+    """Blocks in, one ``potrf`` per block; the d x d constraint is formed
+    from them on each read, exactly zero off the blocks, and not kept.  One
+    array in is one block, factored whole and never searched for zeros, and
+    gives the blocks' answer to rounding."""
     spectrum = np.array([3.0, 2.0, -1.0]) if route == "factored" else (
         np.arange(12, 0, -1.0) - 4.0)
     prob = _block_pencil(3, (5, 4, 3), spectrum, 2, route == "factored")
-    B = prob.constraint.copy()
-    B[10, 1] = B[1, 10] = 1e-300
-    prob = GevdProblem(prob.objective, B, 2, prob.objective_factor)
-    sol, want = solve(prob), dense_gevd(prob)
-    assert potrf_orders == [12]
+    sol = solve(prob)
+    assert potrf_orders == [5, 4, 3]
+    assert sol.route == route and prob.dim == 12
+    dense = prob.constraint
+    assert prob.constraint is not dense
+    np.testing.assert_array_equal(dense, blockdiag_dense([B for _, B in prob.constraint_blocks]))
+    retry = prob.with_constraint(LowRankBlocks([2.0 * B for _, B in prob.constraint_blocks]))
+    assert [B.shape for _, B in retry.constraint_blocks] == [(5, 5), (4, 4), (3, 3)]
+    potrf_orders.clear()
+    whole = GevdProblem(prob.objective, dense, 2, prob.objective_factor)
+    assert [rows for rows, _ in whole.constraint_blocks] == [slice(0, 12)]
+    assert whole.constraint is whole.constraint_blocks[0][1]
+    want = solve(whole)
+    assert potrf_orders == [12] and want.route == route
     np.testing.assert_allclose(sol.eigenvalues, want.eigenvalues, rtol=0, atol=1e-11)
     np.testing.assert_allclose(sol.P, want.P, rtol=0, atol=1e-10)
-
-
-@pytest.mark.parametrize("route", ["full", "factored"])
-def test_a_constraint_given_as_blocks_is_not_scanned(route, potrf_orders, monkeypatch):
-    """Blocks in, one ``potrf`` per block and no search for zeros; the answer
-    is the dense constraint's bit for bit, and that array is formed only
-    when read."""
-    spectrum = np.array([3.0, 2.0, -1.0]) if route == "factored" else (
-        np.arange(12, 0, -1.0) - 4.0)
-    dense = _block_pencil(3, (5, 4, 3), spectrum, 2, route == "factored")
-    want = solve(dense)
-    potrf_orders.clear()
-    blocks = [dense.constraint[b, b] for b in (slice(0, 5), slice(5, 9), slice(9, 12))]
-    monkeypatch.setattr(gevd, "_diagonal_blocks", None)
-    prob = GevdProblem(dense.objective, blocks, 2, dense.objective_factor)
-    sol = solve(prob)
-    assert potrf_orders == [5, 4, 3] and prob._constraint is None
-    assert sol.route == route and prob.dim == 12
-    np.testing.assert_array_equal(sol.P, want.P)
-    np.testing.assert_array_equal(prob.constraint, dense.constraint)
-    retry = prob.with_constraint([2.0 * B for B in blocks])
-    assert [B.shape for _, B in retry.constraint_blocks] == [(5, 5), (4, 4), (3, 3)]
 
 
 def test_constraint_blocks_are_checked_as_the_dense_side():
@@ -543,7 +539,7 @@ def test_constraint_blocks_are_checked_as_the_dense_side():
     a block nearly symmetric is symmetrized, not the caller's array."""
     good = [np.eye(2), 2.0 * np.eye(3)]
     nearly = np.array([[2.0, 1.0], [1.0 + 1e-14, 2.0]])
-    prob = GevdProblem(np.eye(5), [nearly, good[1]], 1)
+    prob = GevdProblem(np.eye(5), LowRankBlocks([nearly, good[1]]), 1)
     np.testing.assert_array_equal(prob.constraint_blocks[0][1], (nearly + nearly.T) * 0.5)
     assert nearly[1, 0] == 1.0 + 1e-14
     for bad, error, match in ((np.array([[1.0, np.inf], [np.inf, 1.0]]), NumericalError,
@@ -552,28 +548,33 @@ def test_constraint_blocks_are_checked_as_the_dense_side():
                                "constraint matrix is not symmetric"),
                               (np.ones((2, 3)), ValueError, "share a shape")):
         with pytest.raises(error, match=match):
-            GevdProblem(np.eye(5), [bad, good[1]], 1)
+            GevdProblem(np.eye(5), LowRankBlocks([bad, good[1]]), 1)
     with pytest.raises(ValueError, match="constraint must be a square"):
-        GevdProblem(lambda: None, [np.ones((2, 3))], 1, (np.ones((2, 1)), np.eye(1)))
+        GevdProblem(lambda: None, LowRankBlocks([np.ones((2, 3))]), 1,
+                    (np.ones((2, 1)), np.eye(1)))
     with pytest.raises(NumericalError, match="positive definite"):
-        solve(GevdProblem(np.eye(5), [good[0], -good[1]], 1))
+        solve(GevdProblem(np.eye(5), LowRankBlocks([good[0], -good[1]]), 1))
 
 
-def test_blocks_are_found_from_the_zeros():
-    B = np.eye(9)
-    B[1, 2] = B[2, 1] = 0.5  # joins rows 1 and 2
-    B[3, 5] = B[5, 3] = 0.5  # joins rows 3 to 5, whose subdiagonal is zero
-    B[8, 6] = B[6, 8] = 0.5  # joins rows 6 to 8
-    blocks = gevd._diagonal_blocks(B)
-    assert [(b.start, b.stop) for b in blocks] == [(0, 1), (1, 3), (3, 6), (6, 9)]
+def test_a_malformed_constraint_raises():
+    """A low-rank factor that is not d x m, and a constraint array that is
+    not two-dimensional, fail the shape checks."""
+    blocks = [np.eye(2), np.eye(3)]
+    for Z in (np.ones(5), np.ones((4, 1)), np.ones((6, 2))):
+        with pytest.raises(ValueError, match="constraint low-rank factor must be d x m"):
+            GevdProblem(np.eye(5), LowRankBlocks(blocks, Z), 1)
+    with pytest.raises(ValueError, match="share a shape"):
+        GevdProblem(np.eye(2), np.ones((2, 2, 2)), 1)
+    with pytest.raises(ValueError, match="constraint must be a square"):
+        GevdProblem(lambda: None, np.ones((2, 2, 2)), 1, (np.ones((2, 1)), np.eye(1)))
 
 
 def test_an_indefinite_view_block_raises(potrf_orders):
     L = _block_factor(np.random.default_rng(0), (5, 4, 3))
-    B = L @ L.T
-    B[6, 6] = -1.0  # inside the middle block
+    blocks = _blocks(L @ L.T, (5, 4, 3))
+    blocks[1][1, 1] = -1.0  # inside the middle block
     with pytest.raises(NumericalError, match="positive definite"):
-        solve(GevdProblem(np.eye(12), B, 1))
+        solve(GevdProblem(np.eye(12), LowRankBlocks(blocks), 1))
     assert potrf_orders == [5, 4]
 
 

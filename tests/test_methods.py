@@ -240,20 +240,30 @@ def test_rank_c_objectives_take_the_factored_route(dim, n):
 FIT_SHAPES = {"n>d": ((6, 5, 4), 40), "d>n": ((40, 40, 40), 30)}
 
 
+def _formed_objective_problem(prob):
+    """``prob`` with its objective formed and no factor, over its own
+    constraint blocks and low-rank factor: the full route on the formed
+    objective."""
+    blocks = [B for _, B in prob.constraint_blocks]
+    constraint = LowRankBlocks(blocks, prob.constraint_low_rank)
+    return GevdProblem(prob.objective, constraint, prob.k)
+
+
 @pytest.mark.parametrize("shape", FIT_SHAPES)
 @pytest.mark.parametrize("name", METHOD_NAMES)
 def test_fit_agrees_with_solving_the_build(name, shape):
     """``fit`` solves a factor-defined pencil that forms no dense objective;
-    the full route on the dense pencil ``build`` returns answers the same.
-    Eigenvalues agree within 1e-13 relative, and spans by subspace angle
-    where the gap exceeds 1e-8 of the top eigenvalue."""
+    the full route on the formed objective over the same constraint blocks
+    and low-rank factor returns answers the same.  Eigenvalues agree within
+    1e-13 relative, and spans by subspace angle where the gap exceeds 1e-8
+    of the top eigenvalue."""
     dims, n = FIT_SHAPES[shape]
     ds = random_dataset(seed=n, dims=dims, classes=5, n=n)
     method = MethodId(name, k=3)
     model, prob = fit_method(method, ds), build(method, ds)
     factored = FACTORED_METHODS + (("MCCA",) if shape == "d>n" else ())
     assert solve(prob).route == ("factored" if name in factored else "full")
-    want = solve(GevdProblem(prob.objective, prob.constraint, prob.k))
+    want = solve(_formed_objective_problem(prob))
     assert want.route == "full"
     np.testing.assert_allclose(model.eigenvalues, want.eigenvalues, rtol=1e-13, atol=0)
     if want.spectrum_gap > 1e-8 * abs(want.eigenvalues[0]):
@@ -370,12 +380,15 @@ def test_whitening_the_samples_takes_n_at_most_d(name):
 
 def test_dense_constraints_are_one_array():
     """MvLDA and MvDA_VC have joint or representer constraint terms, which
-    are not low rank: one d x d constraint, and no sample objective."""
+    couple the views: one d x d block, and no sample objective.  MvLDA has
+    no low-rank term; MvDA_VC's mean term is its d x (v - 1) factor."""
     ds = random_dataset(seed=30, dims=(10, 10, 10), classes=3, n=12)
-    for name in ("MvLDA", "MvDA_VC"):
-        prob = build(MethodId(name, k=2), ds)
-        assert prob.constraint_blocks is None and prob.objective_samples is None
-        assert prob.constraint_low_rank is None
+    mvlda, mvda_vc = (build(MethodId(name, k=2), ds) for name in ("MvLDA", "MvDA_VC"))
+    for prob in (mvlda, mvda_vc):
+        assert [rows for rows, _ in prob.constraint_blocks] == [slice(0, 30)]
+        assert prob.objective_samples is None
+    assert mvlda.constraint_low_rank is None
+    assert mvda_vc.constraint_low_rank.shape == (30, 2)
 
 
 @pytest.mark.parametrize("name", ["MvDA", "MvDA_CCA"])
@@ -413,8 +426,9 @@ def test_sample_whitening_matches_the_formed_objective(name, offset):
     2.9e-10 / 4.3e-10 for MvDA_CCA at offsets 0 / 1e6 here, against
     1.4e-13 and 1.8e-13 / 2.3e-13 from the samples against a long-double
     whitening, which both are held to).  The eigenvalues agree within 1e-13
-    relative with the full route on the dense pencil, or for MvDA_CCA, whose
-    dense constraint rounds its n mu_s mu_s^T, with the long-double oracle."""
+    relative with the full route on the formed objective over the same
+    constraint blocks, or for MvDA_CCA, whose one-array constraint would
+    round its n mu_s mu_s^T, with the long-double oracle."""
     ds = random_dataset(seed=30, dims=(40, 40, 40), classes=5, n=30)
     shifted = MultiViewDataset(tuple(X + offset for X in ds.views), ds.labels)
     method = MethodId(name, k=3)
@@ -436,7 +450,7 @@ def test_sample_whitening_matches_the_formed_objective(name, offset):
         assert np.abs(got - extended)[lower].max() <= 1e-9 * scale
     assert np.abs(C - extended)[lower].max() <= 1e-12 * scale
     if prob.constraint_low_rank is None:
-        want = solve(GevdProblem(prob.objective, prob.constraint, prob.k)).eigenvalues
+        want = solve(_formed_objective_problem(prob)).eigenvalues
     else:
         want = longdouble_mean_oracle(shifted, method.gamma, method.lam)[0][:3]
     np.testing.assert_allclose(solve(prob).eigenvalues, want, rtol=1e-13, atol=0)
@@ -484,15 +498,41 @@ def test_mean_term_keeps_large_view_means_exact(name, offset):
         assert "dense" not in errors
 
 
+@pytest.mark.parametrize("offset", [1e5, 1e6])
+def test_mvda_vc_mean_term_keeps_large_view_means_exact(offset):
+    """MvDA_VC's one d x d block (its representer coupling) keeps the mean
+    term as its low-rank factor too.  With the views offset by 1e5 and 1e6
+    (3 x 40 dims, n = 30) its solve succeeds, and the long-double
+    max|P^T B_0 P + (Z^T P)^T (Z^T P) - I| over the problem's own block B_0
+    and factor Z measured 6.6e-16 to 7.6e-16.  The parent's one array
+    (``helpers.parent_constraint``) rounds n mu_s mu_s^T far above gamma at
+    both offsets and is not positive definite (at 1e4 it read 1.1e-8)."""
+    ds = random_dataset(seed=30, dims=(40, 40, 40), classes=5, n=30)
+    shifted = MultiViewDataset(tuple(X + offset for X in ds.views), ds.labels)
+    method = MethodId("MvDA_VC", k=3)
+    prob = build(method, shifted)
+    solution = solve(prob)
+    (_, B_0), = prob.constraint_blocks
+    P = solution.P.astype(np.longdouble)
+    ZP = prob.constraint_low_rank.astype(np.longdouble).T @ P
+    orth = P.T @ B_0.astype(np.longdouble) @ P + ZP.T @ ZP - np.eye(3)
+    assert float(np.abs(orth).max()) <= 1e-14
+    terms = spec_terms(method, shifted.labels, shifted.n_samples, 3)
+    dense = parent_constraint(terms, ClassStatistics.of(terms, shifted.views))
+    dense[np.diag_indices_from(dense)] += method.gamma
+    with pytest.raises(NumericalError, match="not positive definite"):
+        solve(GevdProblem(prob.objective, dense, 3))
+
+
 @pytest.mark.parametrize("dim, n", [(50, 1500), (250, 250)])
 def test_mean_constraints_keep_the_dense_route_spectrum(dim, n):
-    """At the benchmark's tall and wide shapes, seed 1, MvDA's and
-    MvDA_CCA's eigenvalues from the blocks and the mean factor are those of
-    the parent's one-array constraint (``helpers.parent_constraint``) on the
-    full route, within 1e-10 relative (measured: 2.9e-12 wide, 1.3e-15
-    tall)."""
+    """At the benchmark's tall and wide shapes, seed 1, MvDA's, MvDA_CCA's
+    and MvDA_VC's eigenvalues from the blocks and the mean factor are those
+    of the parent's one-array constraint (``helpers.parent_constraint``) on
+    the full route, within 1e-10 relative (measured: 9.3e-13, 9.2e-13 and
+    3.0e-11 wide, at most 1.3e-15 tall)."""
     ds = make_toy_dataset(classes=10, views=3, samples=n, dims=(dim,) * 3, seed=1)
-    for name in ("MvDA", "MvDA_CCA"):
+    for name in ("MvDA", "MvDA_CCA", "MvDA_VC"):
         method = MethodId(name, k=9)
         prob = build(method, ds)
         terms = spec_terms(method, ds.labels, ds.n_samples, 3)
